@@ -43,11 +43,12 @@ void
 Channel::drainWrites(Cycle when)
 {
     ++activity_.writeDrains;
-    while (writeQueue_.size() > config_.writeQueueLow) {
-        const DramCoord coord = writeQueue_.front();
-        writeQueue_.erase(writeQueue_.begin());
-        scheduleAccess(coord, AccessType::Write, when);
-    }
+    // Issue the oldest writes in FIFO order, then drop them in one erase.
+    std::size_t drained = 0;
+    for (; writeQueue_.size() - drained > config_.writeQueueLow; ++drained)
+        scheduleAccess(writeQueue_[drained], AccessType::Write, when);
+    writeQueue_.erase(writeQueue_.begin(),
+                      writeQueue_.begin() + std::ptrdiff_t(drained));
 }
 
 Cycle

@@ -29,10 +29,8 @@ IntegrityTree::getEntry(unsigned level, std::uint64_t index)
     MORPH_CHECK_LT(level, store_.size());
     MORPH_CHECK_LT(index, geom_.levels()[level].entries);
 
-    auto &level_store = store_[level];
-    auto it = level_store.find(index);
-    if (it != level_store.end())
-        return it->second;
+    if (CachelineData *image = store_[level].find(index))
+        return *image;
 
     // Materialize a fresh all-zero entry. Its MAC must be consistent
     // from birth so verification of untouched regions succeeds.
@@ -40,7 +38,7 @@ IntegrityTree::getEntry(unsigned level, std::uint64_t index)
     formats_[level]->init(image);
     if (level != geom_.rootLevel())
         CounterFormat::setMac(image, entryMac(level, index, image));
-    return level_store.emplace(index, image).first->second;
+    return store_[level][index] = image;
 }
 
 std::uint64_t
@@ -107,7 +105,7 @@ IntegrityTree::propagateMutation(unsigned level, std::uint64_t index,
             const std::uint64_t child = base + c;
             if (child == index || child >= geom_.levels()[level].entries)
                 continue;
-            if (store_[level].count(child))
+            if (store_[level].contains(child))
                 recomputeMac(level, child);
         }
     }
@@ -154,9 +152,10 @@ IntegrityTree::bumpCounter(LineAddr data_line)
     }
 
     propagateMutation(0, idx, out);
-    // Re-fetch: propagation can materialize level-0 siblings (tree
-    // overflow re-hash), rehashing the store and invalidating `entry`.
-    out.newCounter = formats_[0]->read(getEntry(0, idx), slot);
+    // `entry` is still valid: a store reference survives any later
+    // insertion. Propagation rewrites only its MAC field, so this reads
+    // the counter increment() set.
+    out.newCounter = formats_[0]->read(entry, slot);
     return out;
 }
 
@@ -180,10 +179,10 @@ bool
 IntegrityTree::verifyAll()
 {
     for (unsigned level = 0; level < geom_.rootLevel(); ++level) {
-        for (auto &kv : store_[level]) {
-            const std::uint64_t stored = CounterFormat::mac(kv.second);
+        for (const auto &e : store_[level]) {
+            const std::uint64_t stored = CounterFormat::mac(e.value);
             if (!MacEngine::equal(stored,
-                                  entryMac(level, kv.first, kv.second)))
+                                  entryMac(level, e.key, e.value)))
                 return false;
         }
     }

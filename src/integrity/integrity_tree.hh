@@ -22,9 +22,9 @@
 #define MORPH_INTEGRITY_INTEGRITY_TREE_HH
 
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
+#include "common/sparse_store.hh"
 #include "crypto/mac.hh"
 #include "integrity/tree_geometry.hh"
 
@@ -110,7 +110,7 @@ class IntegrityTree
     TreeGeometry geom_;
     MacEngine macEngine_;
     std::vector<std::unique_ptr<CounterFormat>> formats_; // per level
-    std::vector<std::unordered_map<std::uint64_t, CachelineData>> store_;
+    std::vector<SparseStore<CachelineData>> store_;
     std::vector<std::uint64_t> overflows_; // per level
 };
 

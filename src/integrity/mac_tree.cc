@@ -43,9 +43,8 @@ MacTree::node(unsigned level, std::uint64_t index) const
 {
     MORPH_CHECK(level >= 1 && level <= levels_.size());
     static const CachelineData zero{};
-    const auto &level_store = store_[level - 1];
-    const auto it = level_store.find(index);
-    return it == level_store.end() ? zero : it->second;
+    const CachelineData *image = store_[level - 1].find(index);
+    return image ? *image : zero;
 }
 
 CachelineData &
@@ -53,11 +52,7 @@ MacTree::nodeMutable(unsigned level, std::uint64_t index)
 {
     MORPH_CHECK(level >= 1 && level <= levels_.size());
     MORPH_CHECK_LT(index, levels_[level - 1].nodes);
-    auto &level_store = store_[level - 1];
-    const auto it = level_store.find(index);
-    if (it != level_store.end())
-        return it->second;
-    return level_store.emplace(index, CachelineData{}).first->second;
+    return store_[level - 1][index];
 }
 
 std::uint64_t
@@ -130,20 +125,17 @@ bool
 MacTree::verifyAll() const
 {
     for (unsigned level = 1; level < levels_.size(); ++level) {
-        for (const auto &kv : store_[level - 1]) {
-            const CachelineData &parent =
-                node(level + 1, kv.first / arity);
-            if (!MacEngine::equal(
-                    slotOf(parent, unsigned(kv.first % arity)),
-                    hashOf(level, kv.first, kv.second)))
+        for (const auto &e : store_[level - 1]) {
+            const CachelineData &parent = node(level + 1, e.key / arity);
+            if (!MacEngine::equal(slotOf(parent, unsigned(e.key % arity)),
+                                  hashOf(level, e.key, e.value)))
                 return false;
         }
     }
     // The single top node anchors to the on-chip root MAC.
     const unsigned top = unsigned(levels_.size());
-    for (const auto &kv : store_[top - 1]) {
-        if (!MacEngine::equal(hashOf(top, kv.first, kv.second),
-                              rootMac_))
+    for (const auto &e : store_[top - 1]) {
+        if (!MacEngine::equal(hashOf(top, e.key, e.value), rootMac_))
             return false;
     }
     return true;

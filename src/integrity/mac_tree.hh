@@ -23,9 +23,9 @@
 #ifndef MORPH_INTEGRITY_MAC_TREE_HH
 #define MORPH_INTEGRITY_MAC_TREE_HH
 
-#include <unordered_map>
 #include <vector>
 
+#include "common/sparse_store.hh"
 #include "crypto/mac.hh"
 
 namespace morph
@@ -107,8 +107,7 @@ class MacTree
     MacEngine macEngine_;
     std::vector<MacTreeLevel> levels_;
     /** Interior node storage, per level (level - 1 indexes this). */
-    mutable std::vector<std::unordered_map<std::uint64_t,
-                                           CachelineData>> store_;
+    std::vector<SparseStore<CachelineData>> store_;
     /** The on-chip root MAC (hash of the single top node). */
     std::uint64_t rootMac_ = 0;
 };

@@ -12,14 +12,13 @@ namespace morph
 SecureMemory::SecureMemory(const SecureMemoryConfig &config)
     : config_(config), otp_(config.encryptionKey),
       macEngine_(config.macKey),
-      tree_(config.memBytes, config.tree, config.macKey)
+      tree_(config.memBytes, config.tree, config.macKey),
+      leafFormat_(makeCounterFormat(config.tree.encryption))
 {
     if (config.macBits == 0 || config.macBits > 64)
         fatal("secure memory: MAC width must be 1..64 bits");
-    if (config_.freshness == FreshnessScheme::MerkleMacTree) {
+    if (config_.freshness == FreshnessScheme::MerkleMacTree)
         merkle_.emplace(geometry().levels()[0].entries, config.macKey);
-        merkleFormat_ = makeCounterFormat(config.tree.encryption);
-    }
 }
 
 MacTree &
@@ -34,13 +33,12 @@ SecureMemory::macTree()
 CachelineData &
 SecureMemory::merkleEntry(std::uint64_t entry_index)
 {
-    auto it = merkleEntries_.find(entry_index);
-    if (it != merkleEntries_.end())
-        return it->second;
+    if (CachelineData *image = merkleEntries_.find(entry_index))
+        return *image;
     CachelineData image;
-    merkleFormat_->init(image);
+    leafFormat_->init(image);
     merkle_->updateLeaf(entry_index, image); // publish the birth state
-    return merkleEntries_.emplace(entry_index, image).first->second;
+    return merkleEntries_[entry_index] = image;
 }
 
 std::uint64_t
@@ -50,7 +48,7 @@ SecureMemory::counterOf(LineAddr line)
         return tree_.counterOf(line);
     const std::uint64_t entry = geometry().parentIndex(0, line);
     const unsigned slot = geometry().childSlot(0, line);
-    return merkleFormat_->read(merkleEntry(entry), slot);
+    return leafFormat_->read(merkleEntry(entry), slot);
 }
 
 bool
@@ -73,7 +71,7 @@ SecureMemory::bumpCounter(LineAddr line)
     CachelineData &image = merkleEntry(entry);
 
     IntegrityTree::BumpResult out;
-    const WriteResult res = merkleFormat_->increment(image, slot);
+    const WriteResult res = leafFormat_->increment(image, slot);
     if (res.rebase)
         ++out.rebases;
     if (res.overflow) {
@@ -87,7 +85,7 @@ SecureMemory::bumpCounter(LineAddr line)
         }
     }
     merkle_->updateLeaf(entry, image);
-    out.newCounter = merkleFormat_->read(image, slot);
+    out.newCounter = leafFormat_->read(image, slot);
     return out;
 }
 
@@ -132,9 +130,8 @@ SecureMemory::dataMac(LineAddr line, std::uint64_t counter,
 SecureMemory::StoredLine &
 SecureMemory::materialize(LineAddr line)
 {
-    auto it = store_.find(line);
-    if (it != store_.end())
-        return it->second;
+    if (StoredLine *stored = store_.find(line))
+        return *stored;
 
     // First touch: the line logically holds zeros, encrypted under
     // its current counter (0 for virgin lines; possibly higher if an
@@ -143,8 +140,8 @@ SecureMemory::materialize(LineAddr line)
     CachelineData ciphertext{};
     auditEncrypt(line, counter);
     otp_.xorPad(ciphertext, line, counter);
-    StoredLine stored{ciphertext, dataMac(line, counter, ciphertext)};
-    return store_.emplace(line, stored).first->second;
+    return store_[line] = {ciphertext,
+                           dataMac(line, counter, ciphertext)};
 }
 
 void
@@ -154,19 +151,12 @@ SecureMemory::writeLine(LineAddr line, const CachelineData &plaintext)
     MORPH_CHECK_LT(line, geometry().dataLines());
     ++stats_.writes;
 
-    // Snapshot the pre-bump counters of every sibling under the same
-    // level-0 entry: if the bump overflows, the controller re-encrypts
-    // each sibling from its old counter to its new one.
-    const auto &geom = geometry();
-    const unsigned arity = geom.levels()[0].arity;
-    const std::uint64_t entry = geom.parentIndex(0, line);
-    const LineAddr first_child = entry * arity;
-    std::vector<std::uint64_t> old_counters(arity);
-    for (unsigned c = 0; c < arity; ++c) {
-        const LineAddr child = first_child + c;
-        if (child < geom.dataLines())
-            old_counters[c] = counterOf(child);
-    }
+    // Snapshot the level-0 entry before the bump: if the bump
+    // overflows, the controller re-encrypts each sibling from its old
+    // counter (decoded from this image) to its new one.
+    const std::uint64_t entry = geometry().parentIndex(0, line);
+    const LineAddr first_child = entry * geometry().levels()[0].arity;
+    const CachelineData before = counterEntryOf(entry);
 
     const IntegrityTree::BumpResult bump = bumpCounter(line);
     stats_.treeOverflows += bump.treeOverflows;
@@ -176,17 +166,19 @@ SecureMemory::writeLine(LineAddr line, const CachelineData &plaintext)
         for (const LineAddr child : bump.reencrypt) {
             if (child == line)
                 continue; // rewritten below with fresh plaintext
-            auto it = store_.find(child);
-            if (it == store_.end())
+            StoredLine *stored = store_.find(child);
+            if (!stored)
                 continue; // never materialized; nothing to re-encrypt
             // Decrypt under the old counter, re-encrypt under the new.
-            CachelineData data = it->second.ciphertext;
-            otp_.xorPad(data, child, old_counters[child - first_child]);
+            CachelineData data = stored->ciphertext;
+            otp_.xorPad(data, child,
+                        leafFormat_->read(before,
+                                          unsigned(child - first_child)));
             const std::uint64_t fresh = counterOf(child);
             auditEncrypt(child, fresh);
             otp_.xorPad(data, child, fresh);
-            it->second.ciphertext = data;
-            it->second.mac = dataMac(child, fresh, data);
+            stored->ciphertext = data;
+            stored->mac = dataMac(child, fresh, data);
             ++stats_.reencryptedLines;
         }
     }
@@ -194,9 +186,8 @@ SecureMemory::writeLine(LineAddr line, const CachelineData &plaintext)
     CachelineData ciphertext = plaintext;
     auditEncrypt(line, bump.newCounter);
     otp_.xorPad(ciphertext, line, bump.newCounter);
-    StoredLine stored{ciphertext,
-                      dataMac(line, bump.newCounter, ciphertext)};
-    store_[line] = stored;
+    store_[line] = {ciphertext,
+                    dataMac(line, bump.newCounter, ciphertext)};
 }
 
 std::optional<CachelineData>

@@ -24,9 +24,9 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
-#include <unordered_map>
 
 #include "common/annotations.hh"
+#include "common/sparse_store.hh"
 #include "crypto/otp.hh"
 #include "integrity/integrity_tree.hh"
 #include "integrity/mac_tree.hh"
@@ -183,9 +183,12 @@ class SecureMemory
     MacEngine macEngine_;
     IntegrityTree tree_;
     std::optional<MacTree> merkle_;
-    std::unordered_map<std::uint64_t, CachelineData> merkleEntries_;
-    std::unique_ptr<CounterFormat> merkleFormat_;
-    std::unordered_map<LineAddr, StoredLine> store_;
+    SparseStore<CachelineData> merkleEntries_;
+    /** The level-0 (encryption-counter) format. Under either scheme
+     *  it decodes the pre-bump entry image on overflow; under
+     *  MerkleMacTree it also keeps the counters. */
+    std::unique_ptr<CounterFormat> leafFormat_;
+    SparseStore<StoredLine> store_;
     Stats stats_;
 
 #ifdef MORPH_AUDIT_PADS

@@ -60,13 +60,11 @@ SecureMemoryModel::registerStats(StatRegistry &registry,
 CachelineData &
 SecureMemoryModel::entryImage(unsigned level, std::uint64_t index)
 {
-    auto &level_store = store_[level];
-    auto it = level_store.find(index);
-    if (it != level_store.end())
-        return it->second;
-    CachelineData image;
+    if (CachelineData *image = store_[level].find(index))
+        return *image;
+    CachelineData &image = store_[level][index];
     formats_[level]->init(image);
-    return level_store.emplace(index, image).first->second;
+    return image;
 }
 
 std::uint64_t

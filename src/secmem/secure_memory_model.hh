@@ -33,9 +33,9 @@
 #define MORPH_SECMEM_SECURE_MEMORY_MODEL_HH
 
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
+#include "common/sparse_store.hh"
 #include "secmem/metadata_cache.hh"
 #include "secmem/persist_domain.hh"
 #include "secmem/traffic_stats.hh"
@@ -160,7 +160,7 @@ class SecureMemoryModel
     MetadataCache mdcache_;
     TrafficStats stats_;
     std::vector<std::unique_ptr<CounterFormat>> formats_;
-    std::vector<std::unordered_map<std::uint64_t, CachelineData>> store_;
+    std::vector<SparseStore<CachelineData>> store_;
     std::unique_ptr<PersistDomain> persist_;
     LineAddr macBaseLine_ = 0;
 };

@@ -253,7 +253,7 @@ class MixedGenerator : public PatternBase
 
 PagePermutation::PagePermutation(std::uint64_t num_pages,
                                  std::uint64_t seed)
-    : n_(num_pages)
+    : n_(num_pages), narrow_(num_pages <= (std::uint64_t(1) << 32))
 {
     MORPH_CHECK(num_pages > 0);
     // Multiplier coprime to n gives a bijection v -> (a*v + b) mod n.
@@ -268,6 +268,16 @@ PagePermutation::PagePermutation(std::uint64_t num_pages,
 
 std::uint64_t
 PagePermutation::operator()(std::uint64_t vpage) const
+{
+    MORPH_CHECK_LT(vpage, n_);
+    // v, a, b < n <= 2^32: a * v + b <= (2^32 - 1)^2 + 2^32 - 1 < 2^64.
+    if (narrow_)
+        return (vpage * multiplier_ + offset_) % n_;
+    return wide(vpage);
+}
+
+std::uint64_t
+PagePermutation::wide(std::uint64_t vpage) const
 {
     MORPH_CHECK_LT(vpage, n_);
     return std::uint64_t((static_cast<unsigned __int128>(vpage) *

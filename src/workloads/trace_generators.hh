@@ -81,12 +81,18 @@ class PagePermutation
 
     std::uint64_t operator()(std::uint64_t vpage) const;
 
+    /** The same map in 128-bit arithmetic, valid for any n. The call
+     *  operator uses it only when n > 2^32, where a * v + b can
+     *  overflow 64 bits; tests check the two forms agree. */
+    std::uint64_t wide(std::uint64_t vpage) const;
+
     std::uint64_t size() const { return n_; }
 
   private:
     std::uint64_t n_;
     std::uint64_t multiplier_;
     std::uint64_t offset_;
+    bool narrow_; ///< n <= 2^32: a * v + b fits 64 bits
 };
 
 } // namespace morph

@@ -1,11 +1,14 @@
 /**
  * @file
  * Tests for the optional DRAM realism features: refresh windows and
- * posted-write queueing with read priority.
+ * posted-write queueing with read priority and FIFO drains.
  */
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "dram/channel.hh"
 #include "dram/dram_system.hh"
 
 namespace morph
@@ -69,6 +72,58 @@ TEST(DramWriteQueue, WritesArePostedUntilHighWatermark)
     dram.access(14, AccessType::Write, 100);
     EXPECT_EQ(dram.totalActivity().writeDrains, 1u);
     EXPECT_EQ(dram.totalActivity().writes, 6u);
+}
+
+TEST(DramWriteQueue, DrainsOldestFirstInFifoOrder)
+{
+    // Same bank, alternating rows: the row-buffer outcome of every
+    // write depends on the order the drain issues them. A channel
+    // without queueing that takes the same writes inline, oldest
+    // first, at each drain's cycle must end in exactly the same state.
+    DramConfig queued_config;
+    queued_config.writeQueueing = true;
+    queued_config.writeQueueHigh = 8;
+    queued_config.writeQueueLow = 2;
+    DramConfig inline_config;
+    Channel queued(queued_config);
+    Channel inline_channel(inline_config);
+
+    std::vector<DramCoord> writes;
+    for (unsigned i = 0; i < 14; ++i)
+        writes.push_back({0, 0, 0, i % 3, i % 4});
+
+    // Writes 0..7 fill the queue; the eighth drains 0..5 at cycle 100.
+    for (unsigned i = 0; i < 8; ++i)
+        queued.access(writes[i], AccessType::Write, 100);
+    EXPECT_EQ(queued.activity().writeDrains, 1u);
+    EXPECT_EQ(queued.activity().writes, 6u);
+    for (unsigned i = 0; i < 6; ++i)
+        inline_channel.access(writes[i], AccessType::Write, 100);
+
+    // Writes 8..13 refill it; the last drains 6..11 at cycle 5000,
+    // leftovers first.
+    for (unsigned i = 8; i < 14; ++i)
+        queued.access(writes[i], AccessType::Write, 5000);
+    EXPECT_EQ(queued.activity().writeDrains, 2u);
+    EXPECT_EQ(queued.activity().writes, 12u);
+    for (unsigned i = 6; i < 12; ++i)
+        inline_channel.access(writes[i], AccessType::Write, 5000);
+
+    const ChannelActivity &q = queued.activity();
+    const ChannelActivity &r = inline_channel.activity();
+    EXPECT_EQ(q.writes, r.writes);
+    EXPECT_EQ(q.activates, r.activates);
+    EXPECT_EQ(q.rowHits, r.rowHits);
+    EXPECT_EQ(q.rowClosed, r.rowClosed);
+    EXPECT_EQ(q.rowConflicts, r.rowConflicts);
+    EXPECT_EQ(q.busBusyCycles, r.busBusyCycles);
+    EXPECT_EQ(queued.busFreeAt(), inline_channel.busFreeAt());
+    EXPECT_GT(q.rowConflicts, 0u); // the order was observable
+
+    // The bank is left in the same state: a read sees the same row.
+    const DramCoord probe{0, 0, 0, 2, 0};
+    EXPECT_EQ(queued.access(probe, AccessType::Read, 9000),
+              inline_channel.access(probe, AccessType::Read, 9000));
 }
 
 TEST(DramWriteQueue, ReadsBypassBufferedWrites)

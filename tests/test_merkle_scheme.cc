@@ -118,15 +118,33 @@ TEST_F(MerkleSchemeTest, CounterEntryBitFlipDetected)
 
 TEST_F(MerkleSchemeTest, OverflowReencryptionStillWorks)
 {
-    // SC-64 counters under the Merkle scheme overflow every 64
-    // writes; siblings must survive re-encryption.
-    const CachelineData a = patternLine(21);
-    mem.writeLine(0, a);
-    for (int w = 0; w < 200; ++w)
-        mem.writeLine(1, patternLine(std::uint8_t(w)));
-    EXPECT_GT(mem.stats().counterOverflows, 0u);
-    EXPECT_EQ(*mem.readLine(0), a);
-    EXPECT_TRUE(mem.macTree().verifyAll());
+    // SC-64 counters overflow every 64 writes; under each freshness
+    // scheme the written sibling (line 0, counter 1 before the first
+    // overflow) must survive every re-encryption, and the never
+    // materialized sibling (line 2) must never be re-encrypted.
+    for (const FreshnessScheme scheme :
+         {FreshnessScheme::MerkleMacTree, FreshnessScheme::CounterTree}) {
+        SCOPED_TRACE(scheme == FreshnessScheme::CounterTree ? "counter"
+                                                            : "merkle");
+        SecureMemoryConfig config = merkleConfig();
+        config.freshness = scheme;
+        SecureMemory m(config);
+
+        const CachelineData a = patternLine(21);
+        m.writeLine(0, a);
+        ASSERT_EQ(m.counterOf(0), 1u);
+        for (int w = 0; w < 200; ++w)
+            m.writeLine(1, patternLine(std::uint8_t(w)));
+        EXPECT_GT(m.stats().counterOverflows, 0u);
+        EXPECT_EQ(m.stats().reencryptedLines,
+                  m.stats().counterOverflows); // line 0, once each
+        EXPECT_EQ(*m.readLine(0), a);
+        EXPECT_EQ(*m.readLine(2), CachelineData{});
+        if (scheme == FreshnessScheme::MerkleMacTree)
+            EXPECT_TRUE(m.macTree().verifyAll());
+        else
+            EXPECT_TRUE(m.tree().verifyAll());
+    }
 }
 
 TEST_F(MerkleSchemeTest, MacTreeAccessorGuarded)

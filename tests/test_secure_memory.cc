@@ -184,25 +184,45 @@ TEST_F(SecureMemoryTest, ByteAccessAcrossLineBoundary)
 
 TEST_F(SecureMemoryTest, OverflowReencryptsSiblings)
 {
-    // Write two lines under one counter entry, then hammer a third
-    // until its ZCC counter overflows; the siblings must remain
-    // readable with their original contents.
-    const CachelineData a = patternLine(43);
-    const CachelineData b = patternLine(47);
-    mem.writeLine(0, a);
-    mem.writeLine(1, b);
+    // Under each freshness scheme: line 0 carries a non-zero counter
+    // into the overflow, line 1 a counter of one, and line 3 is never
+    // materialized. Hammer line 2 until its ZCC entry overflows; the
+    // written siblings must be re-encrypted from their pre-bump
+    // counters and keep their contents, and the untouched one must
+    // not be re-encrypted at all.
+    for (const FreshnessScheme scheme :
+         {FreshnessScheme::CounterTree, FreshnessScheme::MerkleMacTree}) {
+        SCOPED_TRACE(scheme == FreshnessScheme::CounterTree ? "counter"
+                                                            : "merkle");
+        SecureMemoryConfig config = testConfig();
+        config.freshness = scheme;
+        SecureMemory m(config);
 
-    int writes = 0;
-    while (mem.stats().counterOverflows == 0 && writes < (1 << 17)) {
-        mem.writeLine(2, patternLine(std::uint8_t(writes)));
-        ++writes;
+        const CachelineData a = patternLine(43);
+        const CachelineData b = patternLine(47);
+        for (int w = 0; w < 3; ++w)
+            m.writeLine(0, a);
+        m.writeLine(1, b);
+        const std::uint64_t a_before = m.counterOf(0);
+        ASSERT_GT(a_before, 1u);
+
+        int writes = 0;
+        while (m.stats().counterOverflows == 0 && writes < (1 << 17)) {
+            m.writeLine(2, patternLine(std::uint8_t(writes)));
+            ++writes;
+        }
+        ASSERT_EQ(m.stats().counterOverflows, 1u);
+        EXPECT_NE(m.counterOf(0), a_before); // the pad really changed
+        EXPECT_EQ(m.stats().reencryptedLines, 2u); // lines 0 and 1 only
+
+        EXPECT_EQ(*m.readLine(0), a);
+        EXPECT_EQ(*m.readLine(1), b);
+        EXPECT_EQ(*m.readLine(3), CachelineData{});
+        if (scheme == FreshnessScheme::CounterTree)
+            EXPECT_TRUE(m.tree().verifyAll());
+        else
+            EXPECT_TRUE(m.macTree().verifyAll());
     }
-    ASSERT_GT(mem.stats().counterOverflows, 0u);
-    EXPECT_GT(mem.stats().reencryptedLines, 0u);
-
-    EXPECT_EQ(*mem.readLine(0), a);
-    EXPECT_EQ(*mem.readLine(1), b);
-    EXPECT_TRUE(mem.tree().verifyAll());
 }
 
 TEST_F(SecureMemoryTest, ManyLinesStress)

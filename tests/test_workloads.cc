@@ -8,6 +8,8 @@
 #include <map>
 #include <set>
 
+#include "common/rng.hh"
+#include "workloads/trace_generators.hh"
 #include "workloads/workload_db.hh"
 
 namespace morph
@@ -187,6 +189,30 @@ TEST(PagePermutationTest, ScattersNeighbours)
     for (std::uint64_t v = 0; v + 1 < 1000; ++v)
         adjacent += perm(v + 1) == perm(v) + 1;
     EXPECT_LT(adjacent, 10u);
+}
+
+TEST(PagePermutationTest, NarrowFormMatchesWideForm)
+{
+    // Every n <= 2^32 takes the 64-bit path; it must agree with the
+    // 128-bit form on random (n, seed, vpage), boundaries included.
+    Rng rng(0xbe11);
+    const std::uint64_t two32 = std::uint64_t(1) << 32;
+    for (int trial = 0; trial < 2000; ++trial) {
+        std::uint64_t n;
+        switch (trial % 4) {
+          case 0: n = 1 + rng.below(1u << 20); break;
+          case 1: n = 1 + rng.below(two32); break;
+          case 2: n = two32 - rng.below(16); break;
+          default: n = two32 + 1 + rng.below(two32); break; // wide path
+        }
+        const PagePermutation perm(n, rng.next());
+        for (int v = 0; v < 50; ++v) {
+            const std::uint64_t vpage =
+                v < 2 ? (v == 0 ? 0 : n - 1) : rng.below(n);
+            ASSERT_EQ(perm(vpage), perm.wide(vpage))
+                << "n=" << n << " vpage=" << vpage;
+        }
+    }
 }
 
 TEST(WorkloadDb, TableMatchesPaper)
