@@ -1,5 +1,9 @@
 #include "cache/cache.hh"
 
+#include <algorithm>
+#include <bit>
+
+#include "common/check.hh"
 #include "common/log.hh"
 
 namespace morph
@@ -13,36 +17,33 @@ Cache::Cache(std::size_t size_bytes, unsigned ways) : ways_(ways)
               "lines", size_bytes, ways);
     }
     numSets_ = size_bytes / (std::size_t(ways) * lineBytes);
-    lines_.resize(numSets_ * ways_);
+    setMask_ = std::has_single_bit(numSets_) ? numSets_ - 1 : npos;
+    tags_.assign(numSets_ * ways_, 0);
+    lastUse_.assign(numSets_ * ways_, 0);
+    dirty_.assign(numSets_ * ways_, 0);
 }
 
-Cache::Way *
-Cache::find(LineAddr line)
-{
-    Way *base = &lines_[setOf(line) * ways_];
-    for (unsigned w = 0; w < ways_; ++w)
-        if (base[w].valid && base[w].line == line)
-            return &base[w];
-    return nullptr;
-}
-
-const Cache::Way *
+std::size_t
 Cache::find(LineAddr line) const
 {
-    const Way *base = &lines_[setOf(line) * ways_];
+    // Line ~0 would map to tag 0, the invalid marker.
+    MORPH_DCHECK(line != ~LineAddr(0));
+    const std::size_t base = setBase(line);
+    const std::uint64_t tag = line + 1;
+    const std::uint64_t *tags = &tags_[base];
     for (unsigned w = 0; w < ways_; ++w)
-        if (base[w].valid && base[w].line == line)
-            return &base[w];
-    return nullptr;
+        if (tags[w] == tag)
+            return base + w;
+    return npos;
 }
 
 bool
 Cache::access(LineAddr line, bool write)
 {
-    Way *way = find(line);
-    if (way) {
-        way->lastUse = ++useClock_;
-        way->dirty = way->dirty || write;
+    const std::size_t way = find(line);
+    if (way != npos) {
+        lastUse_[way] = ++useClock_;
+        dirty_[way] |= std::uint8_t(write);
         ++stats_.hits;
         return true;
     }
@@ -53,53 +54,59 @@ Cache::access(LineAddr line, bool write)
 bool
 Cache::contains(LineAddr line) const
 {
-    return find(line) != nullptr;
+    return find(line) != npos;
 }
 
 std::optional<Eviction>
 Cache::insert(LineAddr line, bool dirty, InsertPosition position)
 {
-    if (Way *hit = find(line)) {
-        hit->lastUse = ++useClock_;
-        hit->dirty = hit->dirty || dirty;
+    MORPH_CHECK(line != ~LineAddr(0));
+    if (const std::size_t hit = find(line); hit != npos) {
+        lastUse_[hit] = ++useClock_;
+        dirty_[hit] |= std::uint8_t(dirty);
         return std::nullopt;
     }
 
-    Way *base = &lines_[setOf(line) * ways_];
-    Way *victim = &base[0];
-    for (unsigned w = 0; w < ways_; ++w) {
-        if (!base[w].valid) {
-            victim = &base[w];
+    // Victim: the first invalid way, else the first least-recently
+    // used one. Kept apart from find(): one merged pass measured no
+    // faster. The minimum is tracked branch-free, as the stamp
+    // comparison is data-dependent and would mispredict.
+    const std::size_t base = setBase(line);
+    std::size_t victim = base;
+    std::uint64_t oldest = lastUse_[base];
+    for (std::size_t w = base; w < base + ways_; ++w) {
+        if (tags_[w] == 0) {
+            victim = w;
             break;
         }
-        if (base[w].lastUse < victim->lastUse)
-            victim = &base[w];
+        const bool older = lastUse_[w] < oldest;
+        victim = older ? w : victim;
+        oldest = older ? lastUse_[w] : oldest;
     }
 
     std::optional<Eviction> evicted;
-    if (victim->valid) {
-        evicted = Eviction{victim->line, victim->dirty};
+    if (tags_[victim] != 0) {
+        evicted = Eviction{LineAddr(tags_[victim] - 1),
+                           dirty_[victim] != 0};
         ++stats_.evictions;
-        if (victim->dirty)
+        if (dirty_[victim])
             ++stats_.dirtyEvictions;
     }
 
-    victim->line = line;
-    victim->valid = true;
-    victim->dirty = dirty;
+    tags_[victim] = line + 1;
+    dirty_[victim] = std::uint8_t(dirty);
     if (position == InsertPosition::Mru) {
-        victim->lastUse = ++useClock_;
+        lastUse_[victim] = ++useClock_;
     } else {
         // Demoted insertion: place below every valid way in the set.
-        Way *base2 = &lines_[setOf(line) * ways_];
         std::uint64_t lowest = ~std::uint64_t(0);
-        for (unsigned w = 0; w < ways_; ++w) {
-            if (base2[w].valid && &base2[w] != victim)
-                lowest = std::min(lowest, base2[w].lastUse);
+        for (std::size_t w = base; w < base + ways_; ++w) {
+            if (tags_[w] != 0 && w != victim)
+                lowest = std::min(lowest, lastUse_[w]);
         }
-        victim->lastUse = lowest == ~std::uint64_t(0) || lowest == 0
-                              ? 0
-                              : lowest - 1;
+        lastUse_[victim] = lowest == ~std::uint64_t(0) || lowest == 0
+                               ? 0
+                               : lowest - 1;
     }
     return evicted;
 }
@@ -107,32 +114,30 @@ Cache::insert(LineAddr line, bool dirty, InsertPosition position)
 bool
 Cache::markDirty(LineAddr line)
 {
-    if (Way *way = find(line)) {
-        way->dirty = true;
-        return true;
-    }
-    return false;
+    const std::size_t way = find(line);
+    if (way == npos)
+        return false;
+    dirty_[way] = 1;
+    return true;
 }
 
 std::optional<Eviction>
 Cache::invalidate(LineAddr line)
 {
-    if (Way *way = find(line)) {
-        const Eviction ev{way->line, way->dirty};
-        way->valid = false;
-        way->dirty = false;
-        return ev;
-    }
-    return std::nullopt;
+    const std::size_t way = find(line);
+    if (way == npos)
+        return std::nullopt;
+    const Eviction ev{line, dirty_[way] != 0};
+    tags_[way] = 0;
+    dirty_[way] = 0;
+    return ev;
 }
 
 void
 Cache::flush()
 {
-    for (auto &way : lines_) {
-        way.valid = false;
-        way.dirty = false;
-    }
+    std::fill(tags_.begin(), tags_.end(), 0);
+    std::fill(dirty_.begin(), dirty_.end(), 0);
 }
 
 } // namespace morph

@@ -11,6 +11,12 @@
  * through the return value of insert()/access() so that the secure
  * memory controller can propagate counter write-back traffic up the
  * integrity tree.
+ *
+ * Storage is set-major structure-of-arrays: a set's tags sit in one
+ * contiguous run (8 ways = one host cacheline), with the LRU stamps and
+ * dirty flags in parallel arrays, so a lookup touches only the tags.
+ * A tag is line + 1; 0 marks an invalid way. With a power-of-two set
+ * count the set index is a mask, otherwise a modulo.
  */
 
 #ifndef MORPH_CACHE_CACHE_HH
@@ -55,7 +61,11 @@ struct CacheStats
     }
 };
 
-/** Set-associative LRU cache over 64-byte lines. */
+/**
+ * Set-associative LRU cache over 64-byte lines. The victim is the
+ * set's first invalid way, else its first way with the oldest use.
+ * Line ~0 is not cacheable: its tag would be the invalid marker.
+ */
 class Cache
 {
   public:
@@ -105,9 +115,9 @@ class Cache
     void
     forEach(Fn &&fn) const
     {
-        for (const auto &way : lines_)
-            if (way.valid)
-                fn(way.line, way.dirty);
+        for (std::size_t i = 0; i < tags_.size(); ++i)
+            if (tags_[i] != 0)
+                fn(LineAddr(tags_[i] - 1), dirty_[i] != 0);
     }
 
     const CacheStats &stats() const { return stats_; }
@@ -118,21 +128,27 @@ class Cache
     std::size_t numSets() const { return numSets_; }
 
   private:
-    struct Way
-    {
-        LineAddr line = 0;
-        std::uint64_t lastUse = 0;
-        bool valid = false;
-        bool dirty = false;
-    };
+    static constexpr std::size_t npos = ~std::size_t(0);
 
-    std::size_t setOf(LineAddr line) const { return line % numSets_; }
-    Way *find(LineAddr line);
-    const Way *find(LineAddr line) const;
+    /** First way of the set holding @p line. */
+    std::size_t
+    setBase(LineAddr line) const
+    {
+        const std::size_t set = setMask_ != npos ? line & setMask_
+                                                 : line % numSets_;
+        return set * ways_;
+    }
+
+    /** Way index (into the parallel arrays) holding @p line, or npos. */
+    std::size_t find(LineAddr line) const;
 
     std::size_t numSets_;
     unsigned ways_;
-    std::vector<Way> lines_; // numSets_ * ways_, set-major
+    std::size_t setMask_; ///< numSets_ - 1 if a power of two, else npos
+    // Parallel per-way arrays, numSets_ * ways_ each, set-major.
+    std::vector<std::uint64_t> tags_; ///< line + 1; 0 = invalid
+    std::vector<std::uint64_t> lastUse_;
+    std::vector<std::uint8_t> dirty_;
     std::uint64_t useClock_ = 0;
     CacheStats stats_;
 };

@@ -1,6 +1,8 @@
 #include "common/stats.hh"
 
 #include <algorithm>
+#include <bit>
+
 #include "common/check.hh"
 
 namespace morph
@@ -92,12 +94,9 @@ ExpHistogram::ExpHistogram(unsigned buckets) : buckets_(buckets, 0)
 void
 ExpHistogram::record(std::uint64_t sample, std::uint64_t weight)
 {
-    unsigned idx = 0;
-    if (sample > 0) {
-        idx = 1;
-        while (idx + 1 < buckets_.size() && sample >= (1ull << idx))
-            ++idx;
-    }
+    // Bucket i >= 1 holds [2^(i-1), 2^i): the sample's bit width.
+    const std::size_t idx =
+        std::min<std::size_t>(std::bit_width(sample), buckets_.size() - 1);
     buckets_[idx] += weight;
     count_ += weight;
     max_ = std::max(max_, sample);
@@ -108,14 +107,15 @@ std::uint64_t
 ExpHistogram::bucketLo(unsigned i) const
 {
     MORPH_CHECK_LT(i, buckets_.size());
-    return i == 0 ? 0 : 1ull << (i - 1);
+    // Edges past 2^63 saturate: 2^64 does not fit the return type.
+    return i == 0 ? 0 : i > 64 ? ~0ull : 1ull << (i - 1);
 }
 
 std::uint64_t
 ExpHistogram::bucketHi(unsigned i) const
 {
     MORPH_CHECK_LT(i, buckets_.size());
-    return i == 0 ? 1 : 1ull << i;
+    return i == 0 ? 1 : i >= 64 ? ~0ull : 1ull << i;
 }
 
 double

@@ -94,6 +94,44 @@ struct DramCoord
  */
 DramCoord decodeLine(const DramConfig &config, LineAddr line);
 
+/**
+ * decodeLine() with its divisors resolved once, at construction. When
+ * channels, linesPerRow, banksPerRank and ranksPerChannel are all
+ * powers of two (every shipped configuration) each field is a shift
+ * and a mask; otherwise decode() calls decodeLine(), the reference.
+ */
+class LineDecoder
+{
+  public:
+    /** Panics unless every organization field is at least 1. */
+    explicit LineDecoder(const DramConfig &config);
+
+    DramCoord
+    decode(LineAddr line) const
+    {
+        if (!shifts_)
+            return decodeLine(config_, line);
+        DramCoord coord;
+        coord.channel = unsigned(line & channelMask_);
+        coord.column = unsigned((line >> columnShift_) & columnMask_);
+        coord.bank = unsigned((line >> bankShift_) & bankMask_);
+        coord.rank = unsigned((line >> rankShift_) & rankMask_);
+        coord.row = line >> rowShift_;
+        return coord;
+    }
+
+    /** True when decode() uses shifts and masks. */
+    bool usesShifts() const { return shifts_; }
+
+  private:
+    DramConfig config_;
+    bool shifts_ = false;
+    unsigned columnShift_ = 0, bankShift_ = 0, rankShift_ = 0,
+             rowShift_ = 0;
+    std::uint64_t channelMask_ = 0, columnMask_ = 0, bankMask_ = 0,
+                  rankMask_ = 0;
+};
+
 } // namespace morph
 
 #endif // MORPH_DRAM_DRAM_CONFIG_HH

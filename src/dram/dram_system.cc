@@ -7,7 +7,8 @@
 namespace morph
 {
 
-DramSystem::DramSystem(const DramConfig &config) : config_(config)
+DramSystem::DramSystem(const DramConfig &config)
+    : config_(config), decoder_(config)
 {
     channels_.reserve(config_.channels);
     for (unsigned c = 0; c < config_.channels; ++c)
@@ -19,7 +20,7 @@ DramSystem::access(LineAddr line, AccessType type, Cycle when,
                    DramAccessTiming *timing)
 {
     MORPH_PROF_SCOPE("dram.access");
-    const DramCoord coord = decodeLine(config_, line);
+    const DramCoord coord = decoder_.decode(line);
     if (timing)
         timing->channel = coord.channel;
     return channels_[coord.channel].access(coord, type, when, timing);

@@ -54,6 +54,7 @@ class DramSystem
 
   private:
     DramConfig config_;
+    LineDecoder decoder_;
     std::vector<Channel> channels_;
 };
 

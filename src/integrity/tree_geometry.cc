@@ -1,5 +1,7 @@
 #include "integrity/tree_geometry.hh"
 
+#include <bit>
+
 #include "common/log.hh"
 
 namespace morph
@@ -22,6 +24,10 @@ TreeGeometry::TreeGeometry(std::uint64_t mem_bytes,
         info.level = level;
         info.kind = config_.kindAt(level);
         info.arity = counterArity(info.kind);
+        if (!std::has_single_bit(info.arity))
+            panic("tree geometry: level %u arity %u is not a power of 2",
+                  level, info.arity);
+        info.arityLog2 = unsigned(std::countr_zero(info.arity));
         info.entries = (covered + info.arity - 1) / info.arity;
         info.bytes = info.entries * lineBytes;
         info.baseLine = 0; // assigned below

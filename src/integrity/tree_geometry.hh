@@ -30,6 +30,7 @@ struct LevelInfo
     unsigned level;       ///< 0 = encryption counters, 1.. = tree
     CounterKind kind;     ///< counter organization of entries here
     unsigned arity;       ///< children covered per 64 B entry
+    unsigned arityLog2;   ///< log2(arity); every arity is a power of 2
     std::uint64_t entries; ///< number of 64 B entries in the level
     std::uint64_t bytes;   ///< entries * 64
     LineAddr baseLine;     ///< physical line address of entry 0
@@ -72,14 +73,14 @@ class TreeGeometry
     std::uint64_t
     parentIndex(unsigned level, std::uint64_t child_index) const
     {
-        return child_index / levels_[level].arity;
+        return child_index >> levels_[level].arityLog2;
     }
 
     /** Which counter slot within the parent entry covers the child. */
     unsigned
     childSlot(unsigned level, std::uint64_t child_index) const
     {
-        return unsigned(child_index % levels_[level].arity);
+        return unsigned(child_index & (levels_[level].arity - 1));
     }
 
     /** Physical line address of entry @p index at @p level. */

@@ -5,7 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
+
 #include "cache/cache.hh"
+#include "common/rng.hh"
 
 namespace morph
 {
@@ -160,6 +164,234 @@ TEST(Cache, HitRate)
 TEST(CacheDeath, RejectsBadGeometry)
 {
     EXPECT_EXIT(Cache(100, 3), ::testing::ExitedWithCode(1), "cache");
+}
+
+/**
+ * The array-of-structs cache the set-major Cache replaced, kept as the
+ * differential oracle: one {line, lastUse, valid, dirty} record per way
+ * and a modulo set index.
+ */
+class OracleCache
+{
+  public:
+    OracleCache(std::size_t size_bytes, unsigned ways)
+        : numSets_(size_bytes / (std::size_t(ways) * lineBytes)),
+          ways_(ways), lines_(numSets_ * ways_)
+    {}
+
+    bool
+    access(LineAddr line, bool write)
+    {
+        if (Way *way = find(line)) {
+            way->lastUse = ++useClock_;
+            way->dirty = way->dirty || write;
+            ++stats_.hits;
+            return true;
+        }
+        ++stats_.misses;
+        return false;
+    }
+
+    bool contains(LineAddr line) { return find(line) != nullptr; }
+
+    std::optional<Eviction>
+    insert(LineAddr line, bool dirty, InsertPosition position)
+    {
+        if (Way *hit = find(line)) {
+            hit->lastUse = ++useClock_;
+            hit->dirty = hit->dirty || dirty;
+            return std::nullopt;
+        }
+        Way *base = set(line);
+        Way *victim = &base[0];
+        for (unsigned w = 0; w < ways_; ++w) {
+            if (!base[w].valid) {
+                victim = &base[w];
+                break;
+            }
+            if (base[w].lastUse < victim->lastUse)
+                victim = &base[w];
+        }
+        std::optional<Eviction> evicted;
+        if (victim->valid) {
+            evicted = Eviction{victim->line, victim->dirty};
+            ++stats_.evictions;
+            if (victim->dirty)
+                ++stats_.dirtyEvictions;
+        }
+        victim->line = line;
+        victim->valid = true;
+        victim->dirty = dirty;
+        if (position == InsertPosition::Mru) {
+            victim->lastUse = ++useClock_;
+        } else {
+            std::uint64_t lowest = ~std::uint64_t(0);
+            for (unsigned w = 0; w < ways_; ++w)
+                if (base[w].valid && &base[w] != victim)
+                    lowest = std::min(lowest, base[w].lastUse);
+            victim->lastUse = lowest == ~std::uint64_t(0) || lowest == 0
+                                  ? 0
+                                  : lowest - 1;
+        }
+        return evicted;
+    }
+
+    bool
+    markDirty(LineAddr line)
+    {
+        Way *way = find(line);
+        if (way)
+            way->dirty = true;
+        return way != nullptr;
+    }
+
+    std::optional<Eviction>
+    invalidate(LineAddr line)
+    {
+        Way *way = find(line);
+        if (!way)
+            return std::nullopt;
+        const Eviction ev{way->line, way->dirty};
+        way->valid = false;
+        way->dirty = false;
+        return ev;
+    }
+
+    void
+    flush()
+    {
+        for (Way &way : lines_)
+            way.valid = way.dirty = false;
+    }
+
+    std::vector<std::pair<LineAddr, bool>>
+    contents() const
+    {
+        std::vector<std::pair<LineAddr, bool>> out;
+        for (const Way &way : lines_)
+            if (way.valid)
+                out.emplace_back(way.line, way.dirty);
+        return out;
+    }
+
+    const CacheStats &stats() const { return stats_; }
+
+  private:
+    struct Way
+    {
+        LineAddr line = 0;
+        std::uint64_t lastUse = 0;
+        bool valid = false;
+        bool dirty = false;
+    };
+
+    Way *set(LineAddr line) { return &lines_[line % numSets_ * ways_]; }
+
+    Way *
+    find(LineAddr line)
+    {
+        Way *base = set(line);
+        for (unsigned w = 0; w < ways_; ++w)
+            if (base[w].valid && base[w].line == line)
+                return &base[w];
+        return nullptr;
+    }
+
+    std::size_t numSets_;
+    unsigned ways_;
+    std::vector<Way> lines_;
+    std::uint64_t useClock_ = 0;
+    CacheStats stats_;
+};
+
+void
+expectSameEviction(const std::optional<Eviction> &got,
+                   const std::optional<Eviction> &want, std::uint64_t op)
+{
+    ASSERT_EQ(got.has_value(), want.has_value()) << "op " << op;
+    if (want) {
+        EXPECT_EQ(got->line, want->line) << "op " << op;
+        EXPECT_EQ(got->dirty, want->dirty) << "op " << op;
+    }
+}
+
+/** Drive both caches with one seeded stream of every operation and
+ *  require identical results, statistics and contents. */
+void
+runDifferential(std::size_t size_bytes, unsigned ways, std::uint64_t seed)
+{
+    constexpr std::uint64_t ops = 200000;
+    Cache cache(size_bytes, ways);
+    OracleCache oracle(size_bytes, ways);
+    Rng rng(seed);
+    // About three lines per way keeps sets under eviction pressure.
+    const std::uint64_t pool = 3 * cache.numSets() * ways;
+
+    for (std::uint64_t op = 0; op < ops; ++op) {
+        // Mostly pooled lines; now and then a far line with high bits.
+        const LineAddr line =
+            rng.chance(0.02) ? rng.next() >> 12 : rng.below(pool);
+        const std::uint64_t kind = rng.below(100);
+        if (kind < 40) {
+            const bool write = rng.chance(0.3);
+            ASSERT_EQ(cache.access(line, write),
+                      oracle.access(line, write)) << "op " << op;
+        } else if (kind < 75) {
+            const bool dirty = rng.chance(0.3);
+            const InsertPosition position = rng.chance(0.25)
+                                                ? InsertPosition::Lru
+                                                : InsertPosition::Mru;
+            expectSameEviction(cache.insert(line, dirty, position),
+                               oracle.insert(line, dirty, position), op);
+        } else if (kind < 85) {
+            ASSERT_EQ(cache.markDirty(line), oracle.markDirty(line))
+                << "op " << op;
+        } else if (kind < 93) {
+            ASSERT_EQ(cache.contains(line), oracle.contains(line))
+                << "op " << op;
+        } else if (kind < 99 || !rng.chance(0.01)) {
+            expectSameEviction(cache.invalidate(line),
+                               oracle.invalidate(line), op);
+        } else {
+            cache.flush();
+            oracle.flush();
+        }
+
+        const CacheStats &a = cache.stats();
+        const CacheStats &b = oracle.stats();
+        ASSERT_EQ(a.hits, b.hits) << "op " << op;
+        ASSERT_EQ(a.misses, b.misses) << "op " << op;
+        ASSERT_EQ(a.evictions, b.evictions) << "op " << op;
+        ASSERT_EQ(a.dirtyEvictions, b.dirtyEvictions) << "op " << op;
+
+        if (op % 997 == 0 || op + 1 == ops) {
+            std::vector<std::pair<LineAddr, bool>> seen;
+            cache.forEach([&](LineAddr l, bool d) {
+                seen.emplace_back(l, d);
+            });
+            ASSERT_EQ(seen, oracle.contents()) << "op " << op;
+        }
+    }
+    // The stream must have exercised hits, evictions and both kinds.
+    EXPECT_GT(cache.stats().hits, ops / 20);
+    EXPECT_GT(cache.stats().dirtyEvictions, ops / 100);
+    EXPECT_GT(cache.stats().evictions - cache.stats().dirtyEvictions,
+              ops / 100);
+}
+
+TEST(CacheDifferential, PowerOfTwoSetsMatchOracle)
+{
+    Cache probe(4096, 4);
+    ASSERT_EQ(probe.numSets(), 16u);
+    runDifferential(4096, 4, 0x5eed);
+}
+
+TEST(CacheDifferential, NonPowerOfTwoSetsMatchOracle)
+{
+    // system.cache_kb = 96 at 8 ways: 192 sets, a modulo set index.
+    Cache probe(96 * 1024, 8);
+    ASSERT_EQ(probe.numSets(), 192u);
+    runDifferential(96 * 1024, 8, 0xc0ffee);
 }
 
 } // namespace

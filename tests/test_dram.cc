@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/rng.hh"
 #include "dram/dram_power.hh"
 #include "dram/dram_system.hh"
 
@@ -41,6 +42,46 @@ TEST(DramAddressMap, RowCapacity)
         config.banksPerRank * config.ranksPerChannel;
     EXPECT_EQ(decodeLine(config, lines_per_row_group - 1).row, 0u);
     EXPECT_EQ(decodeLine(config, lines_per_row_group).row, 1u);
+}
+
+void
+expectDecoderMatchesReference(const DramConfig &config, bool shifts)
+{
+    const LineDecoder decoder(config);
+    EXPECT_EQ(decoder.usesShifts(), shifts);
+    Rng rng(0xd3c0de);
+    for (int i = 0; i < 100000; ++i) {
+        // Small lines walk every field; raw draws set the high bits.
+        const LineAddr line =
+            i % 2 ? rng.next() : rng.below(1ull << 24);
+        const DramCoord want = decodeLine(config, line);
+        const DramCoord got = decoder.decode(line);
+        ASSERT_EQ(got.channel, want.channel) << "line " << line;
+        ASSERT_EQ(got.rank, want.rank) << "line " << line;
+        ASSERT_EQ(got.bank, want.bank) << "line " << line;
+        ASSERT_EQ(got.row, want.row) << "line " << line;
+        ASSERT_EQ(got.column, want.column) << "line " << line;
+    }
+}
+
+TEST(DramAddressMap, ShiftDecoderMatchesReference)
+{
+    expectDecoderMatchesReference(DramConfig{}, true);
+}
+
+TEST(DramAddressMap, NonPowerOfTwoDecoderMatchesReference)
+{
+    DramConfig config;
+    config.channels = 3;
+    config.linesPerRow = 96;
+    expectDecoderMatchesReference(config, false);
+}
+
+TEST(DramAddressMapDeath, RejectsZeroChannels)
+{
+    DramConfig config;
+    config.channels = 0;
+    EXPECT_DEATH(LineDecoder{config}, "channels");
 }
 
 TEST(DramTiming, RowHitFasterThanRowMiss)

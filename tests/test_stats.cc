@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <sstream>
 
 #include "common/stats.hh"
@@ -136,6 +137,39 @@ TEST(ExpHistogram, ClampsToLastBucket)
     h.record(1u << 20);
     EXPECT_EQ(h.bucket(3), 1u);
     EXPECT_EQ(h.max(), 1u << 20);
+}
+
+TEST(ExpHistogram, BucketEdges)
+{
+    // Bucket i >= 1 holds [2^(i-1), 2^i); the last bucket is open.
+    ExpHistogram h(66);
+    h.record(0);
+    h.record(1);
+    EXPECT_EQ(h.bucket(0), 1u);
+    EXPECT_EQ(h.bucket(1), 1u);
+    for (unsigned k = 1; k < 64; ++k) {
+        ExpHistogram edge(66);
+        edge.record((1ull << k) - 1);
+        edge.record(1ull << k);
+        EXPECT_EQ(edge.bucket(k), 1u) << "2^" << k << " - 1";
+        EXPECT_EQ(edge.bucket(k + 1), 1u) << "2^" << k;
+    }
+    // 2^63 and UINT64_MAX both land in bucket 64, [2^63, 2^64); the
+    // bucket-search loop this replaced shifted 1 by 64 here.
+    h.record(1ull << 63);
+    h.record(UINT64_MAX);
+    EXPECT_EQ(h.bucket(64), 2u);
+    EXPECT_EQ(h.bucket(65), 0u);
+    EXPECT_EQ(h.bucketLo(64), 1ull << 63);
+    EXPECT_EQ(h.bucketHi(64), UINT64_MAX);
+    EXPECT_LE(h.percentile(1.0), double(UINT64_MAX));
+
+    // A default 32-bucket histogram clamps UINT64_MAX into bucket 31.
+    ExpHistogram small;
+    small.record(UINT64_MAX);
+    small.record((1ull << 30) - 1);
+    EXPECT_EQ(small.bucket(31), 1u);
+    EXPECT_EQ(small.bucket(30), 1u);
 }
 
 TEST(ExpHistogram, MeanAndReset)

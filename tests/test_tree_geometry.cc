@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/rng.hh"
 #include "integrity/tree_geometry.hh"
 
 namespace morph
@@ -165,6 +166,41 @@ TEST(TreeGeometry, CeilDivisionOnNonAlignedSizes)
     EXPECT_EQ(geom.levels()[0].entries, 65u);
     EXPECT_EQ(geom.levels()[1].entries, 2u);
     EXPECT_EQ(geom.levels()[2].entries, 1u);
+}
+
+TEST(TreeGeometry, ShiftMappingMatchesDivision)
+{
+    // parentIndex/childSlot shift and mask by log2(arity); they must
+    // equal / and % by the arity at every level of every named tree.
+    const TreeConfig configs[] = {
+        TreeConfig::sgx(),          TreeConfig::vault(),
+        TreeConfig::sc64(),         TreeConfig::sc128(),
+        TreeConfig::morph(),        TreeConfig::morphZccOnly(),
+        TreeConfig::sc64Rebased(),  TreeConfig::bonsaiMacTree(),
+    };
+    Rng rng(0x7eee);
+    for (const TreeConfig &config : configs) {
+        for (const std::uint64_t mem : {GiB, 16 * GiB, 1024 * GiB}) {
+            const TreeGeometry geom(mem, config);
+            std::uint64_t children = geom.dataLines();
+            for (const LevelInfo &info : geom.levels()) {
+                EXPECT_EQ(1ull << info.arityLog2, info.arity);
+                for (int i = 0; i < 2000; ++i) {
+                    // Both ends of the level, then random children.
+                    const std::uint64_t child =
+                        i < 2 ? (i == 0 ? 0 : children - 1)
+                              : rng.below(children);
+                    ASSERT_EQ(geom.parentIndex(info.level, child),
+                              child / info.arity)
+                        << config.name << " level " << info.level;
+                    ASSERT_EQ(geom.childSlot(info.level, child),
+                              child % info.arity)
+                        << config.name << " level " << info.level;
+                }
+                children = info.entries;
+            }
+        }
+    }
 }
 
 TEST(TreeGeometryDeath, RejectsUnalignedSize)

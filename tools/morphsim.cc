@@ -271,10 +271,23 @@ applyConfigFile(const std::string &path, std::string &workload,
         ini.getBool("dram.refresh", options.dram.refresh);
     options.dram.writeQueueing =
         ini.getBool("dram.write_queueing", options.dram.writeQueueing);
-    options.dram.channels = unsigned(
-        ini.getInt("dram.channels", options.dram.channels));
+    // The range morphlint enforces: 0 would divide by zero in the
+    // address decoder, and a negative value would wrap around.
+    const auto dram_count = [&](const char *key, unsigned fallback) {
+        const std::int64_t value = ini.getInt(key, fallback);
+        if (value < 1 || value > 16) {
+            std::fprintf(stderr,
+                         "morphsim: config %s: %s must be in [1, 16] "
+                         "(got %lld)\n",
+                         path.c_str(), key, (long long)value);
+            std::exit(exitBadConfig);
+        }
+        return unsigned(value);
+    };
+    options.dram.channels =
+        dram_count("dram.channels", options.dram.channels);
     options.dram.ranksPerChannel =
-        unsigned(ini.getInt("dram.ranks", options.dram.ranksPerChannel));
+        dram_count("dram.ranks", options.dram.ranksPerChannel);
 }
 
 [[noreturn]] void
