@@ -6,6 +6,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <memory>
+#include <sstream>
 
 #include "common/check.hh"
 #include "common/json.hh"
@@ -712,8 +713,8 @@ profApplyEnv(std::string &prof_out, bool &stderr_summary)
 }
 
 bool
-profWriteFiles(const ProfReport &report, const std::string &base,
-               std::string &failed)
+profExport(const ProfReport &report, const std::string &base,
+           bool stderr_summary, const char *tool)
 {
     struct Sink
     {
@@ -726,15 +727,23 @@ profWriteFiles(const ProfReport &report, const std::string &base,
         {base + ".speedscope.json", &ProfReport::writeSpeedscope},
     };
     for (const Sink &sink : sinks) {
+        if (base.empty())
+            break; // no files requested
         std::ofstream out(sink.path);
         if (out) {
             (report.*sink.writer)(out);
             out.flush();
         }
         if (!out) {
-            failed = sink.path;
+            std::fprintf(stderr, "%s: cannot write %s\n", tool,
+                         sink.path.c_str());
             return false;
         }
+    }
+    if (stderr_summary) {
+        std::ostringstream text;
+        report.dumpText(text);
+        std::fputs(text.str().c_str(), stderr);
     }
     return true;
 }

@@ -240,13 +240,15 @@ void profSetClockForTest(std::uint64_t (*now_ns)());
 void profApplyEnv(std::string &prof_out, bool &stderr_summary);
 
 /**
- * Write the three export files for @p base: the morphprof JSON at
+ * End-of-run plumbing for the tools' profiled runs. With a non-empty
+ * @p base, write the three export files: the morphprof JSON at
  * @p base, collapsed stacks at "<base>.collapsed", and speedscope
- * JSON at "<base>.speedscope.json". On failure @p failed names the
- * path that could not be written.
+ * JSON at "<base>.speedscope.json". With @p stderr_summary, print the
+ * text summary on stderr. On a write failure, print
+ * "<tool>: cannot write <path>" and return false.
  */
-bool profWriteFiles(const ProfReport &report, const std::string &base,
-                    std::string &failed);
+bool profExport(const ProfReport &report, const std::string &base,
+                bool stderr_summary, const char *tool);
 
 } // namespace morph
 

@@ -1,8 +1,6 @@
 #include "integrity/integrity_tree.hh"
 
-
 #include "common/check.hh"
-#include "common/log.hh"
 #include "common/prof.hh"
 
 namespace morph
@@ -11,45 +9,24 @@ namespace morph
 IntegrityTree::IntegrityTree(std::uint64_t mem_bytes,
                              const TreeConfig &config,
                              const SipKey &mac_key)
-    : geom_(mem_bytes, config), macEngine_(mac_key)
+    : state_(mem_bytes, config), macEngine_(mac_key)
 {
-    const auto &levels = geom_.levels();
-    formats_.reserve(levels.size());
-    store_.resize(levels.size());
-    overflows_.assign(levels.size(), 0);
-    for (const auto &info : levels)
-        formats_.push_back(makeCounterFormat(info.kind));
+    overflows_.assign(geometry().levels().size(), 0);
 }
 
 IntegrityTree::~IntegrityTree() = default;
 
 CachelineData &
-IntegrityTree::getEntry(unsigned level, std::uint64_t index)
+IntegrityTree::entryAt(unsigned level, std::uint64_t index)
 {
-    MORPH_CHECK_LT(level, store_.size());
-    MORPH_CHECK_LT(index, geom_.levels()[level].entries);
-
-    if (CachelineData *image = store_[level].find(index))
+    if (CachelineData *image = state_.find(level, index))
         return *image;
 
     // Materialize a fresh all-zero entry. Its MAC must be consistent
     // from birth so verification of untouched regions succeeds.
-    CachelineData image;
-    formats_[level]->init(image);
-    if (level != geom_.rootLevel())
-        CounterFormat::setMac(image, entryMac(level, index, image));
-    return store_[level][index] = image;
-}
-
-std::uint64_t
-IntegrityTree::parentCounter(unsigned level, std::uint64_t index)
-{
-    const unsigned parent_level = level + 1;
-    MORPH_CHECK_LE(parent_level, geom_.rootLevel());
-    const std::uint64_t pidx = geom_.parentIndex(parent_level, index);
-    const unsigned slot = geom_.childSlot(parent_level, index);
-    return formats_[parent_level]->read(getEntry(parent_level, pidx),
-                                        slot);
+    CachelineData &image = state_.materialize(level, index);
+    resealEntry(level, index, image);
+    return image;
 }
 
 std::uint64_t
@@ -58,104 +35,92 @@ IntegrityTree::entryMac(unsigned level, std::uint64_t index,
 {
     // MAC covers the entry contents (MAC field zeroed), bound to the
     // entry's physical line address and its parent counter.
+    const CounterTreeState::Location parent =
+        state_.locate(level + 1, index);
+    const std::uint64_t parent_counter = state_.format(level + 1).read(
+        entryAt(level + 1, parent.index), parent.slot);
     CachelineData payload = image;
     CounterFormat::setMac(payload, 0);
-    return macEngine_.compute(geom_.lineOfEntry(level, index),
-                              parentCounter(level, index), payload);
+    return macEngine_.compute(geometry().lineOfEntry(level, index),
+                              parent_counter, payload);
 }
 
 void
-IntegrityTree::recomputeMac(unsigned level, std::uint64_t index)
+IntegrityTree::resealEntry(unsigned level, std::uint64_t index,
+                           CachelineData &image)
 {
-    if (level == geom_.rootLevel())
+    if (level == geometry().rootLevel())
         return; // the root is on-chip and needs no MAC
-    CachelineData &image = getEntry(level, index);
     CounterFormat::setMac(image, entryMac(level, index, image));
 }
 
+/**
+ * Bump the counter of @p child at @p level (a data line at level 0,
+ * else an entry of the level below) and propagate to the root: the
+ * bumped entry's parent counter is bumped in turn, and every MAC the
+ * change invalidates is recomputed.
+ */
 void
-IntegrityTree::propagateMutation(unsigned level, std::uint64_t index,
-                                 BumpResult &out)
+IntegrityTree::bumpAt(unsigned level, std::uint64_t child,
+                      BumpResult &out)
 {
-    if (level == geom_.rootLevel()) {
-        return; // root updates are on-chip register writes
-    }
-
-    // Recursion nests one tree.propagate per level climbed.
-    MORPH_PROF_SCOPE("tree.propagate");
-
-    const unsigned parent_level = level + 1;
-    const std::uint64_t pidx = geom_.parentIndex(parent_level, index);
-    const unsigned slot = geom_.childSlot(parent_level, index);
-
-    CachelineData &parent = getEntry(parent_level, pidx);
-    const WriteResult res = formats_[parent_level]->increment(parent,
-                                                              slot);
-    if (res.rebase)
-        ++out.rebases;
-    if (res.overflow) {
-        ++overflows_[parent_level];
-        ++out.treeOverflows;
+    // Birth the entry, MAC included, before bumping it.
+    const CounterTreeState::Bump bump = state_.bump(
+        level, child, entryAt(level, state_.locate(level, child).index));
+    overflows_[level] += bump.result.overflow;
+    if (level == 0) {
+        // Propagation rewrites only MAC fields: these counters are
+        // final.
+        out = leafResult(state_, bump);
+    } else {
+        out.rebases += bump.result.rebase;
+        out.treeOverflows += bump.result.overflow;
         // Every child in the reset range changed its protecting
-        // counter; re-hash the materialized ones (this entry's own
-        // MAC is recomputed below in any case).
-        const std::uint64_t base = pidx * geom_.levels()[parent_level]
-                                              .arity;
-        for (unsigned c = res.reencBegin; c < res.reencEnd; ++c) {
-            const std::uint64_t child = base + c;
-            if (child == index || child >= geom_.levels()[level].entries)
-                continue;
-            if (store_[level].contains(child))
-                recomputeMac(level, child);
+        // counter; re-hash the materialized ones (@p child itself is
+        // re-hashed by the caller in any case).
+        for (std::uint64_t c = bump.childBegin; c < bump.childEnd; ++c) {
+            CachelineData *image = state_.find(level - 1, c);
+            if (image && c != child)
+                resealEntry(level - 1, c, *image);
         }
     }
+    if (level == geometry().rootLevel())
+        return; // root updates are on-chip register writes
 
-    // The parent entry changed: continue up before finalizing our MAC
-    // (order is immaterial — counters at parent_level are final once
-    // increment() returns — but doing it here keeps the invariant
-    // "every stored MAC is consistent when the call stack unwinds").
-    propagateMutation(parent_level, pidx, out);
-    recomputeMac(level, index);
+    // Recursion nests one tree.propagate per level climbed. Going up
+    // before finalizing this entry's MAC keeps the invariant "every
+    // stored MAC is consistent when the call stack unwinds".
+    MORPH_PROF_SCOPE("tree.propagate");
+    bumpAt(level + 1, bump.index, out);
+    resealEntry(level, bump.index, *bump.image);
+}
+
+IntegrityTree::BumpResult
+IntegrityTree::leafResult(const CounterTreeState &state,
+                          const CounterTreeState::Bump &bump)
+{
+    BumpResult out;
+    out.newCounter = state.format(0).read(*bump.image, bump.slot);
+    out.overflowed = bump.result.overflow;
+    out.rebases = bump.result.rebase ? 1 : 0;
+    for (LineAddr child = bump.childBegin; child < bump.childEnd; ++child)
+        out.reencrypt.push_back(child);
+    return out;
 }
 
 std::uint64_t
 IntegrityTree::counterOf(LineAddr data_line)
 {
-    MORPH_CHECK_LT(data_line, geom_.dataLines());
-    const std::uint64_t idx = geom_.parentIndex(0, data_line);
-    const unsigned slot = geom_.childSlot(0, data_line);
-    return formats_[0]->read(getEntry(0, idx), slot);
+    const CounterTreeState::Location loc = state_.locate(0, data_line);
+    return state_.format(0).read(entryAt(0, loc.index), loc.slot);
 }
 
 IntegrityTree::BumpResult
 IntegrityTree::bumpCounter(LineAddr data_line)
 {
     MORPH_PROF_SCOPE("tree.bump");
-    MORPH_CHECK_LT(data_line, geom_.dataLines());
-    const std::uint64_t idx = geom_.parentIndex(0, data_line);
-    const unsigned slot = geom_.childSlot(0, data_line);
-
     BumpResult out;
-    CachelineData &entry = getEntry(0, idx);
-    const WriteResult res = formats_[0]->increment(entry, slot);
-    if (res.rebase)
-        ++out.rebases;
-    if (res.overflow) {
-        ++overflows_[0];
-        out.overflowed = true;
-        const std::uint64_t base = idx * geom_.levels()[0].arity;
-        for (unsigned c = res.reencBegin; c < res.reencEnd; ++c) {
-            const LineAddr child = base + c;
-            if (child < geom_.dataLines())
-                out.reencrypt.push_back(child);
-        }
-    }
-
-    propagateMutation(0, idx, out);
-    // `entry` is still valid: a store reference survives any later
-    // insertion. Propagation rewrites only its MAC field, so this reads
-    // the counter increment() set.
-    out.newCounter = formats_[0]->read(entry, slot);
+    bumpAt(0, data_line, out);
     return out;
 }
 
@@ -163,14 +128,13 @@ bool
 IntegrityTree::verify(LineAddr data_line)
 {
     MORPH_PROF_SCOPE("tree.verify");
-    MORPH_CHECK_LT(data_line, geom_.dataLines());
-    std::uint64_t index = geom_.parentIndex(0, data_line);
-    for (unsigned level = 0; level < geom_.rootLevel(); ++level) {
-        const CachelineData &image = getEntry(level, index);
+    std::uint64_t index = state_.locate(0, data_line).index;
+    for (unsigned level = 0; level < geometry().rootLevel(); ++level) {
+        const CachelineData &image = entryAt(level, index);
         const std::uint64_t stored = CounterFormat::mac(image);
         if (!MacEngine::equal(stored, entryMac(level, index, image)))
             return false;
-        index = geom_.parentIndex(level + 1, index);
+        index = geometry().parentIndex(level + 1, index);
     }
     return true;
 }
@@ -178,8 +142,8 @@ IntegrityTree::verify(LineAddr data_line)
 bool
 IntegrityTree::verifyAll()
 {
-    for (unsigned level = 0; level < geom_.rootLevel(); ++level) {
-        for (const auto &e : store_[level]) {
+    for (unsigned level = 0; level < geometry().rootLevel(); ++level) {
+        for (const auto &e : state_.images(level)) {
             const std::uint64_t stored = CounterFormat::mac(e.value);
             if (!MacEngine::equal(stored,
                                   entryMac(level, e.key, e.value)))
@@ -189,18 +153,11 @@ IntegrityTree::verifyAll()
     return true;
 }
 
-const CachelineData &
-IntegrityTree::rawEntry(unsigned level, std::uint64_t index)
-{
-    return getEntry(level, index);
-}
-
 void
 IntegrityTree::injectEntry(unsigned level, std::uint64_t index,
                            const CachelineData &image)
 {
-    MORPH_CHECK_LT(level, store_.size());
-    store_[level][index] = image;
+    state_.entry(level, index) = image;
 }
 
 std::uint64_t
@@ -213,8 +170,7 @@ IntegrityTree::overflowEvents(unsigned level) const
 std::uint64_t
 IntegrityTree::materializedEntries(unsigned level) const
 {
-    MORPH_CHECK_LT(level, store_.size());
-    return store_[level].size();
+    return state_.images(level).size();
 }
 
 } // namespace morph

@@ -9,8 +9,8 @@
  * {entry, MAC} pair fails verification against the advanced parent
  * counter. The root entry lives on-chip and is trusted.
  *
- * This class is the *functional* tree: it stores real counter images
- * in sparse per-level stores, computes real MACs, performs real
+ * This class is the *functional* tree: it keeps real counter images
+ * in a CounterTreeState, computes real MACs, performs real
  * verification, and supports tamper/replay injection for tests and
  * demos. Write-back caching effects (when increments propagate) are
  * the timing model's concern (src/secmem/secure_memory_model.hh);
@@ -21,12 +21,10 @@
 #ifndef MORPH_INTEGRITY_INTEGRITY_TREE_HH
 #define MORPH_INTEGRITY_INTEGRITY_TREE_HH
 
-#include <memory>
 #include <vector>
 
-#include "common/sparse_store.hh"
 #include "crypto/mac.hh"
-#include "integrity/tree_geometry.hh"
+#include "integrity/counter_tree_state.hh"
 
 namespace morph
 {
@@ -55,6 +53,11 @@ class IntegrityTree
         unsigned rebases = 0;
     };
 
+    /** The level-0 part of a BumpResult — rebase, overflow, lines to
+     *  re-encrypt, new counter — from a level-0 counter bump. */
+    static BumpResult leafResult(const CounterTreeState &state,
+                                 const CounterTreeState::Bump &bump);
+
     IntegrityTree(std::uint64_t mem_bytes, const TreeConfig &config,
                   const SipKey &mac_key);
     ~IntegrityTree();
@@ -81,7 +84,10 @@ class IntegrityTree
     bool verifyAll();
 
     /** Raw image of a metadata entry (materializes it if absent). */
-    const CachelineData &rawEntry(unsigned level, std::uint64_t index);
+    const CachelineData &rawEntry(unsigned level, std::uint64_t index)
+    {
+        return entryAt(level, index);
+    }
 
     /**
      * Overwrite a stored entry image, bypassing all protection — the
@@ -90,7 +96,11 @@ class IntegrityTree
     void injectEntry(unsigned level, std::uint64_t index,
                      const CachelineData &image);
 
-    const TreeGeometry &geometry() const { return geom_; }
+    const TreeGeometry &geometry() const { return state_.geometry(); }
+
+    /** The counters beneath the MACs; writes through it bypass the
+     *  MACs (SecureMemory's Merkle scheme keeps its counters here). */
+    CounterTreeState &state() { return state_; }
 
     /** Overflow-reset events observed at @p level since construction. */
     std::uint64_t overflowEvents(unsigned level) const;
@@ -99,18 +109,15 @@ class IntegrityTree
     std::uint64_t materializedEntries(unsigned level) const;
 
   private:
-    CachelineData &getEntry(unsigned level, std::uint64_t index);
-    std::uint64_t parentCounter(unsigned level, std::uint64_t index);
+    CachelineData &entryAt(unsigned level, std::uint64_t index);
     std::uint64_t entryMac(unsigned level, std::uint64_t index,
                            const CachelineData &image);
-    void recomputeMac(unsigned level, std::uint64_t index);
-    void propagateMutation(unsigned level, std::uint64_t index,
-                           BumpResult &out);
+    void resealEntry(unsigned level, std::uint64_t index,
+                     CachelineData &image);
+    void bumpAt(unsigned level, std::uint64_t child, BumpResult &out);
 
-    TreeGeometry geom_;
+    CounterTreeState state_;
     MacEngine macEngine_;
-    std::vector<std::unique_ptr<CounterFormat>> formats_; // per level
-    std::vector<SparseStore<CachelineData>> store_;
     std::vector<std::uint64_t> overflows_; // per level
 };
 

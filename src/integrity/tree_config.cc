@@ -73,4 +73,28 @@ TreeConfig::bonsaiMacTree()
     return {"BMT-8", CounterKind::SC64, {CounterKind::SC8}};
 }
 
+const std::vector<NamedTreeConfig> &
+namedTreeConfigs()
+{
+    static const std::vector<NamedTreeConfig> table = {
+        {"sc64", TreeConfig::sc64()},
+        {"vault", TreeConfig::vault()},
+        {"morph", TreeConfig::morph()},
+        {"morph-zcc", TreeConfig::morphZccOnly()},
+        {"sc128", TreeConfig::sc128()},
+        {"sgx", TreeConfig::sgx()},
+        {"bmt", TreeConfig::bonsaiMacTree()},
+    };
+    return table;
+}
+
+const TreeConfig *
+findTreeConfig(const std::string &name)
+{
+    for (const NamedTreeConfig &named : namedTreeConfigs())
+        if (name == named.name)
+            return &named.config;
+    return nullptr;
+}
+
 } // namespace morph

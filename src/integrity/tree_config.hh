@@ -64,6 +64,20 @@ struct TreeConfig
     static TreeConfig bonsaiMacTree();
 };
 
+/** A tree configuration under its command-line name. */
+struct NamedTreeConfig
+{
+    const char *name;
+    TreeConfig config;
+};
+
+/** The named configurations, in display order: sc64, vault, morph,
+ *  morph-zcc, sc128, sgx, bmt. */
+const std::vector<NamedTreeConfig> &namedTreeConfigs();
+
+/** The configuration named @p name, or nullptr if there is none. */
+const TreeConfig *findTreeConfig(const std::string &name);
+
 } // namespace morph
 
 #endif // MORPH_INTEGRITY_TREE_CONFIG_HH

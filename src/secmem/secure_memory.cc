@@ -12,8 +12,7 @@ namespace morph
 SecureMemory::SecureMemory(const SecureMemoryConfig &config)
     : config_(config), otp_(config.encryptionKey),
       macEngine_(config.macKey),
-      tree_(config.memBytes, config.tree, config.macKey),
-      leafFormat_(makeCounterFormat(config.tree.encryption))
+      tree_(config.memBytes, config.tree, config.macKey)
 {
     if (config.macBits == 0 || config.macBits > 64)
         fatal("secure memory: MAC width must be 1..64 bits");
@@ -30,25 +29,25 @@ SecureMemory::macTree()
     return *merkle_;
 }
 
-CachelineData &
-SecureMemory::merkleEntry(std::uint64_t entry_index)
+const CachelineData &
+SecureMemory::counterEntryOf(std::uint64_t entry_index)
 {
-    if (CachelineData *image = merkleEntries_.find(entry_index))
+    if (!merkle_)
+        return tree_.rawEntry(0, entry_index);
+    CounterTreeState &state = tree_.state();
+    if (const CachelineData *image = state.find(0, entry_index))
         return *image;
-    CachelineData image;
-    leafFormat_->init(image);
+    const CachelineData &image = state.materialize(0, entry_index);
     merkle_->updateLeaf(entry_index, image); // publish the birth state
-    return merkleEntries_[entry_index] = image;
+    return image;
 }
 
 std::uint64_t
 SecureMemory::counterOf(LineAddr line)
 {
-    if (!merkle_)
-        return tree_.counterOf(line);
-    const std::uint64_t entry = geometry().parentIndex(0, line);
-    const unsigned slot = geometry().childSlot(0, line);
-    return leafFormat_->read(merkleEntry(entry), slot);
+    const CounterTreeState &state = tree_.state();
+    const CounterTreeState::Location loc = state.locate(0, line);
+    return state.format(0).read(counterEntryOf(loc.index), loc.slot);
 }
 
 bool
@@ -56,8 +55,8 @@ SecureMemory::verifyFreshness(LineAddr line)
 {
     if (!merkle_)
         return tree_.verify(line);
-    const std::uint64_t entry = geometry().parentIndex(0, line);
-    return merkle_->verifyLeaf(entry, merkleEntry(entry));
+    const std::uint64_t entry = tree_.state().locate(0, line).index;
+    return merkle_->verifyLeaf(entry, counterEntryOf(entry));
 }
 
 IntegrityTree::BumpResult
@@ -65,49 +64,21 @@ SecureMemory::bumpCounter(LineAddr line)
 {
     if (!merkle_)
         return tree_.bumpCounter(line);
-
-    const std::uint64_t entry = geometry().parentIndex(0, line);
-    const unsigned slot = geometry().childSlot(0, line);
-    CachelineData &image = merkleEntry(entry);
-
-    IntegrityTree::BumpResult out;
-    const WriteResult res = leafFormat_->increment(image, slot);
-    if (res.rebase)
-        ++out.rebases;
-    if (res.overflow) {
-        out.overflowed = true;
-        const std::uint64_t base =
-            entry * geometry().levels()[0].arity;
-        for (unsigned c = res.reencBegin; c < res.reencEnd; ++c) {
-            const LineAddr child = base + c;
-            if (child < geometry().dataLines())
-                out.reencrypt.push_back(child);
-        }
-    }
-    merkle_->updateLeaf(entry, image);
-    out.newCounter = leafFormat_->read(image, slot);
-    return out;
-}
-
-CachelineData
-SecureMemory::counterEntryOf(std::uint64_t entry_index)
-{
-    if (!merkle_)
-        return tree_.rawEntry(0, entry_index);
-    return merkleEntry(entry_index);
+    CounterTreeState &state = tree_.state();
+    counterEntryOf(state.locate(0, line).index); // publish a birth first
+    const CounterTreeState::Bump bump = state.bump(0, line);
+    merkle_->updateLeaf(bump.index, *bump.image);
+    return IntegrityTree::leafResult(state, bump);
 }
 
 void
 SecureMemory::tamperCounterEntry(std::uint64_t entry_index,
                                  const CachelineData &image)
 {
-    if (!merkle_) {
-        tree_.injectEntry(0, entry_index, image);
-        return;
-    }
-    // A physical overwrite of the stored entry: the Merkle tree is
-    // NOT updated (the attacker cannot recompute on-chip hashes).
-    merkleEntries_[entry_index] = image;
+    // Both schemes keep the entry in the tree's state. Neither the
+    // entry MAC nor the Merkle tree is updated: the attacker cannot
+    // recompute on-chip secrets.
+    tree_.injectEntry(0, entry_index, image);
 }
 
 void
@@ -154,9 +125,9 @@ SecureMemory::writeLine(LineAddr line, const CachelineData &plaintext)
     // Snapshot the level-0 entry before the bump: if the bump
     // overflows, the controller re-encrypts each sibling from its old
     // counter (decoded from this image) to its new one.
-    const std::uint64_t entry = geometry().parentIndex(0, line);
-    const LineAddr first_child = entry * geometry().levels()[0].arity;
-    const CachelineData before = counterEntryOf(entry);
+    const CounterTreeState &state = tree_.state();
+    const CachelineData before =
+        counterEntryOf(state.locate(0, line).index);
 
     const IntegrityTree::BumpResult bump = bumpCounter(line);
     stats_.treeOverflows += bump.treeOverflows;
@@ -172,8 +143,8 @@ SecureMemory::writeLine(LineAddr line, const CachelineData &plaintext)
             // Decrypt under the old counter, re-encrypt under the new.
             CachelineData data = stored->ciphertext;
             otp_.xorPad(data, child,
-                        leafFormat_->read(before,
-                                          unsigned(child - first_child)));
+                        state.format(0).read(
+                            before, state.locate(0, child).slot));
             const std::uint64_t fresh = counterOf(child);
             auditEncrypt(child, fresh);
             otp_.xorPad(data, child, fresh);

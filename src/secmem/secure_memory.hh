@@ -22,7 +22,6 @@
 #define MORPH_SECMEM_SECURE_MEMORY_HH
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 
 #include "common/annotations.hh"
@@ -140,8 +139,10 @@ class SecureMemory
     void tamperCounterEntry(std::uint64_t entry_index,
                             const CachelineData &image);
 
-    /** Raw stored counter entry (either scheme). */
-    CachelineData counterEntryOf(std::uint64_t entry_index);
+    /** Raw stored counter entry (either scheme). An untouched entry
+     *  is born first: with its MAC in the counter tree, or published
+     *  to the MacTree. */
+    const CachelineData &counterEntryOf(std::uint64_t entry_index);
 
     const TreeGeometry &geometry() const { return tree_.geometry(); }
     const Stats &stats() const { return stats_; }
@@ -164,9 +165,6 @@ class SecureMemory
     std::uint64_t dataMac(LineAddr line, std::uint64_t counter,
                           const CachelineData &ciphertext) const;
 
-    /** MacTree scheme: the counter entry image (published on birth). */
-    CachelineData &merkleEntry(std::uint64_t entry_index);
-
     /** Bump the counter of @p line, under either freshness scheme;
      *  fills the re-encryption work exactly as the tree would. */
     IntegrityTree::BumpResult bumpCounter(LineAddr line);
@@ -183,11 +181,6 @@ class SecureMemory
     MacEngine macEngine_;
     IntegrityTree tree_;
     std::optional<MacTree> merkle_;
-    SparseStore<CachelineData> merkleEntries_;
-    /** The level-0 (encryption-counter) format. Under either scheme
-     *  it decodes the pre-bump entry image on overflow; under
-     *  MerkleMacTree it also keeps the counters. */
-    std::unique_ptr<CounterFormat> leafFormat_;
     SparseStore<StoredLine> store_;
     Stats stats_;
 

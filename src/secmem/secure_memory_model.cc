@@ -9,19 +9,13 @@ namespace morph
 {
 
 SecureMemoryModel::SecureMemoryModel(const SecureModelConfig &config)
-    : config_(config), geom_(config.memBytes, config.tree),
+    : config_(config), state_(config.memBytes, config.tree),
       mdcache_(config.metadataCacheBytes, config.metadataCacheWays,
-               geom_)
+               state_.geometry())
 {
-    const auto &levels = geom_.levels();
-    formats_.reserve(levels.size());
-    store_.resize(levels.size());
-    for (const auto &info : levels)
-        formats_.push_back(makeCounterFormat(info.kind));
-
     // Separate-MAC mode: one 64-bit MAC per data line, 8 per MAC line,
     // in a slab above all other metadata.
-    macBaseLine_ = geom_.totalBytes() / lineBytes;
+    macBaseLine_ = geometry().totalBytes() / lineBytes;
 
     if (config_.persist.enabled)
         persist_ = std::make_unique<PersistDomain>(config_.persist);
@@ -57,24 +51,6 @@ SecureMemoryModel::registerStats(StatRegistry &registry,
         persist_->stats().registerStats(registry, scope + "persist");
 }
 
-CachelineData &
-SecureMemoryModel::entryImage(unsigned level, std::uint64_t index)
-{
-    if (CachelineData *image = store_[level].find(index))
-        return *image;
-    CachelineData &image = store_[level][index];
-    formats_[level]->init(image);
-    return image;
-}
-
-std::uint64_t
-SecureMemoryModel::counterOf(LineAddr data_line)
-{
-    const std::uint64_t index = geom_.parentIndex(0, data_line);
-    const unsigned slot = geom_.childSlot(0, data_line);
-    return formats_[0]->read(entryImage(0, index), slot);
-}
-
 LineAddr
 SecureMemoryModel::macLineOf(LineAddr data_line) const
 {
@@ -91,13 +67,13 @@ SecureMemoryModel::ensureCached(unsigned level, std::uint64_t index,
                                 std::vector<MemAccess> &out,
                                 bool critical)
 {
-    if (level == geom_.rootLevel())
+    if (level == geometry().rootLevel())
         return; // root registers live on-chip
 
     // Recursion shows up as nested secmem.tree_walk chains in a
     // profile: depth == levels actually walked past the cache.
     MORPH_PROF_SCOPE("secmem.tree_walk");
-    const LineAddr line = geom_.lineOfEntry(level, index);
+    const LineAddr line = geometry().lineOfEntry(level, index);
     if (mdcache_.access(line))
         return; // found securely cached: traversal terminates
 
@@ -107,8 +83,8 @@ SecureMemoryModel::ensureCached(unsigned level, std::uint64_t index,
     insertMetadata(line, false, out);
 
     if (config_.counterPrefetch && level == 0 &&
-        index + 1 < geom_.levels()[0].entries) {
-        const LineAddr next = geom_.lineOfEntry(0, index + 1);
+        index + 1 < geometry().levels()[0].entries) {
+        const LineAddr next = geometry().lineOfEntry(0, index + 1);
         if (!mdcache_.contains(next)) {
             out.push_back({next, AccessType::Read, Traffic::CtrEncr,
                            false});
@@ -119,7 +95,7 @@ SecureMemoryModel::ensureCached(unsigned level, std::uint64_t index,
 
     // Verification walk: with speculative verification the ancestor
     // reads still consume bandwidth but no longer gate the load.
-    ensureCached(level + 1, geom_.parentIndex(level + 1, index), out,
+    ensureCached(level + 1, geometry().parentIndex(level + 1, index), out,
                  critical && !config_.speculativeVerification);
 }
 
@@ -132,7 +108,7 @@ SecureMemoryModel::insertMetadata(LineAddr line, bool dirty,
     if (config_.demoteEncCounters) {
         unsigned level;
         std::uint64_t index;
-        if (geom_.entryOfLine(line, level, index) && level == 0)
+        if (geometry().entryOfLine(line, level, index) && level == 0)
             position = InsertPosition::Lru;
     }
     const auto evicted = mdcache_.insert(line, dirty, position);
@@ -141,7 +117,7 @@ SecureMemoryModel::insertMetadata(LineAddr line, bool dirty,
 
     unsigned ev_level;
     std::uint64_t ev_index;
-    if (geom_.entryOfLine(evicted->line, ev_level, ev_index)) {
+    if (geometry().entryOfLine(evicted->line, ev_level, ev_index)) {
         handleDirtyWriteback(ev_level, ev_index, out);
     } else {
         // A dirty separate-mode MAC line: plain write-back.
@@ -160,103 +136,63 @@ SecureMemoryModel::handleDirtyWriteback(unsigned level,
                                         std::uint64_t index,
                                         std::vector<MemAccess> &out)
 {
-    out.push_back({geom_.lineOfEntry(level, index), AccessType::Write,
+    out.push_back({geometry().lineOfEntry(level, index), AccessType::Write,
                    trafficForLevel(level), false});
     stats_.count(trafficForLevel(level), true);
 
     // The line leaves the chip: under the lazy persist policy this is
     // the moment NVM takes the new image, ahead of the root commit.
     if (persist_)
-        persist_->onDirtyWriteback(level, geom_.lineOfEntry(level, index),
-                                   entryImage(level, index));
+        persist_->onDirtyWriteback(level,
+                                   geometry().lineOfEntry(level, index),
+                                   state_.entry(level, index));
 
-    if (level == geom_.rootLevel())
+    if (level == geometry().rootLevel())
         return;
-    bumpEntryCounter(level + 1, index, out);
+    MORPH_PROF_SCOPE("secmem.ctr_bump");
+    ensureCached(level + 1, geometry().parentIndex(level + 1, index), out,
+                 false);
+    bumpCounter(level + 1, index, out);
 }
 
 /**
- * Increment the counter at @p level covering child entry
- * @p child_index of the level below, fetching the entry and handling
- * overflow resets.
+ * Increment the counter at @p level covering @p child (a data line
+ * for level 0, else an entry of the level below); the entry, already
+ * on-chip, turns dirty. On an overflow reset every affected child is
+ * read, re-encrypted or re-MACed, and written back. Those writes are
+ * persist-neutral: the children's counter images do not change.
  */
 void
-SecureMemoryModel::bumpEntryCounter(unsigned level,
-                                    std::uint64_t child_index,
-                                    std::vector<MemAccess> &out)
+SecureMemoryModel::bumpCounter(unsigned level, std::uint64_t child,
+                               std::vector<MemAccess> &out)
 {
-    MORPH_CHECK(level >= 1);
-    if (level > geom_.rootLevel())
-        return;
-
-    MORPH_PROF_SCOPE("secmem.ctr_bump");
-    const std::uint64_t index = geom_.parentIndex(level, child_index);
-    const unsigned slot = geom_.childSlot(level, child_index);
-
-    ensureCached(level, index, out, false);
-
-    const WriteResult res =
-        formats_[level]->increment(entryImage(level, index), slot);
-    if (level != geom_.rootLevel())
-        mdcache_.markDirty(geom_.lineOfEntry(level, index));
+    const CounterTreeState::Bump bump = state_.bump(level, child);
+    const LineAddr line = geometry().lineOfEntry(level, bump.index);
+    if (level != geometry().rootLevel())
+        mdcache_.markDirty(line);
     if (persist_)
-        persist_->onEntryUpdate(level, geom_.lineOfEntry(level, index),
-                                entryImage(level, index));
+        persist_->onEntryUpdate(level, line, *bump.image);
 
+    const WriteResult &res = bump.result;
     const unsigned bin = std::min<unsigned>(level, 7);
     if (res.rebase)
         ++stats_.rebasesByLevel[bin];
     if (res.formatSwitch)
         ++stats_.morphsByLevel[bin];
-    if (res.overflow) {
-        ++stats_.overflowsByLevel[bin];
-        stats_.usageAtOverflow.record(double(res.usedBefore) /
-                                      double(formats_[level]->arity()));
-        // Re-hash every affected child entry: read + write each.
-        emitOverflowTraffic(level, index, res.reencBegin, res.reencEnd,
-                            out);
-    }
-}
+    if (!res.overflow)
+        return;
+    ++stats_.overflowsByLevel[bin];
+    stats_.usageAtOverflow.record(double(res.usedBefore) /
+                                  double(state_.format(level).arity()));
 
-/**
- * Overflow reset at @p level: children [begin, end) of entry
- * @p entry_index changed protecting counters — each is read, updated
- * (re-encrypted for level 0 children, re-MACed for metadata children)
- * and written back. The children's counter images are unchanged (only
- * data payloads / MACs refresh, which this model does not store), so
- * these writes are persist-neutral: the durable copies stay valid.
- */
-void
-SecureMemoryModel::emitOverflowTraffic(unsigned level,
-                                       std::uint64_t entry_index,
-                                       unsigned begin, unsigned end,
-                                       std::vector<MemAccess> &out)
-{
     MORPH_PROF_SCOPE("secmem.overflow");
-    const unsigned arity = geom_.levels()[level].arity;
-    const std::uint64_t child_base = entry_index * arity;
-
-    // Children of a level-L entry live at level L-1; children of a
-    // level-0 (encryption counter) entry are the data lines.
-    std::uint64_t child_count;
-    LineAddr child_line_base;
-    if (level == 0) {
-        child_count = geom_.dataLines();
-        child_line_base = 0;
-    } else {
-        child_count = geom_.levels()[level - 1].entries;
-        child_line_base = geom_.levels()[level - 1].baseLine;
-    }
-
-    for (unsigned c = begin; c < end; ++c) {
-        const std::uint64_t child = child_base + c;
-        if (child >= child_count)
-            break;
-        const LineAddr line = child_line_base + child;
-        out.push_back({line, AccessType::Read, Traffic::Overflow,
-                       false});
-        out.push_back({line, AccessType::Write, Traffic::Overflow,
-                       false});
+    const LineAddr child_base =
+        level == 0 ? 0 : geometry().levels()[level - 1].baseLine;
+    for (std::uint64_t c = bump.childBegin; c < bump.childEnd; ++c) {
+        out.push_back({child_base + c, AccessType::Read,
+                       Traffic::Overflow, false});
+        out.push_back({child_base + c, AccessType::Write,
+                       Traffic::Overflow, false});
         stats_.count(Traffic::Overflow, false);
         stats_.count(Traffic::Overflow, true);
     }
@@ -267,7 +203,7 @@ SecureMemoryModel::onDataAccess(LineAddr data_line, AccessType type,
                                 std::vector<MemAccess> &out)
 {
     MORPH_PROF_SCOPE("secmem.data_access");
-    MORPH_CHECK_LT(data_line, geom_.dataLines());
+    MORPH_CHECK_LT(data_line, geometry().dataLines());
     const bool is_write = type == AccessType::Write;
 
     out.push_back({data_line, type, Traffic::Data, !is_write});
@@ -276,32 +212,11 @@ SecureMemoryModel::onDataAccess(LineAddr data_line, AccessType type,
     if (!config_.secure)
         return;
 
-    const std::uint64_t index = geom_.parentIndex(0, data_line);
-    const unsigned slot = geom_.childSlot(0, data_line);
-
     // The encryption counter is needed for both directions: OTP
     // generation on reads (critical), counter bump on writes (posted).
-    ensureCached(0, index, out, !is_write);
-
-    if (is_write) {
-        const WriteResult res =
-            formats_[0]->increment(entryImage(0, index), slot);
-        mdcache_.markDirty(geom_.lineOfEntry(0, index));
-        if (persist_)
-            persist_->onEntryUpdate(0, geom_.lineOfEntry(0, index),
-                                    entryImage(0, index));
-        if (res.rebase)
-            ++stats_.rebasesByLevel[0];
-        if (res.formatSwitch)
-            ++stats_.morphsByLevel[0];
-        if (res.overflow) {
-            ++stats_.overflowsByLevel[0];
-            stats_.usageAtOverflow.record(
-                double(res.usedBefore) / double(formats_[0]->arity()));
-            emitOverflowTraffic(0, index, res.reencBegin, res.reencEnd,
-                                out);
-        }
-    }
+    ensureCached(0, geometry().parentIndex(0, data_line), out, !is_write);
+    if (is_write)
+        bumpCounter(0, data_line, out);
 
     if (!config_.inlineMacs) {
         // Separate-MAC organization: every data access also touches

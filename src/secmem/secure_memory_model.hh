@@ -35,7 +35,7 @@
 #include <memory>
 #include <vector>
 
-#include "common/sparse_store.hh"
+#include "integrity/counter_tree_state.hh"
 #include "secmem/metadata_cache.hh"
 #include "secmem/persist_domain.hh"
 #include "secmem/traffic_stats.hh"
@@ -126,12 +126,15 @@ class SecureMemoryModel
                        const std::string &prefix,
                        bool occupancy = false) const;
 
-    const TreeGeometry &geometry() const { return geom_; }
+    const TreeGeometry &geometry() const { return state_.geometry(); }
     const MetadataCache &metadataCache() const { return mdcache_; }
     const SecureModelConfig &config() const { return config_; }
 
     /** Effective counter of @p data_line (model introspection). */
-    std::uint64_t counterOf(LineAddr data_line);
+    std::uint64_t counterOf(LineAddr data_line)
+    {
+        return state_.counterOf(data_line);
+    }
 
     /** End of run: drain the persist domain's pending mutations
      *  through a final barrier (no-op without persistence). */
@@ -141,26 +144,20 @@ class SecureMemoryModel
     const PersistDomain *persistDomain() const { return persist_.get(); }
 
   private:
-    CachelineData &entryImage(unsigned level, std::uint64_t index);
     void ensureCached(unsigned level, std::uint64_t index,
                       std::vector<MemAccess> &out, bool critical);
     void insertMetadata(LineAddr line, bool dirty,
                         std::vector<MemAccess> &out);
     void handleDirtyWriteback(unsigned level, std::uint64_t index,
                               std::vector<MemAccess> &out);
-    void bumpEntryCounter(unsigned level, std::uint64_t child_index,
-                          std::vector<MemAccess> &out);
-    void emitOverflowTraffic(unsigned level, std::uint64_t entry_index,
-                             unsigned begin, unsigned end,
-                             std::vector<MemAccess> &out);
+    void bumpCounter(unsigned level, std::uint64_t child,
+                     std::vector<MemAccess> &out);
     LineAddr macLineOf(LineAddr data_line) const;
 
     SecureModelConfig config_;
-    TreeGeometry geom_;
+    CounterTreeState state_;
     MetadataCache mdcache_;
     TrafficStats stats_;
-    std::vector<std::unique_ptr<CounterFormat>> formats_;
-    std::vector<SparseStore<CachelineData>> store_;
     std::unique_ptr<PersistDomain> persist_;
     LineAddr macBaseLine_ = 0;
 };

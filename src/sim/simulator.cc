@@ -190,9 +190,8 @@ runByName(const std::string &name, const SecureModelConfig &secmem,
 {
     if (const WorkloadSpec *spec = findWorkload(name))
         return runWorkload(*spec, secmem, options, scope);
-    for (const MixSpec &mix : mixTable())
-        if (mix.name == name)
-            return runMix(mix, secmem, options, scope);
+    if (const MixSpec *mix = findMix(name))
+        return runMix(*mix, secmem, options, scope);
     fatal("unknown workload or mix: %s", name.c_str());
 }
 

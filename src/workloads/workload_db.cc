@@ -82,6 +82,15 @@ findWorkload(const std::string &name)
     return it == table.end() ? nullptr : &*it;
 }
 
+const MixSpec *
+findMix(const std::string &name)
+{
+    for (const MixSpec &mix : mixTable())
+        if (mix.name == name)
+            return &mix;
+    return nullptr;
+}
+
 std::unique_ptr<TraceSource>
 makeWorkloadTrace(const WorkloadSpec &spec, unsigned core,
                   unsigned cores, std::uint64_t mem_bytes,

@@ -56,6 +56,9 @@ const std::vector<MixSpec> &mixTable();
 /** Find a workload by name; nullptr if unknown. */
 const WorkloadSpec *findWorkload(const std::string &name);
 
+/** Find a mix by name; nullptr if unknown. */
+const MixSpec *findMix(const std::string &name);
+
 /**
  * Build the per-core trace for @p spec.
  *

@@ -95,7 +95,8 @@ constexpr BenchCase fullMatrix[] = {
 
 /**
  * Resolve a matrix config name to a full model configuration. Plain
- * names select a tree layout; the "morph-nvm-*" names additionally
+ * names select a tree layout from namedTreeConfigs(); the
+ * "morph-nvm-*" names select "morph" and additionally
  * enable the persist domain (a pure observer — IPC and traffic match
  * the plain "morph" cells; only the persist counters differ).
  */
@@ -103,26 +104,24 @@ SecureModelConfig
 modelByName(const std::string &name)
 {
     SecureModelConfig secmem;
-    if (name == "sc64") {
-        secmem.tree = TreeConfig::sc64();
-    } else if (name == "vault") {
-        secmem.tree = TreeConfig::vault();
-    } else if (name == "morph") {
-        secmem.tree = TreeConfig::morph();
-    } else if (name == "morph-nvm-strict") {
-        secmem.tree = TreeConfig::morph();
+    std::string tree_name = name;
+    if (name == "morph-nvm-strict") {
+        tree_name = "morph";
         secmem.persist.enabled = true;
         secmem.persist.policy = PersistPolicy::Strict;
     } else if (name == "morph-nvm-lazy") {
-        secmem.tree = TreeConfig::morph();
+        tree_name = "morph";
         secmem.persist.enabled = true;
         secmem.persist.policy = PersistPolicy::Lazy;
         secmem.persist.epochWrites = 4096;
-    } else {
+    }
+    const TreeConfig *tree = findTreeConfig(tree_name);
+    if (!tree) {
         std::fprintf(stderr, "morphbench: unknown config '%s'\n",
                      name.c_str());
         std::exit(2);
     }
+    secmem.tree = *tree;
     return secmem;
 }
 
@@ -489,20 +488,7 @@ finishProfile(const std::string &prof_out, bool prof_stderr,
     ProfReport report = profReport();
     report.meta.set("tool", "morphbench");
     report.meta.set("matrix", quick ? "quick" : "full");
-    if (!prof_out.empty()) {
-        std::string failed;
-        if (!profWriteFiles(report, prof_out, failed)) {
-            std::fprintf(stderr, "morphbench: cannot write %s\n",
-                         failed.c_str());
-            return false;
-        }
-    }
-    if (prof_stderr) {
-        std::ostringstream text;
-        report.dumpText(text);
-        std::fputs(text.str().c_str(), stderr);
-    }
-    return true;
+    return profExport(report, prof_out, prof_stderr, "morphbench");
 }
 
 } // namespace

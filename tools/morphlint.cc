@@ -364,38 +364,6 @@ checkLayoutProbes(Lint &lint)
 // 4. Tree geometry
 // ---------------------------------------------------------------------
 
-struct NamedConfig
-{
-    const char *name;
-    TreeConfig config;
-};
-
-std::vector<NamedConfig>
-namedConfigs()
-{
-    return {
-        {"sc64", TreeConfig::sc64()},
-        {"vault", TreeConfig::vault()},
-        {"morph", TreeConfig::morph()},
-        {"morph-zcc", TreeConfig::morphZccOnly()},
-        {"sc128", TreeConfig::sc128()},
-        {"sgx", TreeConfig::sgx()},
-        {"bmt", TreeConfig::bonsaiMacTree()},
-    };
-}
-
-bool
-lookupConfig(const std::string &name, TreeConfig &out)
-{
-    for (auto &named : namedConfigs()) {
-        if (name == named.name) {
-            out = named.config;
-            return true;
-        }
-    }
-    return false;
-}
-
 void
 checkGeometry(Lint &lint, const std::string &name,
               const TreeConfig &config, std::uint64_t mem_bytes)
@@ -470,7 +438,7 @@ checkGeometry(Lint &lint, const std::string &name,
 void
 checkAllGeometries(Lint &lint, std::uint64_t mem_bytes)
 {
-    for (auto &named : namedConfigs())
+    for (const NamedTreeConfig &named : namedTreeConfigs())
         checkGeometry(lint, named.name, named.config, mem_bytes);
 }
 
@@ -623,18 +591,6 @@ checkProfNames(Lint &lint, const std::string &where,
 // 5. INI validation (simulator configs + lint spec overrides)
 // ---------------------------------------------------------------------
 
-bool
-workloadExists(const std::string &name)
-{
-    for (const auto &spec : workloadTable())
-        if (spec.name == name)
-            return true;
-    for (const auto &mix : mixTable())
-        if (mix.name == name)
-            return true;
-    return false;
-}
-
 std::vector<Bucket>
 parseBuckets(Lint &lint, const std::string &where,
              const std::string &text)
@@ -695,14 +651,17 @@ checkIniFile(Lint &lint, const std::string &path)
     if (ini.has("system.workload")) {
         const std::string workload = ini.getString("system.workload");
         lint.expectTrue(where, "workload '" + workload + "' exists",
-                        workloadExists(workload));
+                        findWorkload(workload) || findMix(workload));
     }
 
     TreeConfig tree = TreeConfig::morph();
     bool have_tree = true;
     if (ini.has("system.config")) {
         const std::string name = ini.getString("system.config");
-        have_tree = lookupConfig(name, tree);
+        const TreeConfig *named_tree = findTreeConfig(name);
+        have_tree = named_tree != nullptr;
+        if (named_tree)
+            tree = *named_tree;
         lint.expectTrue(where, "config '" + name + "' is a known tree",
                         have_tree);
     }
@@ -837,11 +796,11 @@ checkIniFile(Lint &lint, const std::string &path)
     if (ini.has("lint.geometry.config") ||
         ini.has("lint.geometry.tree_levels") ||
         ini.has("lint.geometry.metadata_mb")) {
-        TreeConfig spec_tree = tree;
         std::string spec_name =
             ini.getString("lint.geometry.config",
                           ini.getString("system.config", "morph"));
-        if (!lookupConfig(spec_name, spec_tree)) {
+        const TreeConfig *spec_tree = findTreeConfig(spec_name);
+        if (!spec_tree) {
             lint.fail(where, "lint.geometry.config '" + spec_name +
                                  "' is not a known tree");
             return;
@@ -849,7 +808,7 @@ checkIniFile(Lint &lint, const std::string &path)
         const std::uint64_t spec_bytes = std::uint64_t(
             ini.getDouble("lint.geometry.mem_gb", mem_gb) *
             double(1ull << 30));
-        const TreeGeometry geom(spec_bytes, spec_tree);
+        const TreeGeometry geom(spec_bytes, *spec_tree);
         if (ini.has("lint.geometry.tree_levels")) {
             lint.expectEq(where + "/geometry",
                           spec_name + " tree levels", geom.treeLevels(),

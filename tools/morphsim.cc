@@ -31,6 +31,7 @@
  * 4 runtime failure (export I/O, internal error).
  */
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -101,29 +102,6 @@ usage()
         "  --list              list workloads and exit\n");
 }
 
-/** Resolve a tree config name; false (no change) if unknown. */
-bool
-configByName(const std::string &name, TreeConfig &out)
-{
-    if (name == "sc64")
-        out = TreeConfig::sc64();
-    else if (name == "vault")
-        out = TreeConfig::vault();
-    else if (name == "morph")
-        out = TreeConfig::morph();
-    else if (name == "morph-zcc")
-        out = TreeConfig::morphZccOnly();
-    else if (name == "sc128")
-        out = TreeConfig::sc128();
-    else if (name == "sgx")
-        out = TreeConfig::sgx();
-    else if (name == "bmt")
-        out = TreeConfig::bonsaiMacTree();
-    else
-        return false;
-    return true;
-}
-
 /** Resolve a persistence mode name; false if unknown. */
 bool
 persistByName(const std::string &mode, PersistConfig &out)
@@ -140,17 +118,6 @@ persistByName(const std::string &mode, PersistConfig &out)
         return false;
     }
     return true;
-}
-
-bool
-knownWorkload(const std::string &name)
-{
-    if (findWorkload(name))
-        return true;
-    for (const MixSpec &mix : mixTable())
-        if (mix.name == name)
-            return true;
-    return false;
 }
 
 bool
@@ -217,23 +184,51 @@ applyConfigFile(const std::string &path, std::string &workload,
         }
     }
 
+    // Range checks: a negative count would wrap to a huge unsigned
+    // one, a negative capacity cast to unsigned is undefined, and 0
+    // DRAM channels or ranks would divide by zero in the address
+    // decoder.
+    const auto integer = [&](const char *key, std::uint64_t fallback,
+                             std::int64_t lo, std::int64_t hi = INT64_MAX) {
+        const std::int64_t value = ini.getInt(key, std::int64_t(fallback));
+        if (value < lo || value > hi) {
+            std::fprintf(stderr,
+                         "morphsim: config %s: %s must be in [%lld, %lld] "
+                         "(got %lld)\n",
+                         path.c_str(), key, (long long)lo, (long long)hi,
+                         (long long)value);
+            std::exit(exitBadConfig);
+        }
+        return std::uint64_t(value);
+    };
+    const auto positive = [&](const char *key, double fallback) {
+        const double value = ini.getDouble(key, fallback);
+        if (!(value > 0) || !std::isfinite(value)) {
+            std::fprintf(stderr,
+                         "morphsim: config %s: %s must be a positive "
+                         "number (got %g)\n",
+                         path.c_str(), key, value);
+            std::exit(exitBadConfig);
+        }
+        return value;
+    };
+
     workload = ini.getString("system.workload", workload);
     trace_path = ini.getString("system.trace", trace_path);
     config_name = ini.getString("system.config", config_name);
     secmem.memBytes = std::uint64_t(
-        ini.getDouble("system.mem_gb",
-                      double(secmem.memBytes) / double(1ull << 30)) *
+        positive("system.mem_gb",
+                 double(secmem.memBytes) / double(1ull << 30)) *
         double(1ull << 30));
     secmem.metadataCacheBytes = std::size_t(
-        ini.getInt("system.cache_kb",
-                   std::int64_t(secmem.metadataCacheBytes / 1024)) *
+        integer("system.cache_kb", secmem.metadataCacheBytes / 1024, 0) *
         1024);
-    options.accessesPerCore = std::uint64_t(ini.getInt(
-        "system.accesses", std::int64_t(options.accessesPerCore)));
-    options.warmupPerCore = std::uint64_t(ini.getInt(
-        "system.warmup", std::int64_t(options.warmupPerCore)));
+    options.accessesPerCore =
+        integer("system.accesses", options.accessesPerCore, 0);
+    options.warmupPerCore =
+        integer("system.warmup", options.warmupPerCore, 0);
     options.footprintScale =
-        ini.getDouble("system.scale", options.footprintScale);
+        positive("system.scale", options.footprintScale);
     options.seed = std::uint64_t(
         ini.getInt("system.seed", std::int64_t(options.seed)));
     options.timing = ini.getBool("system.timing", options.timing);
@@ -256,38 +251,17 @@ applyConfigFile(const std::string &path, std::string &workload,
                      path.c_str(), persist_mode.c_str());
         std::exit(exitBadConfig);
     }
-    const std::int64_t epoch_writes =
-        ini.getInt("persist.epoch_writes",
-                   std::int64_t(secmem.persist.epochWrites));
-    if (epoch_writes < 1) {
-        std::fprintf(stderr,
-                     "morphsim: config %s: persist.epoch_writes must "
-                     "be >= 1\n",
-                     path.c_str());
-        std::exit(exitBadConfig);
-    }
-    secmem.persist.epochWrites = std::uint64_t(epoch_writes);
+    secmem.persist.epochWrites =
+        integer("persist.epoch_writes", secmem.persist.epochWrites, 1);
     options.dram.refresh =
         ini.getBool("dram.refresh", options.dram.refresh);
     options.dram.writeQueueing =
         ini.getBool("dram.write_queueing", options.dram.writeQueueing);
-    // The range morphlint enforces: 0 would divide by zero in the
-    // address decoder, and a negative value would wrap around.
-    const auto dram_count = [&](const char *key, unsigned fallback) {
-        const std::int64_t value = ini.getInt(key, fallback);
-        if (value < 1 || value > 16) {
-            std::fprintf(stderr,
-                         "morphsim: config %s: %s must be in [1, 16] "
-                         "(got %lld)\n",
-                         path.c_str(), key, (long long)value);
-            std::exit(exitBadConfig);
-        }
-        return unsigned(value);
-    };
+    // The DRAM range is the one morphlint enforces.
     options.dram.channels =
-        dram_count("dram.channels", options.dram.channels);
-    options.dram.ranksPerChannel =
-        dram_count("dram.ranks", options.dram.ranksPerChannel);
+        unsigned(integer("dram.channels", options.dram.channels, 1, 16));
+    options.dram.ranksPerChannel = unsigned(
+        integer("dram.ranks", options.dram.ranksPerChannel, 1, 16));
 }
 
 [[noreturn]] void
@@ -313,16 +287,28 @@ parseCount(const std::string &arg, const char *text)
     return std::uint64_t(v);
 }
 
+/** Parse a positive, finite number option value; exits with code 2
+ *  otherwise (atof would read junk as 0, and a negative capacity cast
+ *  to unsigned is undefined). */
+double
+parsePositive(const std::string &arg, const char *text)
+{
+    char *end = nullptr;
+    const double v = std::strtod(text, &end);
+    if (end == text || *end != '\0' || !(v > 0) || !std::isfinite(v))
+        badFlag("option %s needs a positive number", arg.c_str());
+    return v;
+}
+
 /** Expand a --sweep list ("all" or comma-separated names) into
  *  config names; exits with code 3 on an unknown name. */
 std::vector<std::string>
 sweepConfigs(const std::string &list)
 {
-    static const char *all[] = {"sc64",   "vault", "morph", "morph-zcc",
-                                "sc128",  "sgx",   "bmt"};
     std::vector<std::string> names;
     if (list == "all") {
-        names.assign(std::begin(all), std::end(all));
+        for (const NamedTreeConfig &named : namedTreeConfigs())
+            names.push_back(named.name);
         return names;
     }
     std::stringstream stream(list);
@@ -335,8 +321,7 @@ sweepConfigs(const std::string &list)
         std::exit(exitBadFlag);
     }
     for (const std::string &name : names) {
-        TreeConfig probe;
-        if (!configByName(name, probe)) {
+        if (!findTreeConfig(name)) {
             std::fprintf(stderr,
                          "morphsim: unknown config '%s' in --sweep\n",
                          name.c_str());
@@ -377,7 +362,7 @@ runSweep(const std::vector<std::string> &configs,
             configs.size(), [&](std::size_t i) {
                 const std::string &name = configs[i];
                 SecureModelConfig secmem = base_secmem;
-                configByName(name, secmem.tree);
+                secmem.tree = *findTreeConfig(name);
                 SimOptions options = base_options;
                 options.seed =
                     sweepSeed(key_base + "/" + name, base_options.seed);
@@ -449,20 +434,7 @@ finishProfile(const std::string &prof_out, bool prof_stderr,
     report.meta.set("config", config_name);
     if (trace != nullptr)
         report.mergeIntoTrace(*trace);
-    if (!prof_out.empty()) {
-        std::string failed;
-        if (!profWriteFiles(report, prof_out, failed)) {
-            std::fprintf(stderr, "morphsim: cannot write %s\n",
-                         failed.c_str());
-            return false;
-        }
-    }
-    if (prof_stderr) {
-        std::ostringstream text;
-        report.dumpText(text);
-        std::fputs(text.str().c_str(), stderr);
-    }
-    return true;
+    return profExport(report, prof_out, prof_stderr, "morphsim");
 }
 
 } // namespace
@@ -501,17 +473,17 @@ main(int argc, char **argv)
         } else if (arg == "--config") {
             config_name = value();
         } else if (arg == "--mem-gb") {
-            secmem.memBytes = std::uint64_t(std::atof(value()) *
+            secmem.memBytes = std::uint64_t(parsePositive(arg, value()) *
                                             double(1ull << 30));
         } else if (arg == "--cache-kb") {
             secmem.metadataCacheBytes =
-                std::size_t(std::atoll(value())) * 1024;
+                std::size_t(parseCount(arg, value())) * 1024;
         } else if (arg == "--accesses") {
-            options.accessesPerCore = std::uint64_t(std::atoll(value()));
+            options.accessesPerCore = parseCount(arg, value());
         } else if (arg == "--warmup") {
-            options.warmupPerCore = std::uint64_t(std::atoll(value()));
+            options.warmupPerCore = parseCount(arg, value());
         } else if (arg == "--scale") {
-            options.footprintScale = std::atof(value());
+            options.footprintScale = parsePositive(arg, value());
         } else if (arg == "--seed") {
             options.seed = std::uint64_t(std::atoll(value()));
         } else if (arg == "--timing") {
@@ -574,12 +546,15 @@ main(int argc, char **argv)
     }
 
     // Validate the configuration before spending time simulating.
-    if (!configByName(config_name, secmem.tree)) {
+    const TreeConfig *tree = findTreeConfig(config_name);
+    if (!tree) {
         std::fprintf(stderr, "morphsim: unknown config '%s'\n",
                      config_name.c_str());
         return exitBadConfig;
     }
-    if (!workload.empty() && !knownWorkload(workload)) {
+    secmem.tree = *tree;
+    if (!workload.empty() && !findWorkload(workload) &&
+        !findMix(workload)) {
         std::fprintf(stderr,
                      "morphsim: unknown workload or mix '%s'"
                      " (see --list)\n",
@@ -631,22 +606,27 @@ main(int argc, char **argv)
         return exitRuntime;
     }
 
-    std::printf("# %s on %s\n", result.configName.c_str(),
-                result.workload.c_str());
-    scope.dumpText(std::cout, "morphsim");
-    std::cout.flush();
+    {
+        // Report and exports are timed too, so a profile's root
+        // scopes cover the whole window up to profReport().
+        MORPH_PROF_SCOPE("morphsim.report");
+        std::printf("# %s on %s\n", result.configName.c_str(),
+                    result.workload.c_str());
+        scope.dumpText(std::cout, "morphsim");
+        std::cout.flush();
 
-    if (!stats_json_path.empty() &&
-        !scope.writeStatsJson(stats_json_path)) {
-        std::fprintf(stderr, "morphsim: cannot write %s\n",
-                     stats_json_path.c_str());
-        return exitRuntime;
-    }
-    if (!stats_csv_path.empty() &&
-        !scope.writeStatsCsv(stats_csv_path)) {
-        std::fprintf(stderr, "morphsim: cannot write %s\n",
-                     stats_csv_path.c_str());
-        return exitRuntime;
+        if (!stats_json_path.empty() &&
+            !scope.writeStatsJson(stats_json_path)) {
+            std::fprintf(stderr, "morphsim: cannot write %s\n",
+                         stats_json_path.c_str());
+            return exitRuntime;
+        }
+        if (!stats_csv_path.empty() &&
+            !scope.writeStatsCsv(stats_csv_path)) {
+            std::fprintf(stderr, "morphsim: cannot write %s\n",
+                         stats_csv_path.c_str());
+            return exitRuntime;
+        }
     }
     if (profiling &&
         !finishProfile(prof_out_path, prof_stderr, workload_key,

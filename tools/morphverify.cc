@@ -65,7 +65,6 @@
 #include <cstring>
 #include <deque>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <unordered_set>
 #include <vector>
@@ -877,19 +876,8 @@ main(int argc, char **argv)
     if (profiling) {
         ProfReport profile = profReport();
         profile.meta.set("tool", "morphverify");
-        if (!prof_out.empty()) {
-            std::string failed;
-            if (!profWriteFiles(profile, prof_out, failed)) {
-                std::fprintf(stderr, "morphverify: cannot write %s\n",
-                             failed.c_str());
-                return 2;
-            }
-        }
-        if (prof_stderr) {
-            std::ostringstream text;
-            profile.dumpText(text);
-            std::fputs(text.str().c_str(), stderr);
-        }
+        if (!profExport(profile, prof_out, prof_stderr, "morphverify"))
+            return 2;
     }
     return status;
 }
