@@ -23,9 +23,12 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <optional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "common/log.hh"
 #include "common/run_pool.hh"
 #include "sim/simulator.hh"
 
@@ -34,15 +37,32 @@ namespace morph
 namespace bench
 {
 
+/** Run @p read, turning a malformed environment value into fatal(). */
+template <typename Read>
+inline auto
+strictEnv(Read read)
+{
+    try {
+        return read();
+    } catch (const std::invalid_argument &e) {
+        fatal("%s", e.what());
+    }
+}
+
+/** MORPH_SIM_SCALE when set (a number >= 1), else @p fallback. */
 inline double
 envScale(double fallback)
 {
-    if (const char *env = std::getenv("MORPH_SIM_SCALE")) {
-        const double v = std::atof(env);
-        if (v >= 1.0)
-            return v;
-    }
-    return fallback;
+    return strictEnv([] { return envNumber("MORPH_SIM_SCALE", 1.0); })
+        .value_or(fallback);
+}
+
+/** Defaults plus the MORPH_SIM_ACCESSES / MORPH_SIM_WARMUP
+ *  overrides. */
+inline SimOptions
+envOptions(const SimOptions &defaults)
+{
+    return strictEnv([&] { return SimOptions::fromEnv(defaults); });
 }
 
 /** Timed-simulation preset (Figs 5, 15, 16, 18, 19, 20). */
@@ -54,7 +74,7 @@ perfOptions()
     options.warmupPerCore = 200'000;
     options.timing = true;
     options.footprintScale = envScale(8.0);
-    return SimOptions::fromEnv(options);
+    return envOptions(options);
 }
 
 /** Traffic-only preset (Figs 7, 11, 14). */
@@ -66,7 +86,7 @@ overflowOptions()
     options.warmupPerCore = 500'000;
     options.timing = false;
     options.footprintScale = envScale(32.0);
-    return SimOptions::fromEnv(options);
+    return envOptions(options);
 }
 
 /** Secure-memory configuration for a tree config at paper defaults. */
@@ -78,17 +98,14 @@ modelConfig(TreeConfig tree)
     return config;
 }
 
-/** Worker count for the figure sweeps: MORPH_BENCH_JOBS when set to
- *  a value >= 1, else hardware concurrency. */
+/** Worker count for the figure sweeps: MORPH_BENCH_JOBS when set
+ *  (an integer >= 1), else hardware concurrency. */
 inline unsigned
 envJobs()
 {
-    if (const char *env = std::getenv("MORPH_BENCH_JOBS")) {
-        const long long v = std::atoll(env);
-        if (v >= 1)
-            return unsigned(v);
-    }
-    return RunPool::hardwareJobs();
+    const std::optional<std::uint64_t> jobs =
+        strictEnv([] { return envCount("MORPH_BENCH_JOBS", 1); });
+    return jobs ? unsigned(*jobs) : RunPool::hardwareJobs();
 }
 
 /** One independent cell of a figure's (workload, config) grid. */

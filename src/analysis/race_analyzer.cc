@@ -172,14 +172,18 @@ class Analyzer
                         !a.args.empty()) {
                         const std::string key =
                             terminalIdent(a.args.front());
-                        if (!key.empty())
-                            guardedBy_[v.name].insert(key);
+                        if (!key.empty()) {
+                            guardedBy_[{v.klass, v.name}].insert(key);
+                            guardedByName_[v.name].insert(key);
+                        }
                     } else if (a.macro == "MORPH_SHARD_LOCAL") {
                         shardLocal_.insert(v.name);
                     } else if (a.macro == "MORPH_MAIN_THREAD") {
                         mainThread_.insert(v.name);
                     }
                 }
+                if (!v.klass.empty())
+                    members_.insert({v.klass, v.name});
                 if (mentionsAtomic(v.typeText))
                     atomicVars_.insert(v.name);
                 if (mentionsMutex(v.typeText))
@@ -192,6 +196,47 @@ class Analyzer
             for (const FunctionAnnotations &fa : m.fnAnnotations)
                 mergeFnAnnotations(fa.name, fa.annotations);
         }
+    }
+
+    // ---- guarded members ----------------------------------------------
+
+    /** The class a member function belongs to: the qualifier of an
+     *  out-of-line definition, else the innermost class body around
+     *  it; "" for a free function. */
+    static std::string
+    classOf(const FileUnit &unit, const FunctionDef &f)
+    {
+        const std::size_t sep = f.qualName.rfind("::");
+        if (sep != std::string::npos)
+            return f.qualName.substr(0, sep);
+        std::string klass;
+        for (const ClassDef &c : unit.model.classes)
+            if (c.bodyBegin < f.headerBegin && f.bodyEnd < c.bodyEnd)
+                klass = c.name; // classes come outer before inner
+        return klass;
+    }
+
+    /**
+     * The locks guarding member @p name as seen from a function of
+     * @p klass, or nullptr if it is unguarded. A bare name (or
+     * this->name) in a class declaring @p name is that class's
+     * member. Otherwise, reached through another object or declared
+     * in no enclosing class, it is checked against every class's
+     * guard on that name.
+     */
+    const std::set<std::string> *
+    guardsOf(const std::string &klass, const std::string &name,
+             bool via_object) const
+    {
+        if (!via_object && !klass.empty()) {
+            const auto own = guardedBy_.find({klass, name});
+            if (own != guardedBy_.end())
+                return &own->second;
+            if (members_.count({klass, name}) != 0)
+                return nullptr;
+        }
+        const auto any = guardedByName_.find(name);
+        return any != guardedByName_.end() ? &any->second : nullptr;
     }
 
     // ---- held-lock tracking ------------------------------------------
@@ -360,6 +405,7 @@ class Analyzer
             return;
         std::vector<HeldLock> held;
         std::map<std::string, std::vector<std::string>> guards;
+        const std::string klass = classOf(unit, f);
         // MORPH_REQUIRES locks are held for the whole body (depth 0
         // never pops).
         const auto req = fnRequires_.find(f.name);
@@ -390,16 +436,19 @@ class Analyzer
                 i = open;
                 continue;
             }
-            const auto guarded = guardedBy_.find(tok.text);
-            if (guarded != guardedBy_.end()) {
+            const bool via_object =
+                (t[i - 1].text == "." || t[i - 1].text == "->") &&
+                t[i - 2].text != "this";
+            if (const std::set<std::string> *guarded =
+                    guardsOf(klass, tok.text, via_object)) {
                 bool ok = false;
-                for (const std::string &key : guarded->second)
+                for (const std::string &key : *guarded)
                     if (heldHas(held, key))
                         ok = true;
                 if (!ok)
                     report(unit, "race-unguarded", tok.line, tok.text,
                            "'" + tok.text + "' (MORPH_GUARDED_BY " +
-                               joinKeys(guarded->second) +
+                               joinKeys(*guarded) +
                                ") accessed without the lock held");
             }
             if (i + 1 < f.bodyEnd && t[i + 1].text == "(") {
@@ -786,7 +835,8 @@ class Analyzer
         if (!held.empty())
             return; // mutation under a lock the worker itself takes
         if (shardLocal_.count(base) != 0 ||
-            guardedBy_.count(base) != 0 || atomicVars_.count(base) != 0)
+            guardedByName_.count(base) != 0 ||
+            atomicVars_.count(base) != 0)
             return;
         report(unit, "race-worker-escape", line, base,
                "worker lambda mutates captured '" + base +
@@ -905,7 +955,13 @@ class Analyzer
 
     LexCache ownLex_; ///< used when the caller passes no cache
     std::vector<FileUnit> units_;
-    std::map<std::string, std::set<std::string>> guardedBy_;
+    /** (class, member) -> the locks its MORPH_GUARDED_BY names. */
+    std::map<std::pair<std::string, std::string>, std::set<std::string>>
+        guardedBy_;
+    /** member -> the union of its guards over every class. */
+    std::map<std::string, std::set<std::string>> guardedByName_;
+    /** Every (class, member) declared. */
+    std::set<std::pair<std::string, std::string>> members_;
     std::set<std::string> shardLocal_;
     std::set<std::string> mainThread_;
     std::set<std::string> atomicVars_;

@@ -19,11 +19,10 @@ secureWipe(void *p, std::size_t n)
 {
     if (p == nullptr || n == 0)
         return;
-    // A volatile pointer forces the stores; the barrier keeps the
-    // compiler from proving the buffer dead and discarding them.
-    volatile std::uint8_t *bytes = static_cast<std::uint8_t *>(p);
-    for (std::size_t i = 0; i < n; ++i)
-        bytes[i] = 0;
+    // A word-wide memset; the barrier takes the buffer's address and
+    // clobbers memory, so the compiler must assume the zeroes are read
+    // and cannot discard the stores even for a buffer about to die.
+    std::memset(p, 0, n);
 #if defined(__GNUC__) || defined(__clang__)
     __asm__ __volatile__("" : : "r"(p) : "memory");
 #endif

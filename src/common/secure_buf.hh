@@ -33,9 +33,9 @@ namespace morph
 {
 
 /**
- * Zero @p n bytes at @p p through a volatile pointer plus a compiler
- * barrier, so the store survives dead-store elimination even when the
- * buffer is about to go out of scope.
+ * Zero @p n bytes at @p p with memset plus a compiler barrier, so the
+ * store survives dead-store elimination even when the buffer is about
+ * to go out of scope.
  */
 void secureWipe(void *p, std::size_t n);
 

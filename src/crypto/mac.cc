@@ -1,5 +1,6 @@
 #include "crypto/mac.hh"
 
+#include <algorithm>
 #include <cstring>
 
 #include "common/check.hh"
@@ -8,21 +9,66 @@
 namespace morph
 {
 
+namespace
+{
+
+constexpr std::size_t messageBytes = 8 + 8 + lineBytes;
+
+/** Serialize (line || counter || payload), the bytes the PRF sees. */
+void
+serialize(LineAddr line, std::uint64_t counter,
+          const CachelineData &payload, std::uint8_t *buf)
+{
+    std::memcpy(buf, &line, 8);
+    std::memcpy(buf + 8, &counter, 8);
+    std::memcpy(buf + 16, payload.data(), lineBytes);
+}
+
+std::uint64_t
+truncate(std::uint64_t tag, unsigned tag_bits)
+{
+    MORPH_CHECK(tag_bits >= 1 && tag_bits <= 64);
+    return tag_bits == 64 ? tag : (tag & ((1ull << tag_bits) - 1));
+}
+
+} // namespace
+
+MacEngine::MacEngine(MORPH_SECRET const SipKey &key) : key_(key) {}
+
 std::uint64_t
 MacEngine::compute(LineAddr line, std::uint64_t counter,
                    const CachelineData &payload, unsigned tag_bits) const
 {
     MORPH_PROF_SCOPE("crypto.mac");
-    MORPH_CHECK(tag_bits >= 1 && tag_bits <= 64);
+    std::uint8_t buf[messageBytes];
+    serialize(line, counter, payload, buf);
+    return truncate(siphash24(buf, sizeof(buf), key_.raw()), tag_bits);
+}
 
-    // Serialize (line || counter || payload) and PRF the buffer.
-    std::uint8_t buf[8 + 8 + lineBytes];
-    std::memcpy(buf, &line, 8);
-    std::memcpy(buf + 8, &counter, 8);
-    std::memcpy(buf + 16, payload.data(), lineBytes);
-
-    const std::uint64_t tag = siphash24(buf, sizeof(buf), key_.raw());
-    return tag_bits == 64 ? tag : (tag & ((1ull << tag_bits) - 1));
+void
+MacEngine::computeBatch(const MacMessage *msgs, std::size_t n,
+                        std::uint64_t *tags) const
+{
+    MORPH_PROF_SCOPE("crypto.mac_batch");
+    for (std::size_t first = 0; first < n; first += 4) {
+        const std::size_t lanes = std::min<std::size_t>(4, n - first);
+        std::uint8_t buf[4][messageBytes];
+        const std::uint8_t *data[4];
+        for (std::size_t lane = 0; lane < 4; ++lane) {
+            if (lane < lanes) {
+                const MacMessage &m = msgs[first + lane];
+                serialize(m.line, m.counter, *m.payload, buf[lane]);
+                data[lane] = buf[lane];
+            } else {
+                data[lane] = data[lanes - 1];
+            }
+        }
+        std::uint64_t out[4];
+        siphash24x4(data, messageBytes, key_.raw(), out, siphashDispatched());
+        for (std::size_t lane = 0; lane < lanes; ++lane)
+            tags[first + lane] =
+                truncate(out[lane], msgs[first + lane].tagBits);
+    }
 }
 
 bool

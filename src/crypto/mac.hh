@@ -12,6 +12,11 @@
  * we use SipHash-2-4 as the PRF. Tags can be truncated: the Synergy
  * in-line layout stores 54-bit MACs alongside a SEC code, tree entries
  * store 64-bit MACs (Fig 8).
+ *
+ * compute() is the scalar reference. computeBatch() MACs many messages
+ * four lanes per SipHash pass (siphash24x4) with bit-identical tags;
+ * it is how IntegrityTree and SecureMemory MAC every level of a path,
+ * and the data line, of one functional read or write together.
  */
 
 #ifndef MORPH_CRYPTO_MAC_HH
@@ -27,11 +32,20 @@
 namespace morph
 {
 
+/** One (address, counter, payload) message of a MAC batch. */
+struct MacMessage
+{
+    LineAddr line = 0;
+    std::uint64_t counter = 0;
+    const CachelineData *payload = nullptr;
+    unsigned tagBits = 64; ///< tag truncation width (1..64)
+};
+
 /** Keyed MAC engine over (address, counter, payload) tuples. */
 class MacEngine
 {
   public:
-    explicit MacEngine(MORPH_SECRET const SipKey &key) : key_(key) {}
+    explicit MacEngine(MORPH_SECRET const SipKey &key);
 
     /**
      * MAC of a data or metadata cacheline.
@@ -45,6 +59,15 @@ class MacEngine
     std::uint64_t compute(LineAddr line, std::uint64_t counter,
                           const CachelineData &payload,
                           unsigned tag_bits = 64) const;
+
+    /**
+     * MACs of @p n messages, four per SipHash pass: tags[i] ==
+     * compute(msgs[i].line, msgs[i].counter, *msgs[i].payload,
+     * msgs[i].tagBits), on the siphashDispatched() backend. The idle
+     * lanes of a partial last pass hash a copy of its last message.
+     */
+    void computeBatch(const MacMessage *msgs, std::size_t n,
+                      std::uint64_t *tags) const;
 
     /**
      * Constant-time comparison of two tags of @p tag_bits width

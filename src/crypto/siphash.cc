@@ -2,6 +2,9 @@
 
 #include <cstring>
 
+#include "common/check.hh"
+#include "crypto/siphash_avx2.hh"
+
 namespace morph
 {
 
@@ -86,6 +89,40 @@ siphash24(const void *data, std::size_t len, MORPH_SECRET const SipKey &key)
     // the keyed PRF, not secret data (key recovery from tags is the
     // PRF security assumption).
     return MORPH_DECLASSIFY(v0 ^ v1 ^ v2 ^ v3);
+}
+
+bool
+siphashAvx2Available()
+{
+#ifdef MORPH_HAVE_AVX2
+    static const bool supported = sipavx2::cpuSupported();
+    return supported;
+#else
+    return false;
+#endif
+}
+
+SipImpl
+siphashDispatched()
+{
+    return siphashAvx2Available() ? SipImpl::Avx2 : SipImpl::Portable;
+}
+
+void
+siphash24x4(const std::uint8_t *const data[4], std::size_t len,
+            MORPH_SECRET const SipKey &key, std::uint64_t out[4],
+            SipImpl impl)
+{
+#ifdef MORPH_HAVE_AVX2
+    if (impl == SipImpl::Avx2) {
+        MORPH_CHECK(siphashAvx2Available());
+        sipavx2::hash4(data, len, key, out);
+        return;
+    }
+#endif
+    MORPH_CHECK(impl == SipImpl::Portable);
+    for (unsigned lane = 0; lane < 4; ++lane)
+        out[lane] = siphash24(data[lane], len, key);
 }
 
 } // namespace morph

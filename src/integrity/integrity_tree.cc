@@ -29,20 +29,32 @@ IntegrityTree::entryAt(unsigned level, std::uint64_t index)
     return image;
 }
 
+MacMessage
+IntegrityTree::entryMessage(unsigned level, std::uint64_t index,
+                            const CachelineData &image,
+                            std::uint64_t parent_counter,
+                            CachelineData &payload) const
+{
+    // MAC covers the entry contents (MAC field zeroed), bound to the
+    // entry's physical line address and its parent counter.
+    payload = image;
+    CounterFormat::setMac(payload, 0);
+    return {geometry().lineOfEntry(level, index), parent_counter, &payload,
+            64};
+}
+
 std::uint64_t
 IntegrityTree::entryMac(unsigned level, std::uint64_t index,
                         const CachelineData &image)
 {
-    // MAC covers the entry contents (MAC field zeroed), bound to the
-    // entry's physical line address and its parent counter.
     const CounterTreeState::Location parent =
         state_.locate(level + 1, index);
     const std::uint64_t parent_counter = state_.format(level + 1).read(
         entryAt(level + 1, parent.index), parent.slot);
-    CachelineData payload = image;
-    CounterFormat::setMac(payload, 0);
-    return macEngine_.compute(geometry().lineOfEntry(level, index),
-                              parent_counter, payload);
+    CachelineData payload;
+    const MacMessage m =
+        entryMessage(level, index, image, parent_counter, payload);
+    return macEngine_.compute(m.line, m.counter, payload);
 }
 
 void
@@ -52,47 +64,6 @@ IntegrityTree::resealEntry(unsigned level, std::uint64_t index,
     if (level == geometry().rootLevel())
         return; // the root is on-chip and needs no MAC
     CounterFormat::setMac(image, entryMac(level, index, image));
-}
-
-/**
- * Bump the counter of @p child at @p level (a data line at level 0,
- * else an entry of the level below) and propagate to the root: the
- * bumped entry's parent counter is bumped in turn, and every MAC the
- * change invalidates is recomputed.
- */
-void
-IntegrityTree::bumpAt(unsigned level, std::uint64_t child,
-                      BumpResult &out)
-{
-    // Birth the entry, MAC included, before bumping it.
-    const CounterTreeState::Bump bump = state_.bump(
-        level, child, entryAt(level, state_.locate(level, child).index));
-    overflows_[level] += bump.result.overflow;
-    if (level == 0) {
-        // Propagation rewrites only MAC fields: these counters are
-        // final.
-        out = leafResult(state_, bump);
-    } else {
-        out.rebases += bump.result.rebase;
-        out.treeOverflows += bump.result.overflow;
-        // Every child in the reset range changed its protecting
-        // counter; re-hash the materialized ones (@p child itself is
-        // re-hashed by the caller in any case).
-        for (std::uint64_t c = bump.childBegin; c < bump.childEnd; ++c) {
-            CachelineData *image = state_.find(level - 1, c);
-            if (image && c != child)
-                resealEntry(level - 1, c, *image);
-        }
-    }
-    if (level == geometry().rootLevel())
-        return; // root updates are on-chip register writes
-
-    // Recursion nests one tree.propagate per level climbed. Going up
-    // before finalizing this entry's MAC keeps the invariant "every
-    // stored MAC is consistent when the call stack unwinds".
-    MORPH_PROF_SCOPE("tree.propagate");
-    bumpAt(level + 1, bump.index, out);
-    resealEntry(level, bump.index, *bump.image);
 }
 
 IntegrityTree::BumpResult
@@ -119,24 +90,116 @@ IntegrityTree::BumpResult
 IntegrityTree::bumpCounter(LineAddr data_line)
 {
     MORPH_PROF_SCOPE("tree.bump");
-    BumpResult out;
-    bumpAt(0, data_line, out);
+    BumpResult out = beginBump(data_line);
+    finishBump();
     return out;
 }
 
+IntegrityTree::BumpResult
+IntegrityTree::beginBump(LineAddr data_line)
+{
+    MORPH_CHECK(lanes_.empty()); // the previous bump was finished
+    BumpResult out;
+    // Bump leaf to root: the counter of @p child at each level, the
+    // bumped entry itself being the child at the next level up. Each
+    // entry is born (MAC included) before it is bumped. Every MAC the
+    // bumps invalidate is queued as a lane whose parent counter is read
+    // once the whole path is final.
+    std::uint64_t child = data_line;
+    CachelineData *below = nullptr; // the entry bumped one level down
+    for (unsigned level = 0;; ++level) {
+        const CounterTreeState::Bump bump = state_.bump(
+            level, child,
+            entryAt(level, state_.locate(level, child).index));
+        overflows_[level] += bump.result.overflow;
+        if (level == 0) {
+            out = leafResult(state_, bump);
+            dataMsg_ = {data_line, out.newCounter, nullptr, 64};
+        } else {
+            out.rebases += bump.result.rebase;
+            out.treeOverflows += bump.result.overflow;
+            // Every materialized child in the reset range changed its
+            // protecting counter; the bumped child is queued below.
+            for (std::uint64_t c = bump.childBegin; c < bump.childEnd;
+                 ++c) {
+                CachelineData *image = state_.find(level - 1, c);
+                if (image && c != child)
+                    lanes_.push_back({level - 1, c, image, bump.image,
+                                      geometry().childSlot(level, c)});
+            }
+            lanes_.push_back(
+                {level - 1, child, below, bump.image, bump.slot});
+        }
+        if (level == geometry().rootLevel())
+            return out; // root updates are on-chip register writes
+        child = bump.index;
+        below = bump.image;
+    }
+}
+
+void
+IntegrityTree::finishBump(DataLane *data)
+{
+    runLanes(data);
+    for (std::size_t i = 0; i < lanes_.size(); ++i)
+        CounterFormat::setMac(*lanes_[i].image, tags_[i]);
+    lanes_.clear();
+}
+
 bool
-IntegrityTree::verify(LineAddr data_line)
+IntegrityTree::verify(LineAddr data_line, DataLane *data)
 {
     MORPH_PROF_SCOPE("tree.verify");
+    MORPH_CHECK(lanes_.empty()); // no bump is half done
+    // One lookup per level, leaf to root; each entry found is the
+    // parent of the one below.
     std::uint64_t index = state_.locate(0, data_line).index;
+    CachelineData *image = &entryAt(0, index);
+    if (data)
+        dataMsg_ = {data_line,
+                    state_.format(0).read(
+                        *image, geometry().childSlot(0, data_line)),
+                    nullptr, 64};
     for (unsigned level = 0; level < geometry().rootLevel(); ++level) {
-        const CachelineData &image = entryAt(level, index);
-        const std::uint64_t stored = CounterFormat::mac(image);
-        if (!MacEngine::equal(stored, entryMac(level, index, image)))
-            return false;
-        index = geometry().parentIndex(level + 1, index);
+        const std::uint64_t parent = geometry().parentIndex(level + 1, index);
+        CachelineData *above = &entryAt(level + 1, parent);
+        lanes_.push_back({level, index, image, above,
+                          geometry().childSlot(level + 1, index)});
+        index = parent;
+        image = above;
     }
-    return true;
+    runLanes(data);
+
+    bool ok = true;
+    for (std::size_t i = 0; i < lanes_.size() && ok; ++i)
+        ok = MacEngine::equal(CounterFormat::mac(*lanes_[i].image),
+                              tags_[i]);
+    lanes_.clear();
+    return ok;
+}
+
+void
+IntegrityTree::runLanes(DataLane *data)
+{
+    const std::size_t entries = lanes_.size();
+    payloads_.resize(entries);
+    msgs_.resize(entries + (data ? 1 : 0));
+    for (std::size_t i = 0; i < entries; ++i) {
+        const EntryLane &lane = lanes_[i];
+        msgs_[i] = entryMessage(
+            lane.level, lane.index, *lane.image,
+            state_.format(lane.level + 1).read(*lane.parent, lane.slot),
+            payloads_[i]);
+    }
+    if (data) {
+        data->counter = dataMsg_.counter;
+        msgs_[entries] = {dataMsg_.line, dataMsg_.counter, data->payload,
+                          data->tagBits};
+    }
+    tags_.resize(msgs_.size());
+    macEngine_.computeBatch(msgs_.data(), msgs_.size(), tags_.data());
+    if (data)
+        data->tag = tags_[entries];
 }
 
 bool

@@ -16,6 +16,12 @@
  * the timing model's concern (src/secmem/secure_memory_model.hh);
  * here every mutation propagates to the root immediately, which is
  * functionally equivalent and maximally conservative.
+ *
+ * The MACs of one operation are computed together once its counters
+ * are final, four lanes per SipHash pass (MacEngine::computeBatch):
+ * verify() MACs every level of the path, and a bump MACs the path and
+ * the overflow-reset children it invalidated. A caller may add its
+ * data-line MAC to either batch as one more lane (DataLane).
  */
 
 #ifndef MORPH_INTEGRITY_INTEGRITY_TREE_HH
@@ -53,6 +59,17 @@ class IntegrityTree
         unsigned rebases = 0;
     };
 
+    /** A data-line MAC computed in the tree's batch, as one more lane.
+     *  The caller sets payload and tagBits; the tree sets counter (the
+     *  line's encryption counter, read from the path) and tag. */
+    struct DataLane
+    {
+        const CachelineData *payload = nullptr;
+        unsigned tagBits = 64;
+        std::uint64_t counter = 0;
+        std::uint64_t tag = 0;
+    };
+
     /** The level-0 part of a BumpResult — rebase, overflow, lines to
      *  re-encrypt, new counter — from a level-0 counter bump. */
     static BumpResult leafResult(const CounterTreeState &state,
@@ -68,17 +85,35 @@ class IntegrityTree
     /**
      * Increment the encryption counter of @p data_line (one data
      * write), propagating entry updates and MAC recomputation to the
-     * root.
+     * root. Every stored MAC is consistent on return.
      */
     BumpResult bumpCounter(LineAddr data_line);
 
     /**
-     * Verify the MAC chain protecting @p data_line's encryption
-     * counter, from its level-0 entry to the root.
-     *
-     * @retval true if every MAC on the path matches
+     * The counter half of bumpCounter: every counter on the path is
+     * final on return, but the MACs the bump invalidated are stale
+     * until finishBump(). Nothing but finishBump() may MAC or verify
+     * in between.
      */
-    bool verify(LineAddr data_line);
+    BumpResult beginBump(LineAddr data_line);
+
+    /**
+     * Recompute the MACs the last beginBump() invalidated, in batches
+     * of four, with @p data (if given) as one more lane: the MAC of
+     * the bumped line under its new counter.
+     */
+    void finishBump(DataLane *data = nullptr);
+
+    /**
+     * Verify the MAC chain protecting @p data_line's encryption
+     * counter, from its level-0 entry to the root, looking each entry
+     * up once and MACing all levels in batches of four. With @p data,
+     * also MAC the line itself in the same batch.
+     *
+     * @retval true if every MAC on the path matches (@p data's tag is
+     *         the caller's to compare)
+     */
+    bool verify(LineAddr data_line, DataLane *data = nullptr);
 
     /** Verify every materialized entry in the tree. */
     bool verifyAll();
@@ -108,17 +143,50 @@ class IntegrityTree
     /** Number of materialized entries at @p level. */
     std::uint64_t materializedEntries(unsigned level) const;
 
+    /** The engine of every tree MAC and of DataLane tags. */
+    const MacEngine &macEngine() const { return macEngine_; }
+
   private:
+    /** An entry whose MAC a batch computes, with the entry and slot
+     *  of its parent counter (read when the batch runs). */
+    struct EntryLane
+    {
+        unsigned level;
+        std::uint64_t index;
+        CachelineData *image;
+        const CachelineData *parent;
+        unsigned slot;
+    };
+
     CachelineData &entryAt(unsigned level, std::uint64_t index);
+    /** The MAC message of entry (@p level, @p index) under
+     *  @p parent_counter; @p payload receives the MAC'd copy of
+     *  @p image the message points at. */
+    MacMessage entryMessage(unsigned level, std::uint64_t index,
+                            const CachelineData &image,
+                            std::uint64_t parent_counter,
+                            CachelineData &payload) const;
     std::uint64_t entryMac(unsigned level, std::uint64_t index,
                            const CachelineData &image);
     void resealEntry(unsigned level, std::uint64_t index,
                      CachelineData &image);
-    void bumpAt(unsigned level, std::uint64_t child, BumpResult &out);
+
+    /** MAC every lane of lanes_, then @p data for the line and counter
+     *  of dataMsg_, in batches of four; tags_[i] is lane i's tag. */
+    void runLanes(DataLane *data);
 
     CounterTreeState state_;
     MacEngine macEngine_;
     std::vector<std::uint64_t> overflows_; // per level
+
+    // Scratch of one batch, kept to reuse its capacity. Between
+    // beginBump() and finishBump(), lanes_ holds the pending reseals
+    // and dataMsg_ the bumped line and its new counter.
+    std::vector<EntryLane> lanes_;
+    std::vector<CachelineData> payloads_;
+    std::vector<MacMessage> msgs_;
+    std::vector<std::uint64_t> tags_;
+    MacMessage dataMsg_;
 };
 
 } // namespace morph

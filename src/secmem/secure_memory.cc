@@ -11,7 +11,6 @@ namespace morph
 
 SecureMemory::SecureMemory(const SecureMemoryConfig &config)
     : config_(config), otp_(config.encryptionKey),
-      macEngine_(config.macKey),
       tree_(config.memBytes, config.tree, config.macKey)
 {
     if (config.macBits == 0 || config.macBits > 64)
@@ -51,10 +50,11 @@ SecureMemory::counterOf(LineAddr line)
 }
 
 bool
-SecureMemory::verifyFreshness(LineAddr line)
+SecureMemory::verifyFreshness(LineAddr line,
+                              IntegrityTree::DataLane *data)
 {
     if (!merkle_)
-        return tree_.verify(line);
+        return tree_.verify(line, data);
     const std::uint64_t entry = tree_.state().locate(0, line).index;
     return merkle_->verifyLeaf(entry, counterEntryOf(entry));
 }
@@ -63,12 +63,23 @@ IntegrityTree::BumpResult
 SecureMemory::bumpCounter(LineAddr line)
 {
     if (!merkle_)
-        return tree_.bumpCounter(line);
+        return tree_.beginBump(line);
     CounterTreeState &state = tree_.state();
     counterEntryOf(state.locate(0, line).index); // publish a birth first
     const CounterTreeState::Bump bump = state.bump(0, line);
     merkle_->updateLeaf(bump.index, *bump.image);
     return IntegrityTree::leafResult(state, bump);
+}
+
+std::uint64_t
+SecureMemory::sealWrite(LineAddr line, std::uint64_t counter,
+                        const CachelineData &ciphertext)
+{
+    if (merkle_)
+        return dataMac(line, counter, ciphertext);
+    IntegrityTree::DataLane data{&ciphertext, config_.macBits};
+    tree_.finishBump(&data);
+    return data.tag;
 }
 
 void
@@ -94,8 +105,8 @@ std::uint64_t
 SecureMemory::dataMac(LineAddr line, std::uint64_t counter,
                       const CachelineData &ciphertext) const
 {
-    return macEngine_.compute(line, counter, ciphertext,
-                              config_.macBits);
+    return tree_.macEngine().compute(line, counter, ciphertext,
+                                     config_.macBits);
 }
 
 SecureMemory::StoredLine &
@@ -158,7 +169,7 @@ SecureMemory::writeLine(LineAddr line, const CachelineData &plaintext)
     auditEncrypt(line, bump.newCounter);
     otp_.xorPad(ciphertext, line, bump.newCounter);
     store_[line] = {ciphertext,
-                    dataMac(line, bump.newCounter, ciphertext)};
+                    sealWrite(line, bump.newCounter, ciphertext)};
 }
 
 std::optional<CachelineData>
@@ -169,25 +180,33 @@ SecureMemory::readLine(LineAddr line, Verdict &verdict)
     ++stats_.reads;
 
     // Freshness: the counter protecting this line must verify against
-    // the tree all the way to the on-chip root.
-    if (!verifyFreshness(line)) {
+    // the tree all the way to the on-chip root. Under the counter tree
+    // a stored line's data MAC is computed in the tree's batch; a line
+    // never written is materialized only after its counter verified.
+    StoredLine *stored = store_.find(line);
+    const bool batched = !merkle_ && stored;
+    IntegrityTree::DataLane data{batched ? &stored->ciphertext : nullptr,
+                                 config_.macBits};
+    if (!verifyFreshness(line, batched ? &data : nullptr)) {
         verdict = Verdict::TreeMacMismatch;
         ++stats_.integrityFailures;
         return std::nullopt;
     }
+    if (!batched) {
+        if (!stored)
+            stored = &materialize(line);
+        data.counter = counterOf(line);
+        data.tag = dataMac(line, data.counter, stored->ciphertext);
+    }
 
-    const StoredLine &stored = materialize(line);
-    const std::uint64_t counter = counterOf(line);
-    if (!MacEngine::equal(stored.mac,
-                          dataMac(line, counter, stored.ciphertext),
-                          config_.macBits)) {
+    if (!MacEngine::equal(stored->mac, data.tag, config_.macBits)) {
         verdict = Verdict::DataMacMismatch;
         ++stats_.integrityFailures;
         return std::nullopt;
     }
 
-    CachelineData plaintext = stored.ciphertext;
-    otp_.xorPad(plaintext, line, counter);
+    CachelineData plaintext = stored->ciphertext;
+    otp_.xorPad(plaintext, line, data.counter);
     verdict = Verdict::Ok;
     return plaintext;
 }
@@ -199,7 +218,7 @@ SecureMemory::readLine(LineAddr line)
     return readLine(line, verdict);
 }
 
-void
+bool
 SecureMemory::writeBytes(Addr addr, const void *src, std::size_t len)
 {
     const auto *bytes = static_cast<const std::uint8_t *>(src);
@@ -208,16 +227,19 @@ SecureMemory::writeBytes(Addr addr, const void *src, std::size_t len)
         const std::size_t offset = addr % lineBytes;
         const std::size_t chunk = std::min(len, lineBytes - offset);
 
-        CachelineData plaintext{};
-        if (auto existing = readLine(line))
-            plaintext = *existing;
-        std::memcpy(plaintext.data() + offset, bytes, chunk);
-        writeLine(line, plaintext);
+        // A line that fails verification is not rewritten: re-MACing
+        // it would silently repair the tampering.
+        auto plaintext = readLine(line);
+        if (!plaintext)
+            return false;
+        std::memcpy(plaintext->data() + offset, bytes, chunk);
+        writeLine(line, *plaintext);
 
         addr += chunk;
         bytes += chunk;
         len -= chunk;
     }
+    return true;
 }
 
 bool

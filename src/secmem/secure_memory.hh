@@ -104,8 +104,14 @@ class SecureMemory
     std::optional<CachelineData> readLine(LineAddr line,
                                           Verdict &verdict);
 
-    /** Byte-granular convenience write (line-splitting, RMW). */
-    void writeBytes(Addr addr, const void *src, std::size_t len);
+    /**
+     * Byte-granular convenience write (line-splitting, RMW). Stops at
+     * the first line whose read fails verification, before writing
+     * it; the lines before it stay written.
+     *
+     * @retval false on integrity failure
+     */
+    bool writeBytes(Addr addr, const void *src, std::size_t len);
 
     /** Byte-granular convenience read; false on integrity failure. */
     bool readBytes(Addr addr, void *dst, std::size_t len);
@@ -166,11 +172,21 @@ class SecureMemory
                           const CachelineData &ciphertext) const;
 
     /** Bump the counter of @p line, under either freshness scheme;
-     *  fills the re-encryption work exactly as the tree would. */
+     *  fills the re-encryption work exactly as the tree would. Under
+     *  the counter tree the tree's MACs stay stale until sealWrite. */
     IntegrityTree::BumpResult bumpCounter(LineAddr line);
 
-    /** Freshness check for the counter protecting @p line. */
-    bool verifyFreshness(LineAddr line);
+    /** Finish the bump of @p line; returns the data MAC of its new
+     *  @p ciphertext under @p counter, computed in the tree's batch
+     *  under the counter tree. */
+    std::uint64_t sealWrite(LineAddr line, std::uint64_t counter,
+                            const CachelineData &ciphertext);
+
+    /** Freshness check for the counter protecting @p line. With
+     *  @p data (counter-tree scheme only), also computes the line's
+     *  counter and data MAC in the tree's batch. */
+    bool verifyFreshness(LineAddr line,
+                         IntegrityTree::DataLane *data = nullptr);
 
     /** Audit hook called at every *encryption* pad issue (decryption
      *  legitimately re-derives pads). No-op unless MORPH_AUDIT_PADS. */
@@ -178,8 +194,7 @@ class SecureMemory
 
     SecureMemoryConfig config_;
     OtpEngine otp_;
-    MacEngine macEngine_;
-    IntegrityTree tree_;
+    IntegrityTree tree_; // its MacEngine also MACs the data lines
     std::optional<MacTree> merkle_;
     SparseStore<StoredLine> store_;
     Stats stats_;

@@ -1,7 +1,11 @@
 #include "sim/simulator.hh"
 
+#include <cctype>
+#include <cerrno>
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
+#include <stdexcept>
 
 #include "common/log.hh"
 #include "common/prof.hh"
@@ -10,19 +14,69 @@
 namespace morph
 {
 
+std::optional<std::uint64_t>
+parseCount(const char *text)
+{
+    if (!std::isdigit(static_cast<unsigned char>(text[0])))
+        return std::nullopt;
+    errno = 0;
+    char *end = nullptr;
+    const unsigned long long v = std::strtoull(text, &end, 10);
+    if (*end != '\0' || errno == ERANGE)
+        return std::nullopt;
+    return std::uint64_t(v);
+}
+
+std::optional<double>
+parsePositive(const char *text)
+{
+    if (std::isspace(static_cast<unsigned char>(text[0])))
+        return std::nullopt;
+    char *end = nullptr;
+    const double v = std::strtod(text, &end);
+    if (end == text || *end != '\0' || !(v > 0) || !std::isfinite(v))
+        return std::nullopt;
+    return v;
+}
+
+std::optional<std::uint64_t>
+envCount(const char *name, std::uint64_t min)
+{
+    const char *env = std::getenv(name);
+    if (env == nullptr)
+        return std::nullopt;
+    const std::optional<std::uint64_t> v = parseCount(env);
+    if (!v || *v < min)
+        throw std::invalid_argument(
+            std::string(name) + " must be an integer >= " +
+            std::to_string(min) + " (got '" + env + "')");
+    return v;
+}
+
+std::optional<double>
+envNumber(const char *name, double min)
+{
+    const char *env = std::getenv(name);
+    if (env == nullptr)
+        return std::nullopt;
+    const std::optional<double> v = parsePositive(env);
+    if (!v || *v < min) {
+        char bound[32];
+        std::snprintf(bound, sizeof(bound), "%g", min);
+        throw std::invalid_argument(std::string(name) +
+                                    " must be a finite number >= " +
+                                    bound + " (got '" + env + "')");
+    }
+    return v;
+}
+
 SimOptions
 SimOptions::fromEnv(SimOptions defaults)
 {
-    if (const char *env = std::getenv("MORPH_SIM_ACCESSES")) {
-        const long long v = std::atoll(env);
-        if (v > 0)
-            defaults.accessesPerCore = std::uint64_t(v);
-    }
-    if (const char *env = std::getenv("MORPH_SIM_WARMUP")) {
-        const long long v = std::atoll(env);
-        if (v >= 0)
-            defaults.warmupPerCore = std::uint64_t(v);
-    }
+    if (const auto v = envCount("MORPH_SIM_ACCESSES", 1))
+        defaults.accessesPerCore = *v;
+    if (const auto v = envCount("MORPH_SIM_WARMUP", 0))
+        defaults.warmupPerCore = *v;
     return defaults;
 }
 

@@ -15,6 +15,7 @@
 #ifndef MORPH_SIM_SIMULATOR_HH
 #define MORPH_SIM_SIMULATOR_HH
 
+#include <optional>
 #include <string>
 
 #include "dram/dram_config.hh"
@@ -24,6 +25,23 @@
 
 namespace morph
 {
+
+/** All of @p text as a decimal count: digits only, with no sign,
+ *  space, exponent or trailing junk, and no overflow. */
+std::optional<std::uint64_t> parseCount(const char *text);
+
+/** All of @p text as a positive finite number. */
+std::optional<double> parsePositive(const char *text);
+
+/** Environment variable @p name as a count >= @p min: nullopt when
+ *  unset; anything else throws std::invalid_argument naming it. */
+std::optional<std::uint64_t> envCount(const char *name,
+                                      std::uint64_t min);
+
+/** Environment variable @p name as a positive finite number >= @p min:
+ *  nullopt when unset; anything else throws std::invalid_argument
+ *  naming it. */
+std::optional<double> envNumber(const char *name, double min);
 
 /** Scale and seed of one simulation. */
 struct SimOptions
@@ -41,7 +59,9 @@ struct SimOptions
      *  here; see docs/SIMULATOR.md). */
     DramConfig dram;
 
-    /** Apply MORPH_SIM_ACCESSES / MORPH_SIM_WARMUP overrides. */
+    /** Apply MORPH_SIM_ACCESSES (>= 1) / MORPH_SIM_WARMUP (>= 0)
+     *  overrides; a malformed value throws std::invalid_argument
+     *  naming the variable (see envCount). */
     static SimOptions fromEnv(SimOptions defaults);
 
     /** Defaults plus environment overrides. */

@@ -1,0 +1,311 @@
+/**
+ * @file
+ * Batched MACs: siphash24x4 and MacEngine::computeBatch against the
+ * scalar reference on both backends, and the batched IntegrityTree /
+ * SecureMemory paths against scalar recomputation of every stored MAC.
+ */
+
+#include <gtest/gtest.h>
+
+#include <ostream>
+#include <vector>
+
+#include "common/rng.hh"
+#include "crypto/mac.hh"
+#include "integrity/integrity_tree.hh"
+#include "secmem/secure_memory.hh"
+
+namespace morph
+{
+namespace
+{
+
+constexpr std::uint64_t MiB = 1ull << 20;
+constexpr std::uint64_t GiB = 1ull << 30;
+
+/** Every backend this build and CPU can run. */
+std::vector<SipImpl>
+backends()
+{
+    std::vector<SipImpl> out{SipImpl::Portable};
+    if (siphashAvx2Available())
+        out.push_back(SipImpl::Avx2);
+    return out;
+}
+
+const char *
+nameOf(SipImpl impl)
+{
+    return impl == SipImpl::Avx2 ? "avx2" : "portable";
+}
+
+SipKey
+randomKey(Rng &rng)
+{
+    SipKey key;
+    for (auto &b : key)
+        b = std::uint8_t(rng.next());
+    return key;
+}
+
+CachelineData
+randomLine(Rng &rng)
+{
+    CachelineData line;
+    for (auto &b : line)
+        b = std::uint8_t(rng.next());
+    return line;
+}
+
+TEST(SipHashBatch, DispatchFollowsCpuid)
+{
+    EXPECT_EQ(siphashDispatched(),
+              siphashAvx2Available() ? SipImpl::Avx2 : SipImpl::Portable);
+    if (!siphashAvx2Available())
+        GTEST_SKIP() << "no AVX2 on this CPU: only the portable backend";
+}
+
+TEST(SipHashBatch, EveryLaneMatchesScalar)
+{
+    Rng rng(0x5eed);
+    for (const SipImpl impl : backends()) {
+        SCOPED_TRACE(nameOf(impl));
+        for (unsigned trial = 0; trial < 400; ++trial) {
+            const SipKey key = randomKey(rng);
+            // Lengths cover the empty message, every tail length and
+            // more than one four-word block.
+            const std::size_t len = trial % 100;
+            std::vector<std::uint8_t> msgs[4];
+            const std::uint8_t *data[4];
+            for (unsigned lane = 0; lane < 4; ++lane) {
+                msgs[lane].resize(len + 1);
+                for (auto &b : msgs[lane])
+                    b = std::uint8_t(rng.next());
+                data[lane] = msgs[lane].data();
+            }
+            std::uint64_t out[4];
+            siphash24x4(data, len, key, out, impl);
+            for (unsigned lane = 0; lane < 4; ++lane)
+                ASSERT_EQ(out[lane], siphash24(data[lane], len, key))
+                    << "len " << len << " lane " << lane;
+        }
+    }
+}
+
+TEST(SipHashBatch, FourEqualLanes)
+{
+    // The reference vector of the 8-byte message 00..07 under key
+    // 00..0f, in all four lanes at once.
+    SipKey key;
+    std::uint8_t msg[8];
+    for (unsigned i = 0; i < 16; ++i)
+        key[i] = std::uint8_t(i);
+    for (unsigned i = 0; i < 8; ++i)
+        msg[i] = std::uint8_t(i);
+    const std::uint8_t *data[4] = {msg, msg, msg, msg};
+    for (const SipImpl impl : backends()) {
+        std::uint64_t out[4];
+        siphash24x4(data, sizeof(msg), key, out, impl);
+        for (unsigned lane = 0; lane < 4; ++lane)
+            EXPECT_EQ(out[lane], 0x93f5f5799a932462ull)
+                << nameOf(impl) << " lane " << lane;
+    }
+}
+
+TEST(MacBatch, MatchesScalarComputeWithTruncation)
+{
+    // computeBatch runs on the dispatched backend; compute() is the
+    // scalar reference.
+    Rng rng(0xba7c4);
+    for (unsigned trial = 0; trial < 100; ++trial) {
+        const MacEngine engine(randomKey(rng));
+        // 1..11 messages: full batches plus every partial one.
+        const std::size_t n = 1 + trial % 11;
+        std::vector<CachelineData> payloads(n);
+        std::vector<MacMessage> msgs(n);
+        for (std::size_t i = 0; i < n; ++i) {
+            payloads[i] = randomLine(rng);
+            const unsigned bits =
+                i % 3 == 0 ? 54 : (i % 3 == 1 ? 64 : 1 + rng.below(64));
+            msgs[i] = {rng.next(), rng.next() >> 8, &payloads[i], bits};
+        }
+        std::vector<std::uint64_t> tags(n);
+        engine.computeBatch(msgs.data(), n, tags.data());
+        for (std::size_t i = 0; i < n; ++i)
+            ASSERT_EQ(tags[i],
+                      engine.compute(msgs[i].line, msgs[i].counter,
+                                     payloads[i], msgs[i].tagBits))
+                << "message " << i << " of " << n;
+    }
+}
+
+/** Every stored entry MAC of @p tree, recomputed one at a time. */
+void
+expectScalarEntryMacs(IntegrityTree &tree, const SipKey &key)
+{
+    const MacEngine scalar(key);
+    CounterTreeState &state = tree.state();
+    const TreeGeometry &geom = tree.geometry();
+    for (unsigned level = 0; level < geom.rootLevel(); ++level) {
+        for (const auto &e : state.images(level)) {
+            const CounterTreeState::Location parent =
+                state.locate(level + 1, e.key);
+            const CachelineData *above =
+                state.find(level + 1, parent.index);
+            ASSERT_NE(above, nullptr) << "level " << level;
+            CachelineData payload = e.value;
+            CounterFormat::setMac(payload, 0);
+            ASSERT_EQ(CounterFormat::mac(e.value),
+                      scalar.compute(geom.lineOfEntry(level, e.key),
+                                     state.format(level + 1).read(
+                                         *above, parent.slot),
+                                     payload))
+                << "level " << level << " entry " << e.key;
+        }
+    }
+}
+
+struct TreeCase
+{
+    const char *name;
+    TreeConfig config;
+    std::uint64_t memBytes;
+};
+
+void
+PrintTo(const TreeCase &c, std::ostream *os)
+{
+    *os << c.name;
+}
+
+class BatchedTree : public ::testing::TestWithParam<TreeCase>
+{
+};
+
+TEST_P(BatchedTree, StoredMacsMatchScalarAfterOverflows)
+{
+    // Half the writes hit 16 hot lines of one level-0 entry, a
+    // quarter 512 warm lines, the rest anywhere: counters overflow at
+    // level 0 and, under the parents the hot lines share, above it.
+    constexpr unsigned writes = 20000;
+    Rng rng(0x7eee);
+    const SipKey key = randomKey(rng);
+    IntegrityTree tree(GetParam().memBytes, GetParam().config, key);
+    const std::uint64_t data_lines = tree.geometry().dataLines();
+    std::uint64_t reencrypted = 0, tree_overflows = 0;
+    for (unsigned i = 0; i < writes; ++i) {
+        const std::uint64_t pick = rng.below(4);
+        const LineAddr line = pick < 2    ? rng.below(16)
+                              : pick == 2 ? rng.below(512)
+                                          : rng.below(data_lines);
+        const IntegrityTree::BumpResult bump = tree.bumpCounter(line);
+        reencrypted += bump.reencrypt.size();
+        tree_overflows += bump.treeOverflows;
+        if (i % 997 == 0) {
+            ASSERT_TRUE(tree.verify(line)) << "write " << i;
+        }
+    }
+    RecordProperty("level0_overflows", int(tree.overflowEvents(0)));
+    RecordProperty("tree_overflows", int(tree_overflows));
+    EXPECT_GT(tree.overflowEvents(0), 0u);
+    EXPECT_GT(reencrypted, 0u);
+    EXPECT_GT(tree_overflows, 0u);
+    EXPECT_TRUE(tree.verifyAll());
+    expectScalarEntryMacs(tree, key);
+}
+
+TEST_P(BatchedTree, ReadAndWriteDataMacsMatchScalar)
+{
+    // The data MAC rides in the tree's batch on every read and write.
+    SecureMemoryConfig config;
+    config.memBytes = GetParam().memBytes;
+    config.tree = GetParam().config;
+    Rng rng(0xda7a);
+    config.macKey = randomKey(rng);
+    SecureMemory mem(config);
+    const MacEngine scalar(config.macKey);
+    constexpr std::uint64_t lines = 300;
+    std::vector<CachelineData> shadow(lines);
+    for (unsigned i = 0; i < 6000; ++i) {
+        const LineAddr line = rng.below(lines);
+        if (rng.below(2) == 0) {
+            shadow[line] = randomLine(rng);
+            mem.writeLine(line, shadow[line]);
+            ASSERT_EQ(mem.macOf(line),
+                      scalar.compute(line, mem.counterOf(line),
+                                     mem.ciphertextOf(line),
+                                     config.macBits))
+                << "write " << i;
+        } else {
+            SecureMemory::Verdict verdict;
+            ASSERT_EQ(mem.readLine(line, verdict), shadow[line])
+                << "op " << i;
+            ASSERT_EQ(verdict, SecureMemory::Verdict::Ok);
+        }
+    }
+    EXPECT_TRUE(mem.tree().verifyAll());
+    expectScalarEntryMacs(mem.tree(), config.macKey);
+}
+
+TEST_P(BatchedTree, TamperAtEveryLevelIsCaught)
+{
+    SecureMemoryConfig config;
+    config.memBytes = GetParam().memBytes;
+    config.tree = GetParam().config;
+    SecureMemory mem(config);
+    constexpr LineAddr line = 77;
+    CachelineData data{};
+    data[3] = 9;
+    mem.writeLine(line, data);
+    const TreeGeometry &geom = mem.geometry();
+
+    std::uint64_t index = line;
+    for (unsigned level = 0; level < geom.rootLevel(); ++level) {
+        SCOPED_TRACE(level);
+        index = geom.parentIndex(level, index);
+        const CachelineData good = mem.tree().rawEntry(level, index);
+        // A forged MAC and a rolled-back counter byte both fail at
+        // this level, ahead of the (still valid) data MAC.
+        CachelineData forged = good;
+        CounterFormat::setMac(forged, CounterFormat::mac(good) ^ 1);
+        CachelineData rolled = good;
+        rolled[0] ^= 1;
+        for (const CachelineData &bad : {forged, rolled}) {
+            mem.tree().injectEntry(level, index, bad);
+            SecureMemory::Verdict verdict;
+            EXPECT_FALSE(mem.readLine(line, verdict).has_value());
+            EXPECT_EQ(verdict, SecureMemory::Verdict::TreeMacMismatch);
+        }
+        mem.tree().injectEntry(level, index, good);
+        EXPECT_EQ(mem.readLine(line), data);
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Configs, BatchedTree,
+    ::testing::Values(
+        // Three MAC'd levels: a read is exactly one batch of four.
+        TreeCase{"morph_1g", TreeConfig::morph(), GiB},
+        // Split counters, which overflow at every level most often.
+        TreeCase{"sc64_4m", TreeConfig::sc64(), 4 * MiB},
+        // Six MAC'd levels: every read and write spans two batches.
+        TreeCase{"vault_16g", TreeConfig::vault(), 16 * GiB}),
+    [](const ::testing::TestParamInfo<TreeCase> &info) {
+        return std::string(info.param.name);
+    });
+
+TEST(BatchedTreeGeometry, CasesSpanOneAndTwoBatches)
+{
+    const SipKey key{};
+    EXPECT_EQ(IntegrityTree(GiB, TreeConfig::morph(), key)
+                  .geometry()
+                  .rootLevel(),
+              3u);
+    EXPECT_GT(IntegrityTree(16 * GiB, TreeConfig::vault(), key)
+                  .geometry()
+                  .rootLevel(),
+              4u);
+}
+
+} // namespace
+} // namespace morph

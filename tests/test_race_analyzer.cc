@@ -88,6 +88,36 @@ TEST(RaceAnalyzer, ExplicitUnlockDropsTheLock)
     EXPECT_TRUE(hasRule(r.findings, "race-unguarded"));
 }
 
+TEST(RaceAnalyzer, GuardBindsToItsOwnClass)
+{
+    // Two classes share a member name; only Pool guards it. Batch's
+    // bare accesses are clean, inline or out of line.
+    const std::string classes =
+        "class Pool {\n"
+        "    void submit() { LockGuard g(lock_); ++pending_; }\n"
+        "    Mutex lock_;\n"
+        "    unsigned pending_ MORPH_GUARDED_BY(lock_) = 0;\n"
+        "};\n"
+        "class Batch {\n"
+        "    void add() { ++pending_; }\n"
+        "    void drop();\n"
+        "    unsigned pending_ = 0;\n"
+        "};\n"
+        "void Batch::drop() { pending_ = 0; }\n";
+    EXPECT_TRUE(analyzeOne(classes).findings.empty());
+
+    // Pool's own unlocked access still fires, and so does reaching
+    // the guarded name through an object from outside any class.
+    const AnalysisResult bare = analyzeOne(
+        classes + "void Pool::reset() { pending_ = 0; }\n");
+    ASSERT_EQ(bare.findings.size(), 1u);
+    EXPECT_EQ(bare.findings[0].rule, "race-unguarded");
+    EXPECT_TRUE(hasRule(
+        analyzeOne(classes + "void f(Pool &p) { p.pending_ = 0; }\n")
+            .findings,
+        "race-unguarded"));
+}
+
 // ---- race-requires / race-exclude ---------------------------------------
 
 TEST(RaceAnalyzer, RequiresBindsAcrossFiles)

@@ -182,6 +182,36 @@ TEST_F(SecureMemoryTest, ByteAccessAcrossLineBoundary)
     EXPECT_EQ(std::memcmp(back, payload, sizeof(payload)), 0);
 }
 
+TEST_F(SecureMemoryTest, WriteBytesRefusesATamperedLine)
+{
+    // A partial write reads the line first. If that read fails, the
+    // write must fail without touching the line: re-MACing the
+    // tampered bytes would silently repair the attack.
+    CachelineData data{};
+    data[0] = 1;
+    mem.writeLine(16, data);
+    CachelineData tampered = mem.ciphertextOf(16);
+    tampered[5] ^= 0x10;
+    mem.tamperCiphertext(16, tampered);
+
+    EXPECT_FALSE(mem.writeBytes(16 * lineBytes + 8, "XY", 2));
+    EXPECT_EQ(mem.ciphertextOf(16), tampered);
+    SecureMemory::Verdict verdict;
+    EXPECT_FALSE(mem.readLine(16, verdict).has_value());
+    EXPECT_EQ(verdict, SecureMemory::Verdict::DataMacMismatch);
+    EXPECT_EQ(mem.stats().writes, 1u);
+
+    // Across lines, the write stops at the failing line; the line
+    // before it stays written.
+    const Addr start = 16 * lineBytes - 4;
+    EXPECT_FALSE(mem.writeBytes(start, "abcdefgh", 8));
+    char head[4] = {};
+    ASSERT_TRUE(mem.readBytes(start, head, 4));
+    EXPECT_EQ(std::memcmp(head, "abcd", 4), 0);
+    EXPECT_EQ(mem.stats().writes, 2u);
+    EXPECT_FALSE(mem.readLine(16).has_value());
+}
+
 TEST_F(SecureMemoryTest, OverflowReencryptsSiblings)
 {
     // Under each freshness scheme: line 0 carries a non-zero counter

@@ -5,6 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstdlib>
+#include <stdexcept>
+#include <string>
+
 #include "sim/simulator.hh"
 
 namespace morph
@@ -232,6 +237,50 @@ TEST(Simulation, SimOptionsFromEnv)
     EXPECT_EQ(options.warmupPerCore, 99u);
     unsetenv("MORPH_SIM_ACCESSES");
     unsetenv("MORPH_SIM_WARMUP");
+}
+
+TEST(Simulation, SimOptionsFromEnvRejectsMalformedValues)
+{
+    // atoll read "2e6" as 2 and "junk" as 0 (then ignored it); every
+    // value must now parse whole, and accesses must be >= 1.
+    for (const char *bad : {"2e6", "junk", "", "-5", "+5", " 5", "0",
+                            "99999999999999999999"}) {
+        setenv("MORPH_SIM_ACCESSES", bad, 1);
+        EXPECT_THROW(SimOptions::fromEnv(), std::invalid_argument)
+            << "'" << bad << "'";
+    }
+    unsetenv("MORPH_SIM_ACCESSES");
+    setenv("MORPH_SIM_WARMUP", "0", 1);
+    EXPECT_EQ(SimOptions::fromEnv().warmupPerCore, 0u);
+    setenv("MORPH_SIM_WARMUP", "1k", 1);
+    try {
+        SimOptions::fromEnv();
+        ADD_FAILURE() << "MORPH_SIM_WARMUP=1k accepted";
+    } catch (const std::invalid_argument &e) {
+        EXPECT_NE(std::string(e.what()).find("MORPH_SIM_WARMUP"),
+                  std::string::npos);
+    }
+    unsetenv("MORPH_SIM_WARMUP");
+}
+
+TEST(Simulation, StrictNumberParsers)
+{
+    EXPECT_EQ(parseCount("0"), 0u);
+    EXPECT_EQ(parseCount("18446744073709551615"), UINT64_MAX);
+    EXPECT_FALSE(parseCount("18446744073709551616"));
+    EXPECT_FALSE(parseCount("1.5"));
+    EXPECT_FALSE(parseCount("-0"));
+    EXPECT_EQ(parsePositive("2e6"), 2e6);
+    EXPECT_EQ(parsePositive("0.5"), 0.5);
+    for (const char *bad : {"0", "-1", "inf", "nan", "8x", "", " 8"})
+        EXPECT_FALSE(parsePositive(bad)) << "'" << bad << "'";
+
+    setenv("MORPH_SIM_SCALE", "0.5", 1);
+    EXPECT_THROW(envNumber("MORPH_SIM_SCALE", 1.0), std::invalid_argument);
+    setenv("MORPH_SIM_SCALE", "8", 1);
+    EXPECT_EQ(envNumber("MORPH_SIM_SCALE", 1.0), 8.0);
+    unsetenv("MORPH_SIM_SCALE");
+    EXPECT_FALSE(envNumber("MORPH_SIM_SCALE", 1.0));
 }
 
 } // namespace

@@ -26,7 +26,8 @@
  *   morphsim --workload mcf --sweep sc64,vault,morph --jobs 4
  *   morphsim --list
  *
- * Exit codes: 0 success, 2 bad command line, 3 bad configuration
+ * Exit codes: 0 success, 2 bad command line or a malformed
+ * MORPH_SIM_ACCESSES/MORPH_SIM_WARMUP value, 3 bad configuration
  * (unknown workload/config, unreadable file, unknown INI key),
  * 4 runtime failure (export I/O, internal error).
  */
@@ -38,7 +39,9 @@
 #include <exception>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <sstream>
+#include <stdexcept>
 #include <vector>
 
 #include "common/ini.hh"
@@ -279,12 +282,11 @@ badFlag(const char *fmt, const char *detail)
 std::uint64_t
 parseCount(const std::string &arg, const char *text)
 {
-    char *end = nullptr;
-    const long long v = std::strtoll(text, &end, 10);
-    if (end == text || *end != '\0' || v < 0)
+    const std::optional<std::uint64_t> v = morph::parseCount(text);
+    if (!v)
         badFlag("option %s needs a non-negative integer",
                 arg.c_str());
-    return std::uint64_t(v);
+    return *v;
 }
 
 /** Parse a positive, finite number option value; exits with code 2
@@ -293,11 +295,10 @@ parseCount(const std::string &arg, const char *text)
 double
 parsePositive(const std::string &arg, const char *text)
 {
-    char *end = nullptr;
-    const double v = std::strtod(text, &end);
-    if (end == text || *end != '\0' || !(v > 0) || !std::isfinite(v))
+    const std::optional<double> v = morph::parsePositive(text);
+    if (!v)
         badFlag("option %s needs a positive number", arg.c_str());
-    return v;
+    return *v;
 }
 
 /** Expand a --sweep list ("all" or comma-separated names) into
@@ -449,7 +450,13 @@ main(int argc, char **argv)
     std::string stats_csv_path;
     std::string trace_out_path;
     SecureModelConfig secmem;
-    SimOptions options = SimOptions::fromEnv();
+    SimOptions options;
+    try {
+        options = SimOptions::fromEnv();
+    } catch (const std::invalid_argument &e) {
+        std::fprintf(stderr, "morphsim: %s\n", e.what());
+        return exitBadFlag;
+    }
     ScopeConfig scope_config;
     std::uint64_t trace_sample = 64;
     std::string sweep_list;
