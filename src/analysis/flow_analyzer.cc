@@ -5,6 +5,7 @@
 #include <map>
 #include <set>
 
+#include "analysis/batch.hh"
 #include "analysis/lexer.hh"
 #include "analysis/source_model.hh"
 
@@ -89,16 +90,6 @@ selfWipingType(const std::string &type_text)
            type_text.find("SecretArray") != std::string::npos;
 }
 
-/** One input file after lexing and modelling. The token stream may
- *  live in a shared LexCache; `lexed` points either there or into the
- *  analyzer's own storage. */
-struct FileUnit
-{
-    SourceText meta;
-    const LexedSource *lexed = nullptr;
-    SourceModel model;
-};
-
 /** An explicitly annotated local, tracked for the wipe rule. */
 struct AnnotatedLocal
 {
@@ -114,25 +105,10 @@ struct LocalState
     std::vector<AnnotatedLocal> locals;
 };
 
-class Analyzer
+class Analyzer : public BatchAnalyzer
 {
   public:
-    explicit Analyzer(const std::vector<SourceText> &sources,
-                      LexCache *cache = nullptr)
-    {
-        // Without a caller-provided cache, a local one both owns the
-        // token streams (std::map entries are address-stable) and
-        // de-duplicates same-path batch entries.
-        LexCache &lexed = cache ? *cache : ownLex_;
-        units_.reserve(sources.size());
-        for (const SourceText &src : sources) {
-            FileUnit unit;
-            unit.meta = src;
-            unit.lexed = &lexed.get(src.path, src.path, src.text);
-            unit.model = buildModel(*unit.lexed);
-            units_.push_back(std::move(unit));
-        }
-    }
+    using BatchAnalyzer::BatchAnalyzer;
 
     AnalysisResult
     run()
@@ -145,8 +121,7 @@ class Analyzer
             if (unit.meta.determinismScope)
                 determinismRules(unit);
         }
-        finish();
-        return std::move(result_);
+        return takeResult();
     }
 
   private:
@@ -842,48 +817,6 @@ class Analyzer
         }
     }
 
-    // ---- reporting ---------------------------------------------------
-
-    void
-    report(const FileUnit &unit, const std::string &rule,
-           unsigned line, const std::string &symbol,
-           const std::string &message)
-    {
-        const std::string key = unit.meta.path + ":" +
-                                std::to_string(line) + ":" + rule +
-                                ":" + symbol;
-        if (!reported_.insert(key).second)
-            return;
-        Finding f;
-        f.rule = rule;
-        f.file = unit.meta.path;
-        f.symbol = symbol;
-        f.message = message;
-        f.line = line;
-        f.waived = unit.model.waived(rule, line);
-        (f.waived ? result_.waived : result_.findings)
-            .push_back(std::move(f));
-    }
-
-    void
-    finish()
-    {
-        const auto order = [](const Finding &a, const Finding &b) {
-            if (a.file != b.file)
-                return a.file < b.file;
-            if (a.line != b.line)
-                return a.line < b.line;
-            if (a.rule != b.rule)
-                return a.rule < b.rule;
-            return a.symbol < b.symbol;
-        };
-        std::sort(result_.findings.begin(), result_.findings.end(),
-                  order);
-        std::sort(result_.waived.begin(), result_.waived.end(), order);
-    }
-
-    LexCache ownLex_; ///< used when the caller passes no cache
-    std::vector<FileUnit> units_;
     std::set<std::string> globalSecretNames_;
     std::set<std::string> secretReturnFns_;
     std::set<std::string> declassifiers_;
@@ -892,8 +825,6 @@ class Analyzer
     std::set<std::string> unorderedAll_;
     std::set<std::string> wipedNames_;
     std::map<std::string, std::set<std::size_t>> secretParams_;
-    std::set<std::string> reported_;
-    AnalysisResult result_;
 };
 
 } // namespace

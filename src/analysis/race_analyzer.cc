@@ -8,20 +8,13 @@
 #include <utility>
 #include <vector>
 
+#include "analysis/batch.hh"
 #include "analysis/source_model.hh"
 
 namespace morph::analysis
 {
 namespace
 {
-
-/** One analyzed file: raw text metadata, token stream, model. */
-struct FileUnit
-{
-    SourceText meta;
-    const LexedSource *lexed = nullptr;
-    SourceModel model;
-};
 
 /** A mutex key held at some brace depth inside a function body. */
 struct HeldLock
@@ -108,22 +101,10 @@ skipAngleGroup(const std::vector<Token> &t, std::size_t open)
     return open;
 }
 
-class Analyzer
+class Analyzer : public BatchAnalyzer
 {
   public:
-    explicit Analyzer(const std::vector<SourceText> &sources,
-                      LexCache *cache = nullptr)
-    {
-        LexCache &lexed = cache ? *cache : ownLex_;
-        units_.reserve(sources.size());
-        for (const SourceText &src : sources) {
-            FileUnit unit;
-            unit.meta = src;
-            unit.lexed = &lexed.get(src.path, src.path, src.text);
-            unit.model = buildModel(*unit.lexed);
-            units_.push_back(std::move(unit));
-        }
-    }
+    using BatchAnalyzer::BatchAnalyzer;
 
     AnalysisResult
     run()
@@ -137,8 +118,7 @@ class Analyzer
                 nakedStaticRule(unit);
         }
         lockOrderRule();
-        finish();
-        return std::move(result_);
+        return takeResult();
     }
 
   private:
@@ -908,53 +888,12 @@ class Analyzer
         }
     }
 
-    // ---- reporting ------------------------------------------------------
-
-    void
-    report(const FileUnit &unit, const std::string &rule, unsigned line,
-           const std::string &symbol, const std::string &message)
-    {
-        const std::string key = unit.meta.path + ":" +
-                                std::to_string(line) + ":" + rule +
-                                ":" + symbol;
-        if (!reported_.insert(key).second)
-            return;
-        Finding f;
-        f.rule = rule;
-        f.file = unit.meta.path;
-        f.symbol = symbol;
-        f.message = message;
-        f.line = line;
-        f.waived = unit.model.waived(rule, line);
-        (f.waived ? result_.waived : result_.findings)
-            .push_back(std::move(f));
-    }
-
-    void
-    finish()
-    {
-        const auto order = [](const Finding &a, const Finding &b) {
-            if (a.file != b.file)
-                return a.file < b.file;
-            if (a.line != b.line)
-                return a.line < b.line;
-            if (a.rule != b.rule)
-                return a.rule < b.rule;
-            return a.symbol < b.symbol;
-        };
-        std::sort(result_.findings.begin(), result_.findings.end(),
-                  order);
-        std::sort(result_.waived.begin(), result_.waived.end(), order);
-    }
-
     struct EdgeSite
     {
         const FileUnit *unit = nullptr;
         unsigned line = 0;
     };
 
-    LexCache ownLex_; ///< used when the caller passes no cache
-    std::vector<FileUnit> units_;
     /** (class, member) -> the locks its MORPH_GUARDED_BY names. */
     std::map<std::pair<std::string, std::string>, std::set<std::string>>
         guardedBy_;
@@ -970,8 +909,6 @@ class Analyzer
     std::map<std::string, std::set<std::string>> fnExcludes_;
     /** held -> acquired, with the first site that created the edge. */
     std::map<std::pair<std::string, std::string>, EdgeSite> edges_;
-    std::set<std::string> reported_;
-    AnalysisResult result_;
 };
 
 } // namespace

@@ -1,11 +1,8 @@
 #include "common/ini.hh"
 
-#include <algorithm>
 #include <cctype>
+#include <cstdint>
 #include <fstream>
-#include <sstream>
-
-#include "common/log.hh"
 
 namespace morph
 {
@@ -24,27 +21,23 @@ trim(const std::string &text)
     return text.substr(begin, end - begin);
 }
 
-std::string
-lower(std::string text)
-{
-    std::transform(text.begin(), text.end(), text.begin(),
-                   [](unsigned char c) { return std::tolower(c); });
-    return text;
-}
-
 } // namespace
 
-IniFile
-IniFile::fromFile(const std::string &path)
+bool
+IniFile::fromFile(const std::string &path, IniFile &out,
+                  std::string &error)
 {
     std::ifstream input(path);
-    if (!input)
-        fatal("ini: cannot open %s", path.c_str());
-    return fromStream(input, path);
+    if (!input) {
+        error = "cannot read " + path;
+        return false;
+    }
+    return fromStream(input, path, out, error);
 }
 
-IniFile
-IniFile::fromStream(std::istream &input, const std::string &name)
+bool
+IniFile::fromStream(std::istream &input, const std::string &name,
+                    IniFile &out, std::string &error)
 {
     IniFile ini;
     ini.name_ = name;
@@ -52,6 +45,10 @@ IniFile::fromStream(std::istream &input, const std::string &name)
     std::string line;
     std::string section;
     std::size_t line_number = 0;
+    const auto bad = [&](const char *what) {
+        error = name + ":" + std::to_string(line_number) + ": " + what;
+        return false;
+    };
     while (std::getline(input, line)) {
         ++line_number;
         const std::size_t comment = line.find_first_of(";#");
@@ -63,26 +60,25 @@ IniFile::fromStream(std::istream &input, const std::string &name)
 
         if (line.front() == '[') {
             if (line.back() != ']')
-                fatal("ini %s:%zu: unterminated section", name.c_str(),
-                      line_number);
+                return bad("unterminated section");
             section = trim(line.substr(1, line.size() - 2));
             continue;
         }
 
         const std::size_t eq = line.find('=');
         if (eq == std::string::npos)
-            fatal("ini %s:%zu: expected 'key = value'", name.c_str(),
-                  line_number);
+            return bad("expected 'key = value'");
         const std::string key = trim(line.substr(0, eq));
         const std::string value = trim(line.substr(eq + 1));
         if (key.empty())
-            fatal("ini %s:%zu: empty key", name.c_str(), line_number);
+            return bad("empty key");
         const std::string dotted =
             section.empty() ? key : section + "." + key;
         ini.order_.push_back(dotted);
         ini.values_.emplace_back(dotted, value);
     }
-    return ini;
+    out = std::move(ini);
+    return true;
 }
 
 const std::string *
@@ -108,58 +104,6 @@ IniFile::getString(const std::string &dotted_key,
 {
     const std::string *value = find(dotted_key);
     return value ? *value : fallback;
-}
-
-std::int64_t
-IniFile::getInt(const std::string &dotted_key,
-                std::int64_t fallback) const
-{
-    const std::string *value = find(dotted_key);
-    if (!value)
-        return fallback;
-    try {
-        std::size_t used = 0;
-        const std::int64_t parsed = std::stoll(*value, &used, 0);
-        if (used != value->size())
-            throw std::invalid_argument("trailing");
-        return parsed;
-    } catch (const std::exception &) {
-        fatal("ini %s: key %s: '%s' is not an integer", name_.c_str(),
-              dotted_key.c_str(), value->c_str());
-    }
-}
-
-double
-IniFile::getDouble(const std::string &dotted_key, double fallback) const
-{
-    const std::string *value = find(dotted_key);
-    if (!value)
-        return fallback;
-    try {
-        std::size_t used = 0;
-        const double parsed = std::stod(*value, &used);
-        if (used != value->size())
-            throw std::invalid_argument("trailing");
-        return parsed;
-    } catch (const std::exception &) {
-        fatal("ini %s: key %s: '%s' is not a number", name_.c_str(),
-              dotted_key.c_str(), value->c_str());
-    }
-}
-
-bool
-IniFile::getBool(const std::string &dotted_key, bool fallback) const
-{
-    const std::string *value = find(dotted_key);
-    if (!value)
-        return fallback;
-    const std::string v = lower(*value);
-    if (v == "1" || v == "true" || v == "yes" || v == "on")
-        return true;
-    if (v == "0" || v == "false" || v == "no" || v == "off")
-        return false;
-    fatal("ini %s: key %s: '%s' is not a boolean", name_.c_str(),
-          dotted_key.c_str(), value->c_str());
 }
 
 } // namespace morph

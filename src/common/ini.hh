@@ -11,14 +11,14 @@
  *
  * Keys outside any section live in the "" section. Lookups are by
  * "section.key" (or bare "key" for the default section). Values are
- * strings with typed accessors; unknown keys can be enumerated so
- * callers can reject typos.
+ * plain strings: what a value means, and which values are valid, is
+ * the caller's business (sim/run_config.hh for simulator settings).
+ * Keys can be enumerated so callers can reject typos.
  */
 
 #ifndef MORPH_COMMON_INI_HH
 #define MORPH_COMMON_INI_HH
 
-#include <cstdint>
 #include <iosfwd>
 #include <string>
 #include <vector>
@@ -32,12 +32,15 @@ class IniFile
   public:
     IniFile() = default;
 
-    /** Parse a file from disk; fatal() on open/parse errors. */
-    static IniFile fromFile(const std::string &path);
+    /** Parse a file from disk into @p out; false with @p error set
+     *  if the file cannot be read or has a syntax error. */
+    static bool fromFile(const std::string &path, IniFile &out,
+                         std::string &error);
 
-    /** Parse from a stream (tests); fatal() on parse errors. */
-    static IniFile fromStream(std::istream &input,
-                              const std::string &name);
+    /** Parse from a stream into @p out; false with @p error set on a
+     *  syntax error. @p name labels error messages. */
+    static bool fromStream(std::istream &input, const std::string &name,
+                           IniFile &out, std::string &error);
 
     /** True if "section.key" (or "key") is present. */
     bool has(const std::string &dotted_key) const;
@@ -46,19 +49,11 @@ class IniFile
     std::string getString(const std::string &dotted_key,
                           const std::string &fallback = "") const;
 
-    /** Integer value; fatal() if present but unparsable. */
-    std::int64_t getInt(const std::string &dotted_key,
-                        std::int64_t fallback) const;
-
-    /** Double value; fatal() if present but unparsable. */
-    double getDouble(const std::string &dotted_key,
-                     double fallback) const;
-
-    /** Boolean: true/false/1/0/yes/no/on/off. */
-    bool getBool(const std::string &dotted_key, bool fallback) const;
-
     /** All keys, dotted, in file order (for typo checking). */
     const std::vector<std::string> &keys() const { return order_; }
+
+    /** The file name (or stream label) for error messages. */
+    const std::string &name() const { return name_; }
 
   private:
     const std::string *find(const std::string &dotted_key) const;

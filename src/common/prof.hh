@@ -26,10 +26,9 @@
  * morphsim_prof_noninterference tier-1 test).
  *
  * Scope names follow the morphscope naming contract — [a-z0-9_.]+ and
- * unique per site (enforced at registration, re-derived by morphlint
- * rule 7). Keep MORPH_PROF_SCOPE out of headers and inline functions:
- * a site duplicated across translation units registers its name twice
- * and panics.
+ * unique per site (enforced at registration). Keep MORPH_PROF_SCOPE
+ * out of headers and inline functions: a site duplicated across
+ * translation units registers its name twice and panics.
  *
  * Lifecycle: profEnable() starts the wall-clock window, profReport()
  * merges and freezes (further enables are refused, later scope entries
@@ -145,8 +144,7 @@ void profEnable();
 /** Name the calling thread in reports ("main", "worker3", ...). */
 void profSetThreadName(const std::string &name);
 
-/** Names of every site registered so far, in registration order
- *  (morphlint rule 7 enumerates these after an instrumented run). */
+/** Names of every site registered so far, in registration order. */
 std::vector<std::string> profSiteNames();
 
 /** Per-worker RunPool telemetry as it appears in a profile. */

@@ -195,18 +195,6 @@ StatRegistry::histogramSnapshot(std::size_t i) const
     return histograms_.at(i).snapshot();
 }
 
-std::vector<std::string>
-StatRegistry::names() const
-{
-    std::vector<std::string> all;
-    all.reserve(scalars_.size() + histograms_.size());
-    for (const Scalar &s : scalars_)
-        all.push_back(s.name);
-    for (const Hist &h : histograms_)
-        all.push_back(h.name);
-    return all;
-}
-
 void
 StatRegistry::freeze()
 {

@@ -124,9 +124,6 @@ class StatRegistry
     const std::string &histogramName(std::size_t i) const;
     HistogramSnapshot histogramSnapshot(std::size_t i) const;
 
-    /** All registered names (scalars then histograms). */
-    std::vector<std::string> names() const;
-
     /**
      * Materialize every entry: each scalar's closure is replaced by
      * its current value and each histogram by its current snapshot.

@@ -1,0 +1,103 @@
+/**
+ * @file
+ * The simulator's settings, defined once.
+ *
+ * A setting reaches the simulator as a morphsim flag or as a key of an
+ * INI file (morphsim --config-file), and morphlint checks INI files
+ * against the same rules. Each row of the settings table names the INI
+ * key, the morphsim flag (if any), and the one parser and range its
+ * value must pass, so a flag and its key cannot accept different
+ * values. resolveRunConfig() then checks what no single value can: that
+ * names name something and that a trace file is readable.
+ *
+ * Nothing here calls fatal() or exits. Every check returns false with
+ * an error message, and the caller picks the exit code.
+ */
+
+#ifndef MORPH_SIM_RUN_CONFIG_HH
+#define MORPH_SIM_RUN_CONFIG_HH
+
+#include <cstdint>
+#include <string>
+#include <vector>
+
+#include "common/ini.hh"
+#include "sim/simulator.hh"
+
+namespace morph
+{
+
+/** Everything one simulator run is configured by. */
+struct RunConfig
+{
+    std::string workload;             ///< workload or mix name
+    std::string tracePath;            ///< trace file replayed instead
+    std::string configName = "morph"; ///< named tree configuration
+    SecureModelConfig secmem;         ///< .tree set by resolveRunConfig
+    SimOptions options;
+};
+
+/** How a setting's value is parsed, and which values it accepts. */
+enum class SettingType
+{
+    Name,    ///< any text; resolveRunConfig checks what it names
+    Count,   ///< decimal integer in [min, max]
+    Number,  ///< finite number >= min
+    MemGb,   ///< GB, a whole number of 64-B lines, at least 1 MiB
+    Bool,    ///< 1/true/yes/on or 0/false/no/off, any case
+    Persist, ///< strict, lazy or off
+};
+
+/** A value that passed its setting's parser and range. */
+struct SettingValue
+{
+    std::string text;        ///< the value as given
+    std::uint64_t count = 0; ///< Count; MemGb in bytes
+    double number = 0;       ///< Number
+    bool on = false;         ///< Bool
+};
+
+/** One row of the settings table. */
+struct Setting
+{
+    const char *key;  ///< INI "section.key"
+    const char *flag; ///< morphsim flag; nullptr if INI-only
+    SettingType type;
+    std::uint64_t min = 0;          ///< Count, Number lower bound
+    std::uint64_t max = UINT64_MAX; ///< Count upper bound
+    /** Store a checked value into a configuration. */
+    void (*store)(RunConfig &config, const SettingValue &value) = nullptr;
+    /** The flag takes no value and means "true". */
+    bool presence = false;
+};
+
+/** Every simulator setting, in documentation order. */
+const std::vector<Setting> &runSettings();
+
+/** The setting whose morphsim flag is @p flag, or nullptr. */
+const Setting *findSettingFlag(const std::string &flag);
+
+/** Check @p text against @p setting and store it into @p config; false
+ *  with @p error naming the flag otherwise. A presence flag ignores
+ *  @p text. */
+bool applyFlag(RunConfig &config, const Setting &setting,
+               const char *text, std::string &error);
+
+/** Apply every key of @p ini that names a setting (the last
+ *  assignment of a key wins); false with @p error naming the file and
+ *  key on the first bad value. Keys that name no setting are appended
+ *  to @p unknown, in file order, for the caller to accept or reject. */
+bool applyIni(RunConfig &config, const IniFile &ini,
+              std::vector<std::string> &unknown, std::string &error);
+
+/** Check the names and the trace file, and set secmem.tree from the
+ *  config name; false with @p error otherwise. */
+bool resolveRunConfig(RunConfig &config, std::string &error);
+
+/** Simulate a resolved @p config: its trace file if it names one,
+ *  else its workload or mix. @copydetails runWorkload */
+SimResult simulate(const RunConfig &config, MorphScope *scope = nullptr);
+
+} // namespace morph
+
+#endif // MORPH_SIM_RUN_CONFIG_HH

@@ -1,7 +1,5 @@
 #include "sim/simulator.hh"
 
-#include <cctype>
-#include <cerrno>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -13,31 +11,6 @@
 
 namespace morph
 {
-
-std::optional<std::uint64_t>
-parseCount(const char *text)
-{
-    if (!std::isdigit(static_cast<unsigned char>(text[0])))
-        return std::nullopt;
-    errno = 0;
-    char *end = nullptr;
-    const unsigned long long v = std::strtoull(text, &end, 10);
-    if (*end != '\0' || errno == ERANGE)
-        return std::nullopt;
-    return std::uint64_t(v);
-}
-
-std::optional<double>
-parsePositive(const char *text)
-{
-    if (std::isspace(static_cast<unsigned char>(text[0])))
-        return std::nullopt;
-    char *end = nullptr;
-    const double v = std::strtod(text, &end);
-    if (end == text || *end != '\0' || !(v > 0) || !std::isfinite(v))
-        return std::nullopt;
-    return v;
-}
 
 std::optional<std::uint64_t>
 envCount(const char *name, std::uint64_t min)

@@ -18,6 +18,7 @@
 #include <optional>
 #include <string>
 
+#include "common/parse.hh"
 #include "dram/dram_config.hh"
 #include "sim/energy.hh"
 #include "sim/system.hh"
@@ -25,13 +26,6 @@
 
 namespace morph
 {
-
-/** All of @p text as a decimal count: digits only, with no sign,
- *  space, exponent or trailing junk, and no overflow. */
-std::optional<std::uint64_t> parseCount(const char *text);
-
-/** All of @p text as a positive finite number. */
-std::optional<double> parsePositive(const char *text);
 
 /** Environment variable @p name as a count >= @p min: nullopt when
  *  unset; anything else throws std::invalid_argument naming it. */

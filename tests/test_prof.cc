@@ -78,6 +78,8 @@ TEST(ProfDeathTest, InvalidScopeNamePanics)
 {
     EXPECT_DEATH(ProfSite bad("Bad.Name"),
                  "violates the \\[a-z0-9_\\.\\]\\+ contract");
+    EXPECT_DEATH(ProfSite bad("Sim.TreeWalk"),
+                 "violates the \\[a-z0-9_\\.\\]\\+ contract");
 }
 
 TEST(ProfDeathTest, DuplicateScopeNamePanics)
@@ -88,6 +90,14 @@ TEST(ProfDeathTest, DuplicateScopeNamePanics)
             ProfSite second("testprof.twice");
         },
         "duplicate prof scope name 'testprof\\.twice'");
+    // A scope the simulator hot path registers, claimed again: the
+    // second site panics whether or not the hot path ran first.
+    EXPECT_DEATH(
+        {
+            ProfSite first("sim.step");
+            ProfSite second("sim.step");
+        },
+        "duplicate prof scope name 'sim\\.step'");
 }
 
 TEST_F(ProfTest, DisabledScopesAreInvisible)
@@ -234,7 +244,7 @@ TEST_F(ProfTest, ReportFreezesTheProfile)
 TEST_F(ProfTest, SiteNamesEnumerateRegisteredScopes)
 {
     // Sites register on first execution of their line even with
-    // profiling off — that is what morphlint rule 7 relies on.
+    // profiling off.
     {
         MORPH_PROF_SCOPE("testprof.enumerated");
     }

@@ -1,0 +1,252 @@
+/**
+ * @file
+ * Tests for the simulator settings loader (sim/run_config.hh): every
+ * row of the settings table, driven through both of its inputs.
+ */
+
+#include <gtest/gtest.h>
+
+#include <filesystem>
+#include <sstream>
+#include <string>
+#include <vector>
+
+#include "sim/run_config.hh"
+
+namespace morph
+{
+namespace
+{
+
+/** Every field a setting can store, as one comparable string. */
+std::string
+fingerprint(const RunConfig &c)
+{
+    std::ostringstream out;
+    out << c.workload << '|' << c.tracePath << '|' << c.configName << '|'
+        << c.secmem.memBytes << '|' << c.secmem.metadataCacheBytes << '|'
+        << c.secmem.inlineMacs << c.secmem.speculativeVerification
+        << c.secmem.counterPrefetch << c.secmem.demoteEncCounters << '|'
+        << c.secmem.persist.enabled << int(c.secmem.persist.policy) << '|'
+        << c.secmem.persist.epochWrites << '|' << c.options.accessesPerCore
+        << '|' << c.options.warmupPerCore << '|' << c.options.seed << '|'
+        << c.options.timing << '|' << c.options.footprintScale << '|'
+        << c.options.dram.refresh << c.options.dram.writeQueueing << '|'
+        << c.options.dram.channels << '|' << c.options.dram.ranksPerChannel;
+    return out.str();
+}
+
+IniFile
+iniWith(const std::string &key, const std::string &value)
+{
+    const std::size_t dot = key.find('.');
+    std::istringstream input("[" + key.substr(0, dot) + "]\n" +
+                             key.substr(dot + 1) + " = " + value + "\n");
+    IniFile ini;
+    std::string error;
+    EXPECT_TRUE(IniFile::fromStream(input, "inline.ini", ini, error))
+        << error;
+    return ini;
+}
+
+/** Apply @p value to @p setting through an INI file; "" on success,
+ *  else the error. */
+std::string
+viaIni(RunConfig &config, const Setting &setting, const std::string &value)
+{
+    std::vector<std::string> unknown;
+    std::string error;
+    if (applyIni(config, iniWith(setting.key, value), unknown, error)) {
+        EXPECT_TRUE(unknown.empty());
+    }
+    return error;
+}
+
+/** Apply @p value to @p setting through its flag; "" on success. */
+std::string
+viaFlag(RunConfig &config, const Setting &setting, const std::string &value)
+{
+    std::string error;
+    applyFlag(config, setting, value.c_str(), error);
+    return error;
+}
+
+/** Values @p setting accepts, chosen to differ from the defaults. */
+std::vector<std::string>
+validValues(const Setting &setting)
+{
+    switch (setting.type) {
+    case SettingType::Name:
+        return {"sc64"};
+    case SettingType::Count:
+        return {setting.max == UINT64_MAX ? "12345"
+                                          : std::to_string(setting.max)};
+    case SettingType::Number:
+        return {"2.5"};
+    case SettingType::MemGb:
+        return {"0.5", "64"};
+    case SettingType::Bool:
+        return {"0", "1"};
+    case SettingType::Persist:
+        return {"strict", "lazy", "off"};
+    }
+    return {};
+}
+
+/** Values @p setting must reject: junk and just out of range. */
+std::vector<std::string>
+badValues(const Setting &setting)
+{
+    switch (setting.type) {
+    case SettingType::Name:
+        return {""};
+    case SettingType::Count: {
+        std::vector<std::string> bad = {"abc", "-1", "1e5", "0x10", "7x"};
+        if (setting.min > 0)
+            bad.push_back(std::to_string(setting.min - 1));
+        if (setting.max != UINT64_MAX)
+            bad.push_back(std::to_string(setting.max + 1));
+        return bad;
+    }
+    case SettingType::Number:
+        return {"abc", "inf", "0.5", "2x"};
+    case SettingType::MemGb:
+        return {"abc", "0", "-1", "0.3", "0.0001", "1e30"};
+    case SettingType::Bool:
+        return {"maybe", "2", ""};
+    case SettingType::Persist:
+        return {"sometimes", "Strict", ""};
+    }
+    return {};
+}
+
+TEST(RunConfig, FlagAndIniLandInTheSameField)
+{
+    for (const Setting &setting : runSettings()) {
+        SCOPED_TRACE(setting.key);
+        bool changed = false;
+        for (const std::string &value : validValues(setting)) {
+            RunConfig from_ini;
+            EXPECT_EQ(viaIni(from_ini, setting, value), "") << value;
+            changed = changed ||
+                      fingerprint(from_ini) != fingerprint(RunConfig{});
+            if (setting.flag == nullptr)
+                continue;
+            // A presence flag can only say "true".
+            if (setting.presence && value != "1")
+                continue;
+            RunConfig from_flag;
+            EXPECT_EQ(viaFlag(from_flag, setting, value), "") << value;
+            EXPECT_EQ(fingerprint(from_flag), fingerprint(from_ini))
+                << value;
+        }
+        EXPECT_TRUE(changed) << "no value moved any field";
+    }
+}
+
+TEST(RunConfig, BadValuesNameTheKeyOrFlag)
+{
+    for (const Setting &setting : runSettings()) {
+        SCOPED_TRACE(setting.key);
+        for (const std::string &value : badValues(setting)) {
+            RunConfig config;
+            const std::string ini_error = viaIni(config, setting, value);
+            EXPECT_NE(ini_error.find(setting.key), std::string::npos)
+                << "'" << value << "': " << ini_error;
+            EXPECT_NE(ini_error.find("inline.ini"), std::string::npos);
+            if (setting.flag == nullptr || setting.presence)
+                continue;
+            const std::string flag_error =
+                viaFlag(config, setting, value);
+            EXPECT_NE(flag_error.find(setting.flag), std::string::npos)
+                << "'" << value << "': " << flag_error;
+            EXPECT_EQ(fingerprint(config), fingerprint(RunConfig{}))
+                << "a rejected value was stored";
+        }
+    }
+}
+
+TEST(RunConfig, FlagsAreUniqueAndPresenceFlagsAreBooleans)
+{
+    std::vector<std::string> seen;
+    for (const Setting &setting : runSettings()) {
+        for (const std::string &other : seen)
+            EXPECT_NE(other, setting.key);
+        seen.push_back(setting.key);
+        if (setting.flag != nullptr) {
+            EXPECT_EQ(findSettingFlag(setting.flag), &setting);
+        }
+        if (setting.presence) {
+            EXPECT_EQ(setting.type, SettingType::Bool) << setting.key;
+        }
+    }
+    EXPECT_EQ(findSettingFlag("--config-file"), nullptr);
+    EXPECT_EQ(findSettingFlag("--stats-json"), nullptr);
+}
+
+TEST(RunConfig, UnknownKeysAreReturnedNotApplied)
+{
+    std::istringstream input("[system]\nworkload = lbm\ncache_k = 3\n"
+                             "[lint.zcc]\nbuckets = 16:16\n");
+    IniFile ini;
+    std::string error;
+    ASSERT_TRUE(IniFile::fromStream(input, "typo.ini", ini, error));
+    RunConfig config;
+    std::vector<std::string> unknown;
+    ASSERT_TRUE(applyIni(config, ini, unknown, error)) << error;
+    EXPECT_EQ(config.workload, "lbm");
+    EXPECT_EQ(unknown, (std::vector<std::string>{"system.cache_k",
+                                                 "lint.zcc.buckets"}));
+}
+
+TEST(RunConfig, ResolveChecksNamesAndTrace)
+{
+    RunConfig config;
+    std::string error;
+    config.workload = "mix2";
+    config.configName = "vault";
+    ASSERT_TRUE(resolveRunConfig(config, error)) << error;
+    EXPECT_EQ(config.secmem.tree.name, findTreeConfig("vault")->name);
+
+    const auto rejects = [](RunConfig bad, const char *key) {
+        std::string why;
+        EXPECT_FALSE(resolveRunConfig(bad, why));
+        EXPECT_NE(why.find(key), std::string::npos) << why;
+    };
+    RunConfig bad_tree;
+    bad_tree.configName = "nope";
+    rejects(bad_tree, "system.config");
+    RunConfig bad_workload;
+    bad_workload.workload = "nope";
+    rejects(bad_workload, "system.workload");
+    RunConfig bad_trace;
+    bad_trace.tracePath = "/nonexistent/x.trc";
+    rejects(bad_trace, "system.trace");
+}
+
+TEST(RunConfig, ShippedConfigsLoad)
+{
+    namespace fs = std::filesystem;
+    std::vector<fs::path> files;
+    for (const auto &entry :
+         fs::directory_iterator(fs::path(MORPH_SOURCE_DIR) / "configs"))
+        if (entry.path().extension() == ".ini")
+            files.push_back(entry.path());
+    ASSERT_FALSE(files.empty());
+    for (const fs::path &path : files) {
+        SCOPED_TRACE(path.string());
+        IniFile ini;
+        RunConfig config;
+        std::vector<std::string> unknown;
+        std::string error;
+        EXPECT_TRUE(IniFile::fromFile(path.string(), ini, error) &&
+                    applyIni(config, ini, unknown, error) &&
+                    resolveRunConfig(config, error))
+            << error;
+        EXPECT_TRUE(unknown.empty());
+        EXPECT_FALSE(config.workload.empty());
+    }
+}
+
+} // namespace
+} // namespace morph

@@ -38,9 +38,13 @@ TEST(StatRegistryDeathTest, RejectsInvalidAndDuplicateNames)
     std::uint64_t v = 0;
     registry.counter("ok.name", &v);
     EXPECT_DEATH(registry.counter("Bad.Name", &v), "violates");
+    EXPECT_DEATH(registry.counter("Traffic.Total", &v), "violates");
     EXPECT_DEATH(registry.counter("ok.name", &v), "twice");
     Histogram h(0.0, 1.0, 4);
     EXPECT_DEATH(registry.histogram("ok.name", &h), "twice");
+    // A name the simulator registers, claimed twice.
+    registry.gauge("sim.ipc", [] { return 1.0; });
+    EXPECT_DEATH(registry.scalar("sim.ipc", 2.0), "twice");
 }
 
 TEST(StatRegistry, CountersGaugesAndLookup)

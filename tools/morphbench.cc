@@ -528,35 +528,24 @@ main(int argc, char **argv)
         } else if (arg == "--rev") {
             rev = value();
         } else if (arg == "--accesses") {
-            accesses = std::uint64_t(std::atoll(value()));
+            accesses = countOption("morphbench", arg, value(), 1);
         } else if (arg == "--warmup") {
-            warmup = std::uint64_t(std::atoll(value()));
+            warmup = countOption("morphbench", arg, value());
         } else if (arg == "--jobs") {
-            const long long v = std::atoll(value());
-            if (v < 1) {
-                std::fprintf(stderr,
-                             "morphbench: --jobs needs a value >= 1\n");
-                return 2;
-            }
-            jobs = unsigned(v);
+            jobs = unsigned(countOption("morphbench", arg, value(), 1));
         } else if (arg == "--kernels") {
             with_kernels = true;
         } else if (arg == "--kernel-ms") {
-            const double ms = std::atof(value());
-            if (ms <= 0.0) {
-                std::fprintf(stderr,
-                             "morphbench: --kernel-ms needs a value"
-                             " > 0\n");
-                return 2;
-            }
-            kernel_seconds = ms / 1000.0;
+            kernel_seconds =
+                numberOption("morphbench", arg, value(), true) / 1000.0;
         } else if (arg == "--compare") {
             compare_base = value();
             compare_new = value();
         } else if (arg == "--tolerance") {
-            tolerance = std::atof(value());
+            tolerance = numberOption("morphbench", arg, value());
         } else if (arg == "--kernel-min-ratio") {
-            kernel_min_ratio = std::atof(value());
+            kernel_min_ratio =
+                numberOption("morphbench", arg, value(), true);
         } else if (arg == "--prof-out") {
             prof_out_path = value();
         } else if (arg == "--help" || arg == "-h") {

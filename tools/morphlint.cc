@@ -21,54 +21,37 @@
  *      recomputed with independent arithmetic (ceil-division chains)
  *      and compared against TreeGeometry, including slab placement
  *      and total-footprint accounting.
- *   5. Simulator configs — every *.ini passed on the command line is
- *      validated: known keys, resolvable workload/config names, sane
- *      sizes, and the geometry its settings imply.
- *   6. Runtime stat names — every statistic a fully-assembled system
- *      registers into the morphscope registry must match [a-z0-9_.]+
- *      and be unique (the naming contract the JSON/CSV exporters and
- *      morphbench depend on), re-validated here independently of the
- *      registry's own registration check.
- *   7. Runtime prof scope names — every MORPH_PROF_SCOPE site the
- *      instrumented hot path registers (morphprof, common/prof.hh)
- *      must satisfy the same [a-z0-9_.]+ contract and be unique; the
- *      sites are enumerated by actually executing a miniature
- *      simulation, a pool task and the crypto/tree kernels, so a
- *      scope added anywhere on the hot path is covered automatically.
+ *   5. Simulator configs — the settings loader morphsim runs
+ *      (sim/run_config.hh) must accept every *.ini passed on the
+ *      command line, and the tree geometry its settings imply must
+ *      pass check 4.
  *
- * INI files may also carry [lint.zcc] / [lint.geometry] sections that
- * *override* the expected values; this is how the test suite feeds
- * morphlint a deliberately wrong specification and asserts a non-zero
- * exit. Exit status: 0 if every check passes, 1 otherwise.
+ * INI files may also carry [lint.*] sections that *override* the
+ * expected values; this is how the test suite feeds morphlint a
+ * deliberately wrong specification and asserts a non-zero exit.
+ * Exit status: 0 if every check passes, 1 on any violation, 2 on a
+ * bad flag or an unreadable file.
  */
 
 #include <cinttypes>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
-#include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
-#include <algorithm>
-
 #include "common/bitfield.hh"
 #include "common/ini.hh"
-#include "common/prof.hh"
-#include "common/run_pool.hh"
+#include "common/parse.hh"
 #include "common/types.hh"
-#include "crypto/mac.hh"
-#include "crypto/otp.hh"
-#include "integrity/integrity_tree.hh"
 #include "counters/counter_factory.hh"
 #include "counters/mcr_codec.hh"
 #include "counters/split_counter.hh"
 #include "counters/zcc_codec.hh"
 #include "integrity/tree_config.hh"
 #include "integrity/tree_geometry.hh"
-#include "sim/system.hh"
-#include "workloads/workload_db.hh"
+#include "sim/run_config.hh"
 
 namespace
 {
@@ -128,6 +111,9 @@ const std::vector<Bucket> builtinBuckets = {
 
 /** Effective counters feed a 56-bit AES-CTR seed field (otp.cc). */
 constexpr unsigned otpCounterBits = 56;
+
+/** Largest whole-GB capacity the geometry checks accept (1 PiB). */
+constexpr std::uint64_t maxMemGb = 1u << 20;
 
 // ---------------------------------------------------------------------
 // 1. ZCC width schedule
@@ -435,161 +421,28 @@ checkGeometry(Lint &lint, const std::string &name,
     }
 }
 
-void
-checkAllGeometries(Lint &lint, std::uint64_t mem_bytes)
-{
-    for (const NamedTreeConfig &named : namedTreeConfigs())
-        checkGeometry(lint, named.name, named.config, mem_bytes);
-}
-
-// ---------------------------------------------------------------------
-// 6. Runtime stat-name contract
-// ---------------------------------------------------------------------
-
-/** The naming contract, re-derived (deliberately NOT a call into
- *  isValidStatName — the lint must catch a drifted implementation). */
-bool
-lintStatNameOk(const std::string &name)
-{
-    if (name.empty())
-        return false;
-    for (const char c : name) {
-        const bool ok = (c >= 'a' && c <= 'z') ||
-                        (c >= '0' && c <= '9') || c == '_' || c == '.';
-        if (!ok)
-            return false;
-    }
-    return true;
-}
-
-/**
- * Every stat name a fully-assembled system registers: build the
- * richest system variant (occupancy gauges and timing histograms
- * included) and enumerate its morphscope registry. Registration only
- * — no simulation is run.
- */
-const std::vector<std::string> &
-runtimeStatNames()
-{
-    static const std::vector<std::string> names = [] {
-        SystemConfig config;
-        config.secmem.tree = TreeConfig::morph();
-        const WorkloadSpec *spec = findWorkload("mcf");
-        std::vector<std::unique_ptr<TraceSource>> traces;
-        for (unsigned core = 0; core < config.numCores; ++core)
-            traces.push_back(makeWorkloadTrace(
-                *spec, core, config.numCores, config.secmem.memBytes,
-                1, 1.0));
-        SimSystem system(config, std::move(traces));
-        ScopeConfig scope_config;
-        scope_config.occupancy = true;
-        MorphScope scope(scope_config);
-        system.attachScope(&scope);
-        return scope.registry().names();
-    }();
-    return names;
-}
-
-void
-checkStatNames(Lint &lint, const std::string &where,
-               std::vector<std::string> names)
-{
-    lint.expectTrue(where, "system registers at least one stat",
-                    !names.empty());
-    for (const std::string &name : names) {
-        lint.expectTrue(where,
-                        "stat name '" + name +
-                            "' matches [a-z0-9_.]+",
-                        lintStatNameOk(name));
-    }
-    std::sort(names.begin(), names.end());
-    for (std::size_t i = 1; i < names.size(); ++i) {
-        if (names[i] == names[i - 1])
-            lint.fail(where, "stat name '" + names[i] +
-                                 "' registered more than once");
-    }
-}
-
-// ---------------------------------------------------------------------
-// 7. Runtime prof scope-name contract
-// ---------------------------------------------------------------------
-
-/**
- * Every profiler scope name the instrumented binary registers. A
- * MORPH_PROF_SCOPE site constructs its static ProfSite on the first
- * pass through the line (enabled or not), so the enumeration must
- * *execute* the instrumented paths, not merely construct objects:
- * a miniature simulation covers the sim/secmem/dram scopes, a
- * two-worker pool session covers pool.task, and direct calls cover
- * the crypto engines and the integrity-tree kernels.
- */
-/** Execute the crypto and integrity-tree kernels once so their scope
- *  sites register. All-zero keys, and every pad/tag output is
- *  discarded on the spot: nothing secret flows into the caller. */
-void
-touchKernelProfSites()
-{
-    const SipKey sip_key = {};
-    const Aes128::Key aes_key = {};
-    OtpEngine otp(aes_key);
-    (void)otp.pad(LineAddr{0}, 1);
-    MacEngine mac(sip_key);
-    CachelineData payload = {};
-    (void)mac.compute(LineAddr{0}, 1, payload);
-    IntegrityTree tree(1ull << 24, TreeConfig::morph(), sip_key);
-    (void)tree.bumpCounter(LineAddr{0});
-    (void)tree.verify(LineAddr{0});
-}
-
-const std::vector<std::string> &
-runtimeProfNames()
-{
-    static const std::vector<std::string> names = [] {
-        {
-            SystemConfig config;
-            config.secmem.tree = TreeConfig::morph();
-            const WorkloadSpec *spec = findWorkload("mcf");
-            std::vector<std::unique_ptr<TraceSource>> traces;
-            for (unsigned core = 0; core < config.numCores; ++core)
-                traces.push_back(makeWorkloadTrace(
-                    *spec, core, config.numCores,
-                    config.secmem.memBytes, 1, 1.0));
-            SimSystem system(config, std::move(traces));
-            system.run(64);
-        }
-        {
-            RunPool pool(2);
-            pool.forEach(4, [](std::size_t) {});
-        }
-        touchKernelProfSites();
-        return profSiteNames();
-    }();
-    return names;
-}
-
-void
-checkProfNames(Lint &lint, const std::string &where,
-               std::vector<std::string> names)
-{
-    lint.expectTrue(where, "hot path registers at least one scope",
-                    !names.empty());
-    for (const std::string &name : names) {
-        lint.expectTrue(where,
-                        "prof scope '" + name +
-                            "' matches [a-z0-9_.]+",
-                        lintStatNameOk(name));
-    }
-    std::sort(names.begin(), names.end());
-    for (std::size_t i = 1; i < names.size(); ++i) {
-        if (names[i] == names[i - 1])
-            lint.fail(where, "prof scope '" + names[i] +
-                                 "' registered more than once");
-    }
-}
-
 // ---------------------------------------------------------------------
 // 5. INI validation (simulator configs + lint spec overrides)
 // ---------------------------------------------------------------------
+
+/** The [lint.*] expectation keys that take a count; lint.zcc.buckets
+ *  and lint.geometry.config take text. Every other key is a simulator
+ *  setting, checked by the settings loader. */
+const char *const lintCountKeys[] = {
+    "lint.geometry.mem_gb", "lint.geometry.tree_levels",
+    "lint.geometry.metadata_mb", "lint.mcr.major_bits",
+    "lint.mcr.base_bits", "lint.mcr.minor_bits", "lint.sc.arity",
+    "lint.sc.minor_bits", "lint.morph.otp_counter_bits",
+};
+
+bool
+isLintKey(const std::string &key)
+{
+    bool ok = key == "lint.zcc.buckets" || key == "lint.geometry.config";
+    for (const char *candidate : lintCountKeys)
+        ok = ok || key == candidate;
+    return ok;
+}
 
 std::vector<Bucket>
 parseBuckets(Lint &lint, const std::string &where,
@@ -603,15 +456,18 @@ parseBuckets(Lint &lint, const std::string &where,
             comma = text.size();
         const std::string item = text.substr(pos, comma - pos);
         const std::size_t colon = item.find(':');
-        if (colon == std::string::npos) {
+        const std::optional<std::uint64_t> bound =
+            parseCount(item.substr(0, colon).c_str());
+        const std::optional<std::uint64_t> width =
+            colon == std::string::npos
+                ? std::nullopt
+                : parseCount(item.c_str() + colon + 1);
+        if (!bound || !width || *bound > 64 || *width > 64) {
             lint.fail(where, "malformed bucket '" + item +
-                                 "' (want BOUND:WIDTH)");
+                                 "' (want BOUND:WIDTH, each <= 64)");
             return {};
         }
-        buckets.push_back(
-            {unsigned(std::strtoul(item.c_str(), nullptr, 10)),
-             unsigned(std::strtoul(item.c_str() + colon + 1, nullptr,
-                                   10))});
+        buckets.push_back({unsigned(*bound), unsigned(*width)});
         pos = comma + 1;
     }
     return buckets;
@@ -620,93 +476,47 @@ parseBuckets(Lint &lint, const std::string &where,
 void
 checkIniFile(Lint &lint, const std::string &path)
 {
-    const IniFile ini = IniFile::fromFile(path);
     const std::string where = "config/" + path;
+    IniFile ini;
+    std::string error;
+    if (!IniFile::fromFile(path, ini, error)) {
+        lint.fail(where, error);
+        return;
+    }
 
-    static const char *known[] = {
-        "system.workload", "system.trace", "system.config",
-        "system.mem_gb", "system.cache_kb", "system.accesses",
-        "system.warmup", "system.scale", "system.seed",
-        "system.timing", "controller.separate_macs",
-        "controller.spec_verify", "controller.ctr_prefetch",
-        "controller.demote_enc", "persist.mode",
-        "persist.epoch_writes", "dram.refresh",
-        "dram.write_queueing", "dram.channels", "dram.ranks",
-        "lint.zcc.buckets", "lint.geometry.config",
-        "lint.geometry.mem_gb", "lint.geometry.tree_levels",
-        "lint.geometry.metadata_mb", "lint.mcr.major_bits",
-        "lint.mcr.base_bits", "lint.mcr.minor_bits", "lint.sc.arity",
-        "lint.sc.minor_bits", "lint.morph.otp_counter_bits",
-        "lint.stats.extra_name", "lint.prof.extra_scope",
-    };
-    for (const std::string &key : ini.keys()) {
-        bool ok = false;
-        for (const char *candidate : known)
-            ok = ok || key == candidate;
-        if (!ok)
+    // --- simulator settings: the loader morphsim runs must accept
+    // the file, and the geometry it implies must check out ---
+    RunConfig config;
+    std::vector<std::string> unknown;
+    const bool loaded = applyIni(config, ini, unknown, error) &&
+                        resolveRunConfig(config, error);
+    if (!loaded)
+        lint.fail(where, error);
+    for (const std::string &key : unknown)
+        if (!isLintKey(key))
             lint.fail(where, "unknown key '" + key + "'");
-    }
-
-    // --- simulator settings ---
-    if (ini.has("system.workload")) {
-        const std::string workload = ini.getString("system.workload");
-        lint.expectTrue(where, "workload '" + workload + "' exists",
-                        findWorkload(workload) || findMix(workload));
-    }
-
-    TreeConfig tree = TreeConfig::morph();
-    bool have_tree = true;
-    if (ini.has("system.config")) {
-        const std::string name = ini.getString("system.config");
-        const TreeConfig *named_tree = findTreeConfig(name);
-        have_tree = named_tree != nullptr;
-        if (named_tree)
-            tree = *named_tree;
-        lint.expectTrue(where, "config '" + name + "' is a known tree",
-                        have_tree);
-    }
-
-    const double mem_gb = ini.getDouble("system.mem_gb", 16.0);
-    lint.expectTrue(where, "mem_gb is positive", mem_gb > 0);
-    const std::uint64_t mem_bytes =
-        std::uint64_t(mem_gb * double(1ull << 30));
-    lint.expectTrue(where, "memory is a whole number of cachelines",
-                    mem_bytes > 0 && mem_bytes % lineBytes == 0);
-
-    const std::int64_t cache_kb = ini.getInt("system.cache_kb", 128);
-    lint.expectTrue(where, "cache_kb is at least one cacheline",
-                    cache_kb * 1024 >= std::int64_t(lineBytes));
-
-    const std::int64_t accesses = ini.getInt("system.accesses", 1);
-    const std::int64_t warmup = ini.getInt("system.warmup", 0);
-    lint.expectTrue(where, "accesses is positive", accesses > 0);
-    lint.expectTrue(where, "warmup is non-negative", warmup >= 0);
-    lint.expectTrue(where, "warmup does not exceed accesses",
-                    warmup <= accesses);
-
-    if (ini.has("persist.mode")) {
-        const std::string mode = ini.getString("persist.mode");
-        lint.expectTrue(where,
-                        "persist.mode is strict, lazy or off",
-                        mode == "strict" || mode == "lazy" ||
-                            mode == "off");
-    }
-    const std::int64_t epoch_writes =
-        ini.getInt("persist.epoch_writes", 4096);
-    lint.expectTrue(where, "persist.epoch_writes is positive",
-                    epoch_writes >= 1);
-
-    const std::int64_t channels = ini.getInt("dram.channels", 2);
-    const std::int64_t ranks = ini.getInt("dram.ranks", 2);
-    lint.expectTrue(where, "dram.channels in [1, 16]",
-                    channels >= 1 && channels <= 16);
-    lint.expectTrue(where, "dram.ranks in [1, 16]",
-                    ranks >= 1 && ranks <= 16);
-
-    if (have_tree && mem_bytes % lineBytes == 0 && mem_bytes > 0)
-        checkGeometry(lint, path, tree, mem_bytes);
+    if (loaded)
+        checkGeometry(lint, path, config.secmem.tree,
+                      config.secmem.memBytes);
 
     // --- expected-value overrides (the lint spec sections) ---
+    bool counts_ok = true;
+    for (const char *key : lintCountKeys) {
+        const std::string text = ini.getString(key, "0");
+        if (!parseCount(text.c_str())) {
+            lint.fail(where, std::string(key) +
+                                 " needs a non-negative integer (got '" +
+                                 text + "')");
+            counts_ok = false;
+        }
+    }
+    if (!counts_ok)
+        return;
+    const auto count = [&ini](const char *key, std::uint64_t fallback) {
+        return ini.has(key) ? *parseCount(ini.getString(key).c_str())
+                            : fallback;
+    };
+
     if (ini.has("lint.zcc.buckets")) {
         const auto buckets = parseBuckets(
             lint, where, ini.getString("lint.zcc.buckets"));
@@ -720,12 +530,11 @@ checkIniFile(Lint &lint, const std::string &path)
         ini.has("lint.mcr.minor_bits")) {
         const std::string w = where + "/mcr";
         const std::uint64_t major_bits =
-            std::uint64_t(ini.getInt("lint.mcr.major_bits",
-                                     mcr::majorBits));
-        const std::uint64_t base_bits = std::uint64_t(
-            ini.getInt("lint.mcr.base_bits", mcr::baseBits));
-        const std::uint64_t minor_bits = std::uint64_t(
-            ini.getInt("lint.mcr.minor_bits", mcr::minorBits));
+            count("lint.mcr.major_bits", mcr::majorBits);
+        const std::uint64_t base_bits =
+            count("lint.mcr.base_bits", mcr::baseBits);
+        const std::uint64_t minor_bits =
+            count("lint.mcr.minor_bits", mcr::minorBits);
         lint.expectEq(w, "declared MCR major width", mcr::majorBits,
                       major_bits);
         lint.expectEq(w, "declared MCR base width", mcr::baseBits,
@@ -742,15 +551,14 @@ checkIniFile(Lint &lint, const std::string &path)
     // 384-bit minor field and match the codec.
     if (ini.has("lint.sc.arity") || ini.has("lint.sc.minor_bits")) {
         const std::string w = where + "/sc";
-        const auto arity =
-            std::uint64_t(ini.getInt("lint.sc.arity", 64));
-        if (arity == 0 || 384 % arity != 0) {
+        const std::uint64_t arity = count("lint.sc.arity", 64);
+        if (arity == 0 || 384 % arity != 0 || 384 / arity > 56) {
             lint.fail(w, "declared arity " + std::to_string(arity) +
-                             " does not divide the 384-bit minor "
-                             "field");
+                             " does not split the 384-bit minor field "
+                             "into minors of at most 56 bits");
         } else {
-            const std::uint64_t minor_bits = std::uint64_t(
-                ini.getInt("lint.sc.minor_bits", 384 / arity));
+            const std::uint64_t minor_bits =
+                count("lint.sc.minor_bits", 384 / arity);
             lint.expectEq(w, "declared SC minor width", 384 / arity,
                           minor_bits);
             SplitCounterFormat format{unsigned(arity)};
@@ -763,8 +571,8 @@ checkIniFile(Lint &lint, const std::string &path)
     // must fit the declared OTP seed width.
     if (ini.has("lint.morph.otp_counter_bits")) {
         const std::string w = where + "/morph";
-        const std::uint64_t declared = std::uint64_t(
-            ini.getInt("lint.morph.otp_counter_bits", 0));
+        const std::uint64_t declared =
+            count("lint.morph.otp_counter_bits", 0);
         lint.expectEq(w, "declared OTP counter width", otpCounterBits,
                       declared);
         lint.expectEq(w,
@@ -775,46 +583,32 @@ checkIniFile(Lint &lint, const std::string &path)
                         declared <= zcc::majorBits);
     }
 
-    // Stat-name spec: an extra name the configuration claims to
-    // register; it must satisfy the contract *and* not collide with
-    // any name the system already registers.
-    if (ini.has("lint.stats.extra_name")) {
-        std::vector<std::string> names = runtimeStatNames();
-        names.push_back(ini.getString("lint.stats.extra_name"));
-        checkStatNames(lint, where + "/stats", std::move(names));
-    }
-
-    // Prof-scope spec: an extra profiler scope the configuration
-    // claims to register; same contract as stat names, and it must
-    // not collide with a scope the hot path already registers.
-    if (ini.has("lint.prof.extra_scope")) {
-        std::vector<std::string> names = runtimeProfNames();
-        names.push_back(ini.getString("lint.prof.extra_scope"));
-        checkProfNames(lint, where + "/prof", std::move(names));
-    }
-
     if (ini.has("lint.geometry.config") ||
         ini.has("lint.geometry.tree_levels") ||
         ini.has("lint.geometry.metadata_mb")) {
-        std::string spec_name =
-            ini.getString("lint.geometry.config",
-                          ini.getString("system.config", "morph"));
+        const std::string spec_name =
+            ini.getString("lint.geometry.config", config.configName);
         const TreeConfig *spec_tree = findTreeConfig(spec_name);
         if (!spec_tree) {
             lint.fail(where, "lint.geometry.config '" + spec_name +
                                  "' is not a known tree");
             return;
         }
-        const std::uint64_t spec_bytes = std::uint64_t(
-            ini.getDouble("lint.geometry.mem_gb", mem_gb) *
-            double(1ull << 30));
-        const TreeGeometry geom(spec_bytes, *spec_tree);
+        // Whole GB, like --mem-gb.
+        const std::uint64_t spec_gb = count("lint.geometry.mem_gb", 0);
+        if (ini.has("lint.geometry.mem_gb") &&
+            (spec_gb == 0 || spec_gb > maxMemGb)) {
+            lint.fail(where, "lint.geometry.mem_gb must be in [1, " +
+                                 std::to_string(maxMemGb) + "]");
+            return;
+        }
+        const TreeGeometry geom(
+            spec_gb != 0 ? spec_gb << 30 : config.secmem.memBytes,
+            *spec_tree);
         if (ini.has("lint.geometry.tree_levels")) {
             lint.expectEq(where + "/geometry",
                           spec_name + " tree levels", geom.treeLevels(),
-                          std::uint64_t(
-                              ini.getInt("lint.geometry.tree_levels",
-                                         0)));
+                          count("lint.geometry.tree_levels", 0));
         }
         if (ini.has("lint.geometry.metadata_mb")) {
             const std::uint64_t metadata_bytes =
@@ -822,9 +616,7 @@ checkIniFile(Lint &lint, const std::string &path)
             lint.expectEq(where + "/geometry",
                           spec_name + " metadata MB",
                           metadata_bytes >> 20,
-                          std::uint64_t(
-                              ini.getInt("lint.geometry.metadata_mb",
-                                         0)));
+                          count("lint.geometry.metadata_mb", 0));
         }
     }
 }
@@ -834,8 +626,8 @@ usage()
 {
     std::printf(
         "usage: morphlint [options] [config.ini ...]\n"
-        "  --mem-gb N   protected capacity for geometry checks "
-        "(default 16)\n"
+        "  --mem-gb N   protected capacity in whole GB for geometry\n"
+        "               checks (default 16)\n"
         "  --quiet      only print failures\n"
         "Checks ZCC bucket/width schedule, ZCC/MCR/SC-n field layouts,\n"
         "tree-geometry arithmetic, and each INI file given. Exits 1 on\n"
@@ -854,7 +646,7 @@ main(int argc, char **argv)
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg == "--mem-gb" && i + 1 < argc) {
-            mem_gb = std::strtoull(argv[++i], nullptr, 10);
+            mem_gb = countOption("morphlint", arg, argv[++i], 1, maxMemGb);
         } else if (arg == "--quiet") {
             quiet = true;
         } else if (arg == "--help" || arg == "-h") {
@@ -883,9 +675,8 @@ main(int argc, char **argv)
     checkZccBuckets(lint, builtinBuckets, "zcc-buckets");
     checkLayouts(lint);
     checkLayoutProbes(lint);
-    checkAllGeometries(lint, mem_gb << 30);
-    checkStatNames(lint, "stat-names", runtimeStatNames());
-    checkProfNames(lint, "prof-scopes", runtimeProfNames());
+    for (const NamedTreeConfig &named : namedTreeConfigs())
+        checkGeometry(lint, named.name, named.config, mem_gb << 30);
     for (const std::string &path : configs)
         checkIniFile(lint, path);
 

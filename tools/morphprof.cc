@@ -19,10 +19,6 @@
  *                                           noise floor) is a
  *                                           regression, mirroring
  *                                           `morphbench --compare`
- *   morphprof --trajectory DIR              text report of the sim
- *                                           metrics across every
- *                                           BENCH_*.json in DIR, in
- *                                           filename order
  *
  * Scope times are wall-clock measurements, so --diff is
  * one-directional and thresholded like the morphbench kernel gate:
@@ -34,11 +30,9 @@
  * I/O error.
  */
 
-#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <filesystem>
 #include <fstream>
 #include <limits>
 #include <sstream>
@@ -46,6 +40,7 @@
 #include <vector>
 
 #include "common/json.hh"
+#include "common/parse.hh"
 
 namespace
 {
@@ -62,7 +57,6 @@ usage()
     std::printf(
         "usage: morphprof PROFILE.json [--min-coverage F]\n"
         "       morphprof --diff BASE.json NEW.json [options]\n"
-        "       morphprof --trajectory DIR [--metric NAME]\n"
         "  --min-coverage F  fail (exit 1) when the profile covers\n"
         "                    less than F of the wall window (0..1)\n"
         "  --threshold F     --diff: max tolerated relative growth of\n"
@@ -70,11 +64,9 @@ usage()
         "  --min-ms F        --diff: noise floor; scopes under F ms\n"
         "                    exclusive in both profiles are ignored\n"
         "                    (default 1.0)\n"
-        "  --metric NAME     --trajectory: cell metric to track\n"
-        "                    (default ipc)\n"
         "Reads morphprof-v1 self-profiles (morphsim/morphbench/\n"
-        "morphverify --prof-out) and morphbench BENCH_*.json\n"
-        "documents. Exit codes: 0 clean, 1 findings, 2 usage/IO.\n");
+        "morphverify --prof-out). Exit codes: 0 clean, 1 findings,\n"
+        "2 usage/IO.\n");
 }
 
 /** Load and parse one JSON document; exits 2 on I/O or parse error. */
@@ -304,96 +296,6 @@ diffProfiles(const std::string &base_path, const std::string &new_path,
     return exitClean;
 }
 
-// ---------------------------------------------------------------------
-// Trajectory mode
-// ---------------------------------------------------------------------
-
-int
-trajectory(const std::string &dir, const std::string &metric)
-{
-    std::error_code ec;
-    std::vector<std::string> files;
-    for (const auto &entry :
-         std::filesystem::directory_iterator(dir, ec)) {
-        const std::string name = entry.path().filename().string();
-        if (name.rfind("BENCH_", 0) == 0 && name.size() > 11 &&
-            name.compare(name.size() - 5, 5, ".json") == 0)
-            files.push_back(entry.path().string());
-    }
-    if (ec) {
-        std::fprintf(stderr, "morphprof: cannot read directory %s\n",
-                     dir.c_str());
-        return exitUsage;
-    }
-    if (files.empty()) {
-        std::fprintf(stderr, "morphprof: no BENCH_*.json in %s\n",
-                     dir.c_str());
-        return exitUsage;
-    }
-    // Directory iteration order is platform-defined; the report is in
-    // filename order so repeated runs render identical text.
-    std::sort(files.begin(), files.end());
-
-    struct Doc
-    {
-        std::string rev;
-        std::vector<std::pair<std::string, double>> cells;
-    };
-    std::vector<Doc> docs;
-    std::vector<std::string> cell_order;
-    for (const std::string &file : files) {
-        const JsonValue json = loadJson(file);
-        Doc doc;
-        const JsonValue *rev = json.find("rev");
-        doc.rev = rev ? rev->asString()
-                      : std::filesystem::path(file).filename().string();
-        const JsonValue *cells = json.find("cells");
-        if (!cells) {
-            std::fprintf(stderr,
-                         "morphprof: %s has no \"cells\" array\n",
-                         file.c_str());
-            return exitUsage;
-        }
-        for (const JsonValue &cell : cells->elements()) {
-            const JsonValue *w = cell.find("workload");
-            const JsonValue *c = cell.find("config");
-            const JsonValue *v = cell.find(metric);
-            if (!w || !c)
-                continue;
-            const std::string key =
-                w->asString() + "/" + c->asString();
-            doc.cells.emplace_back(
-                key, v ? v->asNumber() : std::nan(""));
-            if (std::find(cell_order.begin(), cell_order.end(), key) ==
-                cell_order.end())
-                cell_order.push_back(key);
-        }
-        docs.push_back(std::move(doc));
-    }
-
-    std::printf("morphprof: %s trajectory over %zu documents\n",
-                metric.c_str(), docs.size());
-    std::printf("%-24s", "cell");
-    for (const Doc &doc : docs)
-        std::printf(" %12.12s", doc.rev.c_str());
-    std::printf("\n");
-    for (const std::string &key : cell_order) {
-        std::printf("%-24s", key.c_str());
-        for (const Doc &doc : docs) {
-            double value = std::nan("");
-            for (const auto &kv : doc.cells)
-                if (kv.first == key)
-                    value = kv.second;
-            if (std::isfinite(value))
-                std::printf(" %12.6g", value);
-            else
-                std::printf(" %12s", "-");
-        }
-        std::printf("\n");
-    }
-    return exitClean;
-}
-
 } // namespace
 
 int
@@ -402,8 +304,6 @@ main(int argc, char **argv)
     std::string profile_path;
     std::string diff_base;
     std::string diff_new;
-    std::string trajectory_dir;
-    std::string metric = "ipc";
     double min_coverage = 0.0;
     double threshold = 0.5;
     double min_ms = 1.0;
@@ -422,16 +322,12 @@ main(int argc, char **argv)
         if (arg == "--diff") {
             diff_base = value();
             diff_new = value();
-        } else if (arg == "--trajectory") {
-            trajectory_dir = value();
-        } else if (arg == "--metric") {
-            metric = value();
         } else if (arg == "--min-coverage") {
-            min_coverage = std::atof(value());
+            min_coverage = numberOption("morphprof", arg, value());
         } else if (arg == "--threshold") {
-            threshold = std::atof(value());
+            threshold = numberOption("morphprof", arg, value());
         } else if (arg == "--min-ms") {
-            min_ms = std::atof(value());
+            min_ms = numberOption("morphprof", arg, value());
         } else if (arg == "--help" || arg == "-h") {
             usage();
             return exitClean;
@@ -449,16 +345,11 @@ main(int argc, char **argv)
         }
     }
 
-    const int modes = int(!profile_path.empty()) +
-                      int(!diff_base.empty()) +
-                      int(!trajectory_dir.empty());
-    if (modes != 1) {
+    if (profile_path.empty() == diff_base.empty()) {
         usage();
         return exitUsage;
     }
     if (!diff_base.empty())
         return diffProfiles(diff_base, diff_new, threshold, min_ms);
-    if (!trajectory_dir.empty())
-        return trajectory(trajectory_dir, metric);
     return printProfile(profile_path, min_coverage);
 }

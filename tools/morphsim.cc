@@ -26,29 +26,29 @@
  *   morphsim --workload mcf --sweep sc64,vault,morph --jobs 4
  *   morphsim --list
  *
- * Exit codes: 0 success, 2 bad command line or a malformed
- * MORPH_SIM_ACCESSES/MORPH_SIM_WARMUP value, 3 bad configuration
- * (unknown workload/config, unreadable file, unknown INI key),
- * 4 runtime failure (export I/O, internal error).
+ * Every simulator setting, flag or INI key, is parsed and checked by
+ * the settings table in sim/run_config.hh.
+ *
+ * Exit codes: 0 success, 2 bad command line (a flag value outside its
+ * range included) or a malformed MORPH_SIM_ACCESSES/MORPH_SIM_WARMUP
+ * value, 3 bad configuration (a bad INI value, an unknown INI key,
+ * workload or config, an unreadable file), 4 runtime failure (export
+ * I/O, internal error).
  */
 
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <exception>
-#include <fstream>
 #include <iostream>
 #include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <vector>
 
-#include "common/ini.hh"
 #include "common/log.hh"
 #include "common/prof.hh"
 #include "common/run_pool.hh"
-#include "sim/simulator.hh"
+#include "sim/run_config.hh"
 
 namespace
 {
@@ -105,30 +105,6 @@ usage()
         "  --list              list workloads and exit\n");
 }
 
-/** Resolve a persistence mode name; false if unknown. */
-bool
-persistByName(const std::string &mode, PersistConfig &out)
-{
-    if (mode == "off") {
-        out.enabled = false;
-    } else if (mode == "strict") {
-        out.enabled = true;
-        out.policy = PersistPolicy::Strict;
-    } else if (mode == "lazy") {
-        out.enabled = true;
-        out.policy = PersistPolicy::Lazy;
-    } else {
-        return false;
-    }
-    return true;
-}
-
-bool
-readableFile(const std::string &path)
-{
-    return bool(std::ifstream(path));
-}
-
 void
 listWorkloads()
 {
@@ -151,122 +127,6 @@ listWorkloads()
     }
 }
 
-/** Apply an INI config file onto the option structs; exits with
- *  exitBadConfig on unreadable files and unknown keys. */
-void
-applyConfigFile(const std::string &path, std::string &workload,
-                std::string &trace_path, std::string &config_name,
-                SecureModelConfig &secmem, SimOptions &options)
-{
-    if (!readableFile(path)) {
-        std::fprintf(stderr, "morphsim: cannot read config file %s\n",
-                     path.c_str());
-        std::exit(exitBadConfig);
-    }
-    const IniFile ini = IniFile::fromFile(path);
-
-    static const char *known[] = {
-        "system.workload", "system.trace", "system.config",
-        "system.mem_gb", "system.cache_kb", "system.accesses",
-        "system.warmup", "system.scale", "system.seed",
-        "system.timing", "controller.separate_macs",
-        "controller.spec_verify", "controller.ctr_prefetch",
-        "controller.demote_enc", "persist.mode",
-        "persist.epoch_writes", "dram.refresh",
-        "dram.write_queueing", "dram.channels", "dram.ranks",
-    };
-    for (const std::string &key : ini.keys()) {
-        bool ok = false;
-        for (const char *candidate : known)
-            ok = ok || key == candidate;
-        if (!ok) {
-            std::fprintf(stderr,
-                         "morphsim: config %s: unknown key '%s'\n",
-                         path.c_str(), key.c_str());
-            std::exit(exitBadConfig);
-        }
-    }
-
-    // Range checks: a negative count would wrap to a huge unsigned
-    // one, a negative capacity cast to unsigned is undefined, and 0
-    // DRAM channels or ranks would divide by zero in the address
-    // decoder.
-    const auto integer = [&](const char *key, std::uint64_t fallback,
-                             std::int64_t lo, std::int64_t hi = INT64_MAX) {
-        const std::int64_t value = ini.getInt(key, std::int64_t(fallback));
-        if (value < lo || value > hi) {
-            std::fprintf(stderr,
-                         "morphsim: config %s: %s must be in [%lld, %lld] "
-                         "(got %lld)\n",
-                         path.c_str(), key, (long long)lo, (long long)hi,
-                         (long long)value);
-            std::exit(exitBadConfig);
-        }
-        return std::uint64_t(value);
-    };
-    const auto positive = [&](const char *key, double fallback) {
-        const double value = ini.getDouble(key, fallback);
-        if (!(value > 0) || !std::isfinite(value)) {
-            std::fprintf(stderr,
-                         "morphsim: config %s: %s must be a positive "
-                         "number (got %g)\n",
-                         path.c_str(), key, value);
-            std::exit(exitBadConfig);
-        }
-        return value;
-    };
-
-    workload = ini.getString("system.workload", workload);
-    trace_path = ini.getString("system.trace", trace_path);
-    config_name = ini.getString("system.config", config_name);
-    secmem.memBytes = std::uint64_t(
-        positive("system.mem_gb",
-                 double(secmem.memBytes) / double(1ull << 30)) *
-        double(1ull << 30));
-    secmem.metadataCacheBytes = std::size_t(
-        integer("system.cache_kb", secmem.metadataCacheBytes / 1024, 0) *
-        1024);
-    options.accessesPerCore =
-        integer("system.accesses", options.accessesPerCore, 0);
-    options.warmupPerCore =
-        integer("system.warmup", options.warmupPerCore, 0);
-    options.footprintScale =
-        positive("system.scale", options.footprintScale);
-    options.seed = std::uint64_t(
-        ini.getInt("system.seed", std::int64_t(options.seed)));
-    options.timing = ini.getBool("system.timing", options.timing);
-    secmem.inlineMacs =
-        !ini.getBool("controller.separate_macs", !secmem.inlineMacs);
-    secmem.speculativeVerification =
-        ini.getBool("controller.spec_verify",
-                    secmem.speculativeVerification);
-    secmem.counterPrefetch =
-        ini.getBool("controller.ctr_prefetch", secmem.counterPrefetch);
-    secmem.demoteEncCounters =
-        ini.getBool("controller.demote_enc", secmem.demoteEncCounters);
-    const std::string persist_mode =
-        ini.getString("persist.mode", std::string());
-    if (!persist_mode.empty() &&
-        !persistByName(persist_mode, secmem.persist)) {
-        std::fprintf(stderr,
-                     "morphsim: config %s: persist.mode must be "
-                     "strict, lazy or off (got '%s')\n",
-                     path.c_str(), persist_mode.c_str());
-        std::exit(exitBadConfig);
-    }
-    secmem.persist.epochWrites =
-        integer("persist.epoch_writes", secmem.persist.epochWrites, 1);
-    options.dram.refresh =
-        ini.getBool("dram.refresh", options.dram.refresh);
-    options.dram.writeQueueing =
-        ini.getBool("dram.write_queueing", options.dram.writeQueueing);
-    // The DRAM range is the one morphlint enforces.
-    options.dram.channels =
-        unsigned(integer("dram.channels", options.dram.channels, 1, 16));
-    options.dram.ranksPerChannel = unsigned(
-        integer("dram.ranks", options.dram.ranksPerChannel, 1, 16));
-}
-
 [[noreturn]] void
 badFlag(const char *fmt, const char *detail)
 {
@@ -276,29 +136,11 @@ badFlag(const char *fmt, const char *detail)
     std::exit(exitBadFlag);
 }
 
-/** Parse a non-negative integer option value; exits with code 2 on
- *  junk or negative input (atoll would silently wrap "-3" to a huge
- *  unsigned count instead). */
-std::uint64_t
-parseCount(const std::string &arg, const char *text)
+[[noreturn]] void
+badConfig(const std::string &error)
 {
-    const std::optional<std::uint64_t> v = morph::parseCount(text);
-    if (!v)
-        badFlag("option %s needs a non-negative integer",
-                arg.c_str());
-    return *v;
-}
-
-/** Parse a positive, finite number option value; exits with code 2
- *  otherwise (atof would read junk as 0, and a negative capacity cast
- *  to unsigned is undefined). */
-double
-parsePositive(const std::string &arg, const char *text)
-{
-    const std::optional<double> v = morph::parsePositive(text);
-    if (!v)
-        badFlag("option %s needs a positive number", arg.c_str());
-    return *v;
+    std::fprintf(stderr, "morphsim: %s\n", error.c_str());
+    std::exit(exitBadConfig);
 }
 
 /** Expand a --sweep list ("all" or comma-separated names) into
@@ -345,16 +187,13 @@ struct SweepRun
  *  from the (workload, config) key, output flushed in list order:
  *  byte-identical at any --jobs level. */
 int
-runSweep(const std::vector<std::string> &configs,
-         const std::string &workload, const std::string &trace_path,
-         const SecureModelConfig &base_secmem,
-         const SimOptions &base_options,
+runSweep(const std::vector<std::string> &configs, const RunConfig &base,
          const ScopeConfig &scope_config,
          const std::string &stats_json_path,
          const std::string &stats_csv_path, unsigned jobs)
 {
     const std::string key_base =
-        trace_path.empty() ? workload : trace_path;
+        base.tracePath.empty() ? base.workload : base.tracePath;
     SweepEngine engine(jobs);
     std::vector<SweepRun> runs;
     try {
@@ -362,18 +201,13 @@ runSweep(const std::vector<std::string> &configs,
         runs = engine.map<SweepRun>(
             configs.size(), [&](std::size_t i) {
                 const std::string &name = configs[i];
-                SecureModelConfig secmem = base_secmem;
-                secmem.tree = *findTreeConfig(name);
-                SimOptions options = base_options;
-                options.seed =
-                    sweepSeed(key_base + "/" + name, base_options.seed);
+                RunConfig config = base;
+                config.secmem.tree = *findTreeConfig(name);
+                config.options.seed =
+                    sweepSeed(key_base + "/" + name, base.options.seed);
 
                 MorphScope scope(scope_config);
-                const SimResult result =
-                    trace_path.empty()
-                        ? runByName(workload, secmem, options, &scope)
-                        : runTraceFile(trace_path, secmem, options,
-                                       &scope);
+                const SimResult result = simulate(config, &scope);
 
                 SweepRun run;
                 std::ostringstream text;
@@ -443,16 +277,12 @@ finishProfile(const std::string &prof_out, bool prof_stderr,
 int
 main(int argc, char **argv)
 {
-    std::string workload;
-    std::string trace_path;
-    std::string config_name = "morph";
+    RunConfig config;
     std::string stats_json_path;
     std::string stats_csv_path;
     std::string trace_out_path;
-    SecureModelConfig secmem;
-    SimOptions options;
     try {
-        options = SimOptions::fromEnv();
+        config.options = SimOptions::fromEnv();
     } catch (const std::invalid_argument &e) {
         std::fprintf(stderr, "morphsim: %s\n", e.what());
         return exitBadFlag;
@@ -470,52 +300,24 @@ main(int argc, char **argv)
                 badFlag("option %s needs a value", arg.c_str());
             return argv[++i];
         };
-        if (arg == "--workload") {
-            workload = value();
+        std::string error;
+        if (const Setting *setting = findSettingFlag(arg)) {
+            if (!applyFlag(config, *setting,
+                           setting->presence ? "" : value(), error))
+                badFlag("%s", error.c_str());
         } else if (arg == "--config-file") {
-            applyConfigFile(value(), workload, trace_path, config_name,
-                            secmem, options);
-        } else if (arg == "--trace") {
-            trace_path = value();
-        } else if (arg == "--config") {
-            config_name = value();
-        } else if (arg == "--mem-gb") {
-            secmem.memBytes = std::uint64_t(parsePositive(arg, value()) *
-                                            double(1ull << 30));
-        } else if (arg == "--cache-kb") {
-            secmem.metadataCacheBytes =
-                std::size_t(parseCount(arg, value())) * 1024;
-        } else if (arg == "--accesses") {
-            options.accessesPerCore = parseCount(arg, value());
-        } else if (arg == "--warmup") {
-            options.warmupPerCore = parseCount(arg, value());
-        } else if (arg == "--scale") {
-            options.footprintScale = parsePositive(arg, value());
-        } else if (arg == "--seed") {
-            options.seed = std::uint64_t(std::atoll(value()));
-        } else if (arg == "--timing") {
-            options.timing = std::atoi(value()) != 0;
-        } else if (arg == "--separate-macs") {
-            secmem.inlineMacs = false;
-        } else if (arg == "--persist") {
-            if (!persistByName(value(), secmem.persist))
-                badFlag("option %s needs strict, lazy or off",
-                        arg.c_str());
-        } else if (arg == "--persist-epoch") {
-            const std::uint64_t v = parseCount(arg, value());
-            if (v == 0)
-                badFlag("option %s needs a value >= 1", arg.c_str());
-            secmem.persist.epochWrites = v;
-        } else if (arg == "--spec-verify") {
-            secmem.speculativeVerification = true;
-        } else if (arg == "--ctr-prefetch") {
-            secmem.counterPrefetch = true;
-        } else if (arg == "--demote-enc") {
-            secmem.demoteEncCounters = true;
+            IniFile ini;
+            std::vector<std::string> unknown;
+            if (!IniFile::fromFile(value(), ini, error) ||
+                !applyIni(config, ini, unknown, error))
+                badConfig(error);
+            if (!unknown.empty())
+                badConfig("config " + ini.name() + ": unknown key '" +
+                          unknown.front() + "'");
         } else if (arg == "--occupancy") {
             scope_config.occupancy = true;
         } else if (arg == "--epoch") {
-            scope_config.epochAccesses = parseCount(arg, value());
+            scope_config.epochAccesses = countOption("morphsim", arg, value());
         } else if (arg == "--stats-json") {
             stats_json_path = value();
         } else if (arg == "--stats-csv") {
@@ -523,18 +325,13 @@ main(int argc, char **argv)
         } else if (arg == "--trace-out") {
             trace_out_path = value();
         } else if (arg == "--trace-sample") {
-            trace_sample = parseCount(arg, value());
-            if (trace_sample == 0)
-                badFlag("option %s needs a value >= 1", arg.c_str());
+            trace_sample = countOption("morphsim", arg, value(), 1);
         } else if (arg == "--prof-out") {
             prof_out_path = value();
         } else if (arg == "--sweep") {
             sweep_list = value();
         } else if (arg == "--jobs") {
-            const std::uint64_t v = parseCount(arg, value());
-            if (v == 0)
-                badFlag("option %s needs a value >= 1", arg.c_str());
-            jobs = unsigned(v);
+            jobs = unsigned(countOption("morphsim", arg, value(), 1));
         } else if (arg == "--list") {
             listWorkloads();
             return 0;
@@ -546,34 +343,16 @@ main(int argc, char **argv)
         }
     }
 
-    if (workload.empty() && trace_path.empty()) {
+    if (config.workload.empty() && config.tracePath.empty()) {
         usage();
         std::fprintf(stderr, "morphsim: need --workload or --trace\n");
         return exitBadFlag;
     }
 
     // Validate the configuration before spending time simulating.
-    const TreeConfig *tree = findTreeConfig(config_name);
-    if (!tree) {
-        std::fprintf(stderr, "morphsim: unknown config '%s'\n",
-                     config_name.c_str());
-        return exitBadConfig;
-    }
-    secmem.tree = *tree;
-    if (!workload.empty() && !findWorkload(workload) &&
-        !findMix(workload)) {
-        std::fprintf(stderr,
-                     "morphsim: unknown workload or mix '%s'"
-                     " (see --list)\n",
-                     workload.c_str());
-        return exitBadConfig;
-    }
-    if (!trace_path.empty() && !readableFile(trace_path)) {
-        std::fprintf(stderr, "morphsim: cannot read trace file %s\n",
-                     trace_path.c_str());
-        return exitBadConfig;
-    }
-
+    std::string error;
+    if (!resolveRunConfig(config, error))
+        badConfig(error);
     if (!trace_out_path.empty())
         scope_config.traceSampleEvery = trace_sample;
 
@@ -583,15 +362,14 @@ main(int argc, char **argv)
     if (profiling)
         profEnable();
     const std::string workload_key =
-        trace_path.empty() ? workload : trace_path;
+        config.tracePath.empty() ? config.workload : config.tracePath;
 
     if (!sweep_list.empty()) {
         if (!trace_out_path.empty())
             badFlag("%s is not supported with --sweep", "--trace-out");
         const int code =
-            runSweep(sweepConfigs(sweep_list), workload, trace_path,
-                     secmem, options, scope_config, stats_json_path,
-                     stats_csv_path, jobs);
+            runSweep(sweepConfigs(sweep_list), config, scope_config,
+                     stats_json_path, stats_csv_path, jobs);
         if (profiling &&
             !finishProfile(prof_out_path, prof_stderr, workload_key,
                            sweep_list, nullptr))
@@ -603,10 +381,7 @@ main(int argc, char **argv)
     SimResult result;
     try {
         MORPH_PROF_SCOPE("morphsim.run");
-        result = trace_path.empty()
-                     ? runByName(workload, secmem, options, &scope)
-                     : runTraceFile(trace_path, secmem, options,
-                                    &scope);
+        result = simulate(config, &scope);
     } catch (const std::exception &e) {
         std::fprintf(stderr, "morphsim: simulation failed: %s\n",
                      e.what());
@@ -637,7 +412,7 @@ main(int argc, char **argv)
     }
     if (profiling &&
         !finishProfile(prof_out_path, prof_stderr, workload_key,
-                       config_name,
+                       config.configName,
                        trace_out_path.empty() ? nullptr
                                               : &scope.trace()))
         return exitRuntime;

@@ -70,6 +70,7 @@
 #include <vector>
 
 #include "common/bitfield.hh"
+#include "common/parse.hh"
 #include "common/prof.hh"
 #include "common/run_pool.hh"
 #include "common/types.hh"
@@ -761,20 +762,14 @@ main(int argc, char **argv)
         } else if (arg == "--recovery") {
             recovery = true;
         } else if (arg == "--recovery-cuts" && i + 1 < argc) {
-            recovery_cuts = std::strtoull(argv[++i], nullptr, 10);
+            recovery_cuts = countOption("morphverify", arg, argv[++i], 1);
         } else if (arg == "--recovery-accesses" && i + 1 < argc) {
-            recovery_accesses = std::strtoull(argv[++i], nullptr, 10);
+            recovery_accesses =
+                countOption("morphverify", arg, argv[++i], 1);
         } else if (arg == "--budget" && i + 1 < argc) {
-            budget = std::strtoull(argv[++i], nullptr, 10);
+            budget = countOption("morphverify", arg, argv[++i], 1);
         } else if (arg == "--jobs" && i + 1 < argc) {
-            const long long v = std::atoll(argv[++i]);
-            if (v < 1) {
-                std::fprintf(stderr,
-                             "morphverify: --jobs needs a value"
-                             " >= 1\n");
-                return 2;
-            }
-            jobs = unsigned(v);
+            jobs = unsigned(countOption("morphverify", arg, argv[++i], 1));
         } else if (arg == "--prof-out" && i + 1 < argc) {
             prof_out = argv[++i];
         } else if (arg == "--quiet") {
@@ -790,15 +785,6 @@ main(int argc, char **argv)
             usage();
             return 2;
         }
-    }
-    if (budget == 0) {
-        std::fprintf(stderr, "morphverify: --budget must be positive\n");
-        return 2;
-    }
-    if (recovery_cuts == 0 || recovery_accesses == 0) {
-        std::fprintf(stderr, "morphverify: --recovery-cuts and "
-                             "--recovery-accesses must be positive\n");
-        return 2;
     }
     if (formats.empty() && broken.empty() && !recovery &&
         !broken_recovery)
