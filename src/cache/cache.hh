@@ -8,7 +8,7 @@
  * lines (128 KB, 8-way in the paper's baseline).
  *
  * Replacement is true LRU. Dirty evictions are reported to the caller
- * through the return value of insert()/access() so that the secure
+ * through the return value of insert()/fill() so that the secure
  * memory controller can propagate counter write-back traffic up the
  * integrity tree.
  *
@@ -26,6 +26,7 @@
 #include <optional>
 #include <vector>
 
+#include "common/check.hh"
 #include "common/types.hh"
 
 namespace morph
@@ -65,10 +66,26 @@ struct CacheStats
  * Set-associative LRU cache over 64-byte lines. The victim is the
  * set's first invalid way, else its first way with the oldest use.
  * Line ~0 is not cacheable: its tag would be the invalid marker.
+ *
+ * The lookup and fill paths are defined here so they inline into the
+ * secure-memory controller's tree walk: a miss there probes the set
+ * once, then fill()s the line without scanning the set again.
  */
 class Cache
 {
   public:
+    /** A way: index into the per-way arrays. */
+    using Way = std::size_t;
+    /** No way: the line is absent. */
+    static constexpr Way npos = ~Way(0);
+
+    /** Outcome of fill(): where the line went, what it displaced. */
+    struct Fill
+    {
+        Way way;
+        std::optional<Eviction> evicted;
+    };
+
     /**
      * @param size_bytes total capacity; must be a multiple of
      *                   ways * lineBytes
@@ -77,32 +94,118 @@ class Cache
     Cache(std::size_t size_bytes, unsigned ways);
 
     /**
+     * Look up @p line; updates LRU and statistics like access().
+     *
+     * @param write if true and the line hits, mark it dirty
+     * @return the way holding the line, or npos on a miss
+     */
+    Way
+    probe(LineAddr line, bool write = false)
+    {
+        const Way way = find(line);
+        if (way != npos) {
+            lastUse_[way] = ++useClock_;
+            dirty_[way] |= std::uint8_t(write);
+            ++stats_.hits;
+            return way;
+        }
+        ++stats_.misses;
+        return npos;
+    }
+
+    /**
      * Look up @p line; updates LRU on hit.
      *
      * @param line  line to access
      * @param write if true and the line hits, mark it dirty
      * @retval true on hit
      */
-    bool access(LineAddr line, bool write = false);
+    bool access(LineAddr line, bool write = false)
+    {
+        return probe(line, write) != npos;
+    }
 
     /** Probe without updating replacement state or statistics. */
-    bool contains(LineAddr line) const;
+    bool contains(LineAddr line) const { return find(line) != npos; }
+
+    /**
+     * Insert @p line, which must be absent (checked in debug builds):
+     * the victim is picked without a lookup.
+     *
+     * @param position stack position for the new line; Lru implements
+     *        type-aware demotion (metadata classes with little reuse
+     *        can be inserted as the next victim)
+     * @return the line's way, and the victim line if a valid line had
+     *         to be evicted
+     */
+    Fill
+    fill(LineAddr line, bool dirty,
+         InsertPosition position = InsertPosition::Mru)
+    {
+        MORPH_CHECK(line != ~LineAddr(0));
+        MORPH_DCHECK(find(line) == npos);
+
+        // Victim: the first invalid way, else the first least-recently
+        // used one. The minimum is tracked branch-free, as the stamp
+        // comparison is data-dependent and would mispredict.
+        const std::size_t base = setBase(line);
+        Way victim = base;
+        std::uint64_t oldest = lastUse_[base];
+        for (Way w = base; w < base + ways_; ++w) {
+            if (tags_[w] == 0) {
+                victim = w;
+                break;
+            }
+            const bool older = lastUse_[w] < oldest;
+            victim = older ? w : victim;
+            oldest = older ? lastUse_[w] : oldest;
+        }
+
+        Fill result{victim, std::nullopt};
+        if (tags_[victim] != 0) {
+            result.evicted = Eviction{LineAddr(tags_[victim] - 1),
+                                      dirty_[victim] != 0};
+            ++stats_.evictions;
+            if (dirty_[victim])
+                ++stats_.dirtyEvictions;
+        }
+
+        tags_[victim] = line + 1;
+        dirty_[victim] = std::uint8_t(dirty);
+        if (position == InsertPosition::Mru)
+            lastUse_[victim] = ++useClock_;
+        else
+            demote(base, victim);
+        return result;
+    }
 
     /**
      * Insert @p line (assumed missing; inserting a present line just
      * updates its dirty bit and LRU position).
      *
-     * @param position stack position for the new line; Lru implements
-     *        type-aware demotion (metadata classes with little reuse
-     *        can be inserted as the next victim)
+     * @param position stack position for the new line (see fill())
      * @return the victim line if a valid line had to be evicted
      */
     std::optional<Eviction> insert(LineAddr line, bool dirty,
                                    InsertPosition position =
                                        InsertPosition::Mru);
 
-    /** Mark a (present) line dirty; returns false if absent. */
-    bool markDirty(LineAddr line);
+    /**
+     * Mark a (present) line dirty; returns false if absent. @p hint is
+     * the way a probe() or fill() returned for @p line: it is used when
+     * it still holds the line, else the set is searched.
+     */
+    bool
+    markDirty(LineAddr line, Way hint = npos)
+    {
+        const Way way = hint != npos && tags_[hint] == line + 1
+                            ? hint
+                            : find(line);
+        if (way == npos)
+            return false;
+        dirty_[way] = 1;
+        return true;
+    }
 
     /** Remove a line if present; returns its eviction record. */
     std::optional<Eviction> invalidate(LineAddr line);
@@ -128,8 +231,6 @@ class Cache
     std::size_t numSets() const { return numSets_; }
 
   private:
-    static constexpr std::size_t npos = ~std::size_t(0);
-
     /** First way of the set holding @p line. */
     std::size_t
     setBase(LineAddr line) const
@@ -139,8 +240,23 @@ class Cache
         return set * ways_;
     }
 
-    /** Way index (into the parallel arrays) holding @p line, or npos. */
-    std::size_t find(LineAddr line) const;
+    /** Place @p victim below every other valid way of its set. */
+    void demote(std::size_t base, Way victim);
+
+    /** Way holding @p line, or npos. */
+    Way
+    find(LineAddr line) const
+    {
+        // Line ~0 would map to tag 0, the invalid marker.
+        MORPH_DCHECK(line != ~LineAddr(0));
+        const std::size_t base = setBase(line);
+        const std::uint64_t tag = line + 1;
+        const std::uint64_t *tags = &tags_[base];
+        for (unsigned w = 0; w < ways_; ++w)
+            if (tags[w] == tag)
+                return base + w;
+        return npos;
+    }
 
     std::size_t numSets_;
     unsigned ways_;

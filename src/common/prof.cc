@@ -187,18 +187,6 @@ profSetThreadName(const std::string &name)
     state->name = name;
 }
 
-std::vector<std::string>
-profSiteNames()
-{
-    Registry &reg = registry();
-    LockGuard guard(reg.lock);
-    std::vector<std::string> names;
-    names.reserve(reg.sites.size());
-    for (const ProfSite *site : reg.sites)
-        names.push_back(site->name());
-    return names;
-}
-
 std::size_t
 profRegisterPool(const ProfPoolSnapshotFn &snapshot)
 {

@@ -144,9 +144,6 @@ void profEnable();
 /** Name the calling thread in reports ("main", "worker3", ...). */
 void profSetThreadName(const std::string &name);
 
-/** Names of every site registered so far, in registration order. */
-std::vector<std::string> profSiteNames();
-
 /** Per-worker RunPool telemetry as it appears in a profile. */
 struct ProfWorkerStats
 {

@@ -9,15 +9,28 @@
  * captures the two effects the paper's evaluation hinges on — row
  * locality and bandwidth saturation under metadata traffic bloat —
  * while staying simple enough to schedule each access in O(1).
+ *
+ * Each bank tracks its open row and the earliest CPU cycle at which a
+ * new column command may begin. An access classifies as a row-buffer
+ * hit (CAS only), a closed-row access (ACT + CAS) or a row conflict
+ * (PRE + ACT + CAS); the paper's streaming-vs-random workload split
+ * maps directly onto these classes.
+ *
+ * The per-request path is defined here and forced inline (GCC's
+ * heuristics keep it out of line otherwise), so one DramSystem::access
+ * compiles to one function body; set-up, refresh and the write queue
+ * live in dram_system.cc.
  */
 
 #ifndef MORPH_DRAM_CHANNEL_HH
 #define MORPH_DRAM_CHANNEL_HH
 
+#include <algorithm>
 #include <array>
 #include <vector>
 
-#include "dram/bank.hh"
+#include "common/check.hh"
+#include "dram/dram_config.hh"
 
 namespace morph
 {
@@ -67,8 +80,14 @@ class Channel
      *               lifecycle cycles (tracing; never affects timing)
      * @return the CPU cycle at which the data burst completes
      */
-    Cycle access(const DramCoord &coord, AccessType type, Cycle when,
-                 DramAccessTiming *timing = nullptr);
+    [[gnu::always_inline]] Cycle
+    access(const DramCoord &coord, AccessType type, Cycle when,
+           DramAccessTiming *timing = nullptr)
+    {
+        if (t_.writeQueueing && type == AccessType::Write)
+            return postWrite(coord, when, timing);
+        return scheduleAccess(coord, type, when, timing);
+    }
 
     const ChannelActivity &activity() const { return activity_; }
     void resetActivity() { activity_ = ChannelActivity{}; }
@@ -77,6 +96,31 @@ class Channel
     Cycle busFreeAt() const { return busFreeAt_; }
 
   private:
+    /**
+     * The DramConfig fields a channel reads, timings converted to CPU
+     * cycles once. Owned by value: a copied channel (or DramSystem)
+     * never refers back to its source.
+     */
+    struct Timing
+    {
+        explicit Timing(const DramConfig &config);
+
+        unsigned ranks, banksPerRank;
+        bool refresh, writeQueueing;
+        unsigned writeQueueHigh, writeQueueLow;
+        Cycle tCL, tCWL, tRCD, tRP, tRAS, tBURST, tCCD, tWR, tRRD, tFAW,
+            tREFI, tRFC;
+    };
+
+    /** One bank's row buffer and availability. */
+    struct Bank
+    {
+        bool rowOpen = false;
+        std::uint64_t openRow = 0;
+        Cycle readyAt = 0;     ///< earliest next command sequence
+        Cycle activatedAt = 0; ///< last ACT (for tRAS)
+    };
+
     /** Rank ACT-window bookkeeping for tRRD / tFAW. */
     struct RankWindow
     {
@@ -85,21 +129,45 @@ class Channel
         std::uint64_t actCount = 0;
         Cycle lastAct = 0;
 
-        Cycle readyFor(const DramConfig &config) const;
-        void record(Cycle act_at);
+        Cycle
+        readyFor(const Timing &t) const
+        {
+            // tFAW: the new ACT must start after the 4th-most-recent
+            // ACT plus the window; tRRD: after the most recent ACT
+            // plus tRRD. Neither gate applies until enough activates
+            // have actually occurred.
+            const Cycle faw_gate =
+                actCount >= lastActs.size() ? lastActs[next] + t.tFAW : 0;
+            const Cycle rrd_gate = actCount >= 1 ? lastAct + t.tRRD : 0;
+            return std::max(faw_gate, rrd_gate);
+        }
+
+        void
+        record(Cycle act_at)
+        {
+            lastActs[next] = act_at;
+            next = unsigned((next + 1) % lastActs.size());
+            lastAct = act_at;
+            ++actCount;
+        }
     };
 
     /** Schedule one access against bank/bus resources (no queuing). */
-    Cycle scheduleAccess(const DramCoord &coord, AccessType type,
-                         Cycle when, DramAccessTiming *timing = nullptr);
+    [[gnu::always_inline]] Cycle
+    scheduleAccess(const DramCoord &coord, AccessType type, Cycle when,
+                   DramAccessTiming *timing = nullptr);
 
-    /** Earliest start for @p rank at @p when, refresh applied. */
+    /** Earliest start for @p rank at @p when with refresh enabled. */
     Cycle afterRefresh(unsigned rank, Cycle when);
+
+    /** Buffer a posted write, draining the queue at the high mark. */
+    Cycle postWrite(const DramCoord &coord, Cycle when,
+                    DramAccessTiming *timing);
 
     /** Drain buffered writes down to the low watermark. */
     void drainWrites(Cycle when);
 
-    const DramConfig &config_;
+    Timing t_;
     std::vector<Bank> banks_;       ///< ranksPerChannel * banksPerRank
     std::vector<RankWindow> ranks_;
     std::vector<DramCoord> writeQueue_;
@@ -107,6 +175,72 @@ class Channel
     Cycle busFreeAt_ = 0;
     ChannelActivity activity_;
 };
+
+inline Cycle
+Channel::scheduleAccess(const DramCoord &coord, AccessType type,
+                        Cycle when, DramAccessTiming *timing)
+{
+    MORPH_CHECK_LT(coord.rank, t_.ranks);
+    MORPH_CHECK_LT(coord.bank, t_.banksPerRank);
+    if (t_.refresh)
+        when = afterRefresh(coord.rank, when);
+
+    Bank &bank = banks_[coord.rank * t_.banksPerRank + coord.bank];
+    const bool is_write = type == AccessType::Write;
+
+    // Bank preparation: a row hit issues its CAS as soon as the bank
+    // is ready; otherwise an ACT (gated by the rank's tRRD/tFAW
+    // window) opens the row, after a precharge that honours tRAS
+    // since the last ACT if another row was open.
+    Cycle start = std::max(when, bank.readyAt);
+    Cycle cas_ready = start;
+    if (bank.rowOpen && bank.openRow == coord.row) {
+        ++activity_.rowHits;
+    } else {
+        if (bank.rowOpen) {
+            ++activity_.rowConflicts;
+            start = std::max(start, bank.activatedAt + t_.tRAS) + t_.tRP;
+        } else {
+            ++activity_.rowClosed;
+        }
+        RankWindow &rank = ranks_[coord.rank];
+        const Cycle act = std::max(start, rank.readyFor(t_));
+        bank.activatedAt = act;
+        bank.rowOpen = true;
+        bank.openRow = coord.row;
+        rank.record(act);
+        ++activity_.activates;
+        cas_ready = act + t_.tRCD;
+    }
+
+    // Column access latency, then the burst must win the shared bus.
+    const Cycle cas_latency = is_write ? t_.tCWL : t_.tCL;
+    const Cycle data_start = std::max(cas_ready + cas_latency, busFreeAt_);
+    const Cycle done = data_start + t_.tBURST;
+    busFreeAt_ = done;
+    activity_.busBusyCycles += t_.tBURST;
+
+    if (is_write) {
+        // Write recovery: the bank is busy until tWR past the burst.
+        bank.readyAt = done + t_.tWR;
+        ++activity_.writes;
+    } else {
+        // Reads pipeline: the next CAS may issue tCCD after this one,
+        // which actually issued CL before the data burst started, so
+        // back-to-back row hits stream at burst rate. tRTP before a
+        // precharge is folded into the conservative tRAS gate above.
+        bank.readyAt = data_start - cas_latency + t_.tCCD;
+        ++activity_.reads;
+    }
+
+    if (timing) {
+        timing->submit = when;
+        timing->burstStart = data_start;
+        timing->complete = done;
+        timing->queued = false;
+    }
+    return done;
+}
 
 } // namespace morph
 

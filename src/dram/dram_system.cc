@@ -1,11 +1,83 @@
 #include "dram/dram_system.hh"
 
+#include <algorithm>
+
 #include "common/check.hh"
 #include "common/prof.hh"
 #include "common/stat_registry.hh"
 
 namespace morph
 {
+
+Channel::Timing::Timing(const DramConfig &config)
+    : ranks(config.ranksPerChannel), banksPerRank(config.banksPerRank),
+      refresh(config.refresh), writeQueueing(config.writeQueueing),
+      writeQueueHigh(config.writeQueueHigh),
+      writeQueueLow(config.writeQueueLow), tCL(config.cpu(config.tCL)),
+      tCWL(config.cpu(config.tCWL)), tRCD(config.cpu(config.tRCD)),
+      tRP(config.cpu(config.tRP)), tRAS(config.cpu(config.tRAS)),
+      tBURST(config.cpu(config.tBURST)), tCCD(config.cpu(config.tCCD)),
+      tWR(config.cpu(config.tWR)), tRRD(config.cpu(config.tRRD)),
+      tFAW(config.cpu(config.tFAW)), tREFI(config.cpu(config.tREFI)),
+      tRFC(config.cpu(config.tRFC))
+{}
+
+Channel::Channel(const DramConfig &config)
+    : t_(config), banks_(config.ranksPerChannel * config.banksPerRank),
+      ranks_(config.ranksPerChannel),
+      refreshesDone_(config.ranksPerChannel, 0)
+{
+    if (config.writeQueueing)
+        writeQueue_.reserve(config.writeQueueHigh);
+}
+
+Cycle
+Channel::afterRefresh(unsigned rank, Cycle when)
+{
+    // Ranks refresh every tREFI, staggered across the interval; a
+    // command landing inside a refresh window waits it out.
+    const Cycle interval = t_.tREFI;
+    const Cycle offset = interval * rank / std::max(1u, t_.ranks);
+    const Cycle phase = (when + interval - offset) % interval;
+    // Account refreshes that have elapsed up to `when` (power model).
+    const std::uint64_t elapsed = (when + interval - offset) / interval;
+    if (elapsed > refreshesDone_[rank]) {
+        activity_.refreshes += elapsed - refreshesDone_[rank];
+        refreshesDone_[rank] = elapsed;
+    }
+    if (phase < t_.tRFC)
+        return when + (t_.tRFC - phase);
+    return when;
+}
+
+void
+Channel::drainWrites(Cycle when)
+{
+    ++activity_.writeDrains;
+    // Issue the oldest writes in FIFO order, then drop them in one erase.
+    std::size_t drained = 0;
+    for (; writeQueue_.size() - drained > t_.writeQueueLow; ++drained)
+        scheduleAccess(writeQueue_[drained], AccessType::Write, when);
+    writeQueue_.erase(writeQueue_.begin(),
+                      writeQueue_.begin() + std::ptrdiff_t(drained));
+}
+
+Cycle
+Channel::postWrite(const DramCoord &coord, Cycle when,
+                   DramAccessTiming *timing)
+{
+    // Posted write: buffered, bus-invisible until a drain.
+    writeQueue_.push_back(coord);
+    if (timing) {
+        timing->submit = when;
+        timing->burstStart = when;
+        timing->complete = when;
+        timing->queued = true;
+    }
+    if (writeQueue_.size() >= t_.writeQueueHigh)
+        drainWrites(when);
+    return when;
+}
 
 DramSystem::DramSystem(const DramConfig &config)
     : config_(config), decoder_(config)

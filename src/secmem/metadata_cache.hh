@@ -36,23 +36,30 @@ class MetadataCache
         : cache_(size_bytes, ways), geom_(&geom)
     {}
 
-    /** @copydoc Cache::access */
-    bool
-    access(LineAddr line, bool write = false)
+    using Way = Cache::Way;
+    static constexpr Way npos = Cache::npos;
+
+    /** @copydoc Cache::probe */
+    Way
+    probe(LineAddr line, bool write = false)
     {
-        return cache_.access(line, write);
+        return cache_.probe(line, write);
     }
 
-    /** @copydoc Cache::insert */
-    std::optional<Eviction>
-    insert(LineAddr line, bool dirty,
-           InsertPosition position = InsertPosition::Mru)
+    /** @copydoc Cache::fill */
+    Cache::Fill
+    fill(LineAddr line, bool dirty,
+         InsertPosition position = InsertPosition::Mru)
     {
-        return cache_.insert(line, dirty, position);
+        return cache_.fill(line, dirty, position);
     }
 
     /** @copydoc Cache::markDirty */
-    bool markDirty(LineAddr line) { return cache_.markDirty(line); }
+    bool
+    markDirty(LineAddr line, Way hint = npos)
+    {
+        return cache_.markDirty(line, hint);
+    }
 
     /** @copydoc Cache::contains */
     bool contains(LineAddr line) const { return cache_.contains(line); }

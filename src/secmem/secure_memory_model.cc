@@ -1,6 +1,5 @@
 #include "secmem/secure_memory_model.hh"
 
-
 #include "common/check.hh"
 #include "common/prof.hh"
 #include "common/stat_registry.hh"
@@ -60,47 +59,62 @@ SecureMemoryModel::macLineOf(LineAddr data_line) const
 /**
  * Guarantee the metadata entry is on-chip, generating the read +
  * upward verification walk on a miss (paper §II-B): the walk stops at
- * the first cached ancestor or the root.
+ * the first cached ancestor or the root. Each level probes its set
+ * once; a missing line is filled without a second lookup. Returns the
+ * way the requested entry was found or filled in (npos for the root),
+ * which the walk's own write-back cascade may since have evicted.
  */
-void
+MetadataCache::Way
 SecureMemoryModel::ensureCached(unsigned level, std::uint64_t index,
                                 std::vector<MemAccess> &out,
                                 bool critical)
 {
-    if (level == geometry().rootLevel())
-        return; // root registers live on-chip
+    const unsigned root = geometry().rootLevel();
+    if (level == root)
+        return MetadataCache::npos; // root registers live on-chip
 
-    // Recursion shows up as nested secmem.tree_walk chains in a
-    // profile: depth == levels actually walked past the cache.
     MORPH_PROF_SCOPE("secmem.tree_walk");
-    const LineAddr line = geometry().lineOfEntry(level, index);
-    if (mdcache_.access(line))
-        return; // found securely cached: traversal terminates
+    MetadataCache::Way entry_way = MetadataCache::npos;
+    for (unsigned l = level; l != root; ++l) {
+        const LineAddr line = geometry().lineOfEntry(l, index);
+        const MetadataCache::Way hit = mdcache_.probe(line);
+        if (l == level)
+            entry_way = hit;
+        if (hit != MetadataCache::npos)
+            break; // found securely cached: traversal terminates
 
-    out.push_back({line, AccessType::Read, trafficForLevel(level),
-                   critical});
-    stats_.count(trafficForLevel(level), false);
-    insertMetadata(line, false, out);
+        out.push_back({line, AccessType::Read, trafficForLevel(l),
+                       critical});
+        stats_.count(trafficForLevel(l), false);
+        const MetadataCache::Way filled = insertMetadata(line, false, out);
+        if (l == level)
+            entry_way = filled;
 
-    if (config_.counterPrefetch && level == 0 &&
-        index + 1 < geometry().levels()[0].entries) {
-        const LineAddr next = geometry().lineOfEntry(0, index + 1);
-        if (!mdcache_.contains(next)) {
-            out.push_back({next, AccessType::Read, Traffic::CtrEncr,
-                           false});
-            stats_.count(Traffic::CtrEncr, false);
-            insertMetadata(next, false, out);
+        if (config_.counterPrefetch && l == 0 &&
+            index + 1 < geometry().levels()[0].entries) {
+            const LineAddr next = geometry().lineOfEntry(0, index + 1);
+            if (!mdcache_.contains(next)) {
+                out.push_back({next, AccessType::Read, Traffic::CtrEncr,
+                               false});
+                stats_.count(Traffic::CtrEncr, false);
+                insertMetadata(next, false, out);
+            }
         }
-    }
 
-    // Verification walk: with speculative verification the ancestor
-    // reads still consume bandwidth but no longer gate the load.
-    ensureCached(level + 1, geometry().parentIndex(level + 1, index), out,
-                 critical && !config_.speculativeVerification);
+        // Verification walk: with speculative verification the
+        // ancestor reads still consume bandwidth but no longer gate
+        // the load.
+        index = geometry().parentIndex(l + 1, index);
+        critical = critical && !config_.speculativeVerification;
+    }
+    return entry_way;
 }
 
-/** Insert a metadata line, handling a possible dirty victim. */
-void
+/**
+ * Fill a metadata line known to be absent, handling a possible dirty
+ * victim. Returns the line's way.
+ */
+MetadataCache::Way
 SecureMemoryModel::insertMetadata(LineAddr line, bool dirty,
                                   std::vector<MemAccess> &out)
 {
@@ -111,20 +125,21 @@ SecureMemoryModel::insertMetadata(LineAddr line, bool dirty,
         if (geometry().entryOfLine(line, level, index) && level == 0)
             position = InsertPosition::Lru;
     }
-    const auto evicted = mdcache_.insert(line, dirty, position);
-    if (!evicted || !evicted->dirty)
-        return;
+    const Cache::Fill fill = mdcache_.fill(line, dirty, position);
+    if (!fill.evicted || !fill.evicted->dirty)
+        return fill.way;
 
     unsigned ev_level;
     std::uint64_t ev_index;
-    if (geometry().entryOfLine(evicted->line, ev_level, ev_index)) {
+    if (geometry().entryOfLine(fill.evicted->line, ev_level, ev_index)) {
         handleDirtyWriteback(ev_level, ev_index, out);
     } else {
         // A dirty separate-mode MAC line: plain write-back.
-        out.push_back({evicted->line, AccessType::Write, Traffic::Mac,
-                       false});
+        out.push_back({fill.evicted->line, AccessType::Write,
+                       Traffic::Mac, false});
         stats_.count(Traffic::Mac, true);
     }
+    return fill.way;
 }
 
 /**
@@ -150,26 +165,28 @@ SecureMemoryModel::handleDirtyWriteback(unsigned level,
     if (level == geometry().rootLevel())
         return;
     MORPH_PROF_SCOPE("secmem.ctr_bump");
-    ensureCached(level + 1, geometry().parentIndex(level + 1, index), out,
-                 false);
-    bumpCounter(level + 1, index, out);
+    const MetadataCache::Way way = ensureCached(
+        level + 1, geometry().parentIndex(level + 1, index), out, false);
+    bumpCounter(level + 1, index, out, way);
 }
 
 /**
  * Increment the counter at @p level covering @p child (a data line
  * for level 0, else an entry of the level below); the entry, already
- * on-chip, turns dirty. On an overflow reset every affected child is
+ * on-chip, turns dirty; @p way is where ensureCached() left it. On an
+ * overflow reset every affected child is
  * read, re-encrypted or re-MACed, and written back. Those writes are
  * persist-neutral: the children's counter images do not change.
  */
 void
 SecureMemoryModel::bumpCounter(unsigned level, std::uint64_t child,
-                               std::vector<MemAccess> &out)
+                               std::vector<MemAccess> &out,
+                               MetadataCache::Way way)
 {
     const CounterTreeState::Bump bump = state_.bump(level, child);
     const LineAddr line = geometry().lineOfEntry(level, bump.index);
     if (level != geometry().rootLevel())
-        mdcache_.markDirty(line);
+        mdcache_.markDirty(line, way);
     if (persist_)
         persist_->onEntryUpdate(level, line, *bump.image);
 
@@ -214,15 +231,16 @@ SecureMemoryModel::onDataAccess(LineAddr data_line, AccessType type,
 
     // The encryption counter is needed for both directions: OTP
     // generation on reads (critical), counter bump on writes (posted).
-    ensureCached(0, geometry().parentIndex(0, data_line), out, !is_write);
+    const MetadataCache::Way way = ensureCached(
+        0, geometry().parentIndex(0, data_line), out, !is_write);
     if (is_write)
-        bumpCounter(0, data_line, out);
+        bumpCounter(0, data_line, out, way);
 
     if (!config_.inlineMacs) {
         // Separate-MAC organization: every data access also touches
         // the MAC line (reads verify, writes update).
         const LineAddr mac_line = macLineOf(data_line);
-        if (!mdcache_.access(mac_line, is_write)) {
+        if (mdcache_.probe(mac_line, is_write) == MetadataCache::npos) {
             out.push_back({mac_line, AccessType::Read, Traffic::Mac,
                            !is_write});
             stats_.count(Traffic::Mac, false);

@@ -144,14 +144,15 @@ class SecureMemoryModel
     const PersistDomain *persistDomain() const { return persist_.get(); }
 
   private:
-    void ensureCached(unsigned level, std::uint64_t index,
-                      std::vector<MemAccess> &out, bool critical);
-    void insertMetadata(LineAddr line, bool dirty,
-                        std::vector<MemAccess> &out);
+    MetadataCache::Way ensureCached(unsigned level, std::uint64_t index,
+                                    std::vector<MemAccess> &out,
+                                    bool critical);
+    MetadataCache::Way insertMetadata(LineAddr line, bool dirty,
+                                      std::vector<MemAccess> &out);
     void handleDirtyWriteback(unsigned level, std::uint64_t index,
                               std::vector<MemAccess> &out);
     void bumpCounter(unsigned level, std::uint64_t child,
-                     std::vector<MemAccess> &out);
+                     std::vector<MemAccess> &out, MetadataCache::Way way);
     LineAddr macLineOf(LineAddr data_line) const;
 
     SecureModelConfig config_;

@@ -49,21 +49,6 @@ trafficKey(Traffic category)
     return "unknown";
 }
 
-Traffic
-trafficForLevel(unsigned level)
-{
-    switch (level) {
-      case 0:
-        return Traffic::CtrEncr;
-      case 1:
-        return Traffic::Ctr1;
-      case 2:
-        return Traffic::Ctr2;
-      default:
-        return Traffic::Ctr3Up;
-    }
-}
-
 std::uint64_t
 TrafficStats::total() const
 {

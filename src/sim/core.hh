@@ -13,6 +13,7 @@
 #ifndef MORPH_SIM_CORE_HH
 #define MORPH_SIM_CORE_HH
 
+#include <algorithm>
 #include <deque>
 
 #include "common/types.hh"
@@ -38,14 +39,34 @@ class Core
 
     /** Fetch the next trace entry and account its instruction gap;
      *  the caller issues the access and reports back. */
-    TraceEntry beginEntry();
+    TraceEntry
+    beginEntry()
+    {
+        const TraceEntry entry = trace_->next();
+        // The gap instructions retire at full width.
+        clock_ += (entry.gap + config_.retireWidth - 1) /
+                  config_.retireWidth;
+        instructions_ += entry.gap + 1;
+        // The ROB admits this access only once it is within robSize
+        // instructions of the oldest incomplete read.
+        if (instructions_ > config_.robSize)
+            retireUpTo(instructions_ - config_.robSize);
+        return entry;
+    }
 
     /**
      * Finish the entry: for reads, record the outstanding miss with
      * completion cycle @p done; stalls are applied when the ROB window
      * fills.
      */
-    void completeEntry(const TraceEntry &entry, Cycle done);
+    void
+    completeEntry(const TraceEntry &entry, Cycle done)
+    {
+        ++accesses_;
+        if (entry.type == AccessType::Read)
+            outstanding_.emplace_back(instructions_, done);
+        // Writes are posted: the write queue absorbs them.
+    }
 
     /** Core-local clock (CPU cycles). */
     Cycle clock() const { return clock_; }
@@ -57,10 +78,16 @@ class Core
     std::uint64_t accesses() const { return accesses_; }
 
     /** Drain all outstanding reads (advances the clock). */
-    void drain();
+    void drain() { retireUpTo(~std::uint64_t(0)); }
 
     /** Snapshot baseline at the end of warm-up. */
-    void markMeasurementStart();
+    void
+    markMeasurementStart()
+    {
+        baseClock_ = clock_;
+        baseInstructions_ = instructions_;
+        baseAccesses_ = accesses_;
+    }
 
     /** Instructions since the measurement baseline. */
     std::uint64_t measuredInstructions() const
@@ -80,7 +107,15 @@ class Core
     unsigned id() const { return id_; }
 
   private:
-    void retireUpTo(std::uint64_t window_floor);
+    void
+    retireUpTo(std::uint64_t window_floor)
+    {
+        while (!outstanding_.empty() &&
+               outstanding_.front().first <= window_floor) {
+            clock_ = std::max(clock_, outstanding_.front().second);
+            outstanding_.pop_front();
+        }
+    }
 
     unsigned id_;
     TraceSource *trace_;

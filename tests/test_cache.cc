@@ -166,6 +166,28 @@ TEST(CacheDeath, RejectsBadGeometry)
     EXPECT_EXIT(Cache(100, 3), ::testing::ExitedWithCode(1), "cache");
 }
 
+TEST(Cache, FillAfterMissPlacesLineAtReturnedWay)
+{
+    Cache cache(256, 4); // one set
+    EXPECT_EQ(cache.probe(7), Cache::npos);
+    const Cache::Fill fill = cache.fill(7, false);
+    EXPECT_FALSE(fill.evicted);
+    EXPECT_EQ(cache.probe(7), fill.way);
+    EXPECT_TRUE(cache.markDirty(7, fill.way));
+    EXPECT_EQ(cache.invalidate(7)->dirty, true);
+    // A stale way falls back to a lookup: absent stays absent.
+    EXPECT_FALSE(cache.markDirty(7, fill.way));
+}
+
+#if MORPH_DCHECK_IS_ON
+TEST(CacheDeathTest, FillRejectsPresentLine)
+{
+    Cache cache(4096, 4);
+    cache.insert(5, false);
+    EXPECT_DEATH(cache.fill(5, false), "find\\(line\\) == npos");
+}
+#endif
+
 /**
  * The array-of-structs cache the set-major Cache replaced, kept as the
  * differential oracle: one {line, lastUse, valid, dirty} record per way
@@ -327,26 +349,54 @@ runDifferential(std::size_t size_bytes, unsigned ways, std::uint64_t seed)
     // About three lines per way keeps sets under eviction pressure.
     const std::uint64_t pool = 3 * cache.numSets() * ways;
 
+    // The last way probe() or fill() returned, and its line: marking
+    // through it later exercises both a live and a stale hint.
+    LineAddr hinted_line = 0;
+    Cache::Way hinted_way = Cache::npos;
+
     for (std::uint64_t op = 0; op < ops; ++op) {
         // Mostly pooled lines; now and then a far line with high bits.
         const LineAddr line =
             rng.chance(0.02) ? rng.next() >> 12 : rng.below(pool);
         const std::uint64_t kind = rng.below(100);
-        if (kind < 40) {
-            const bool write = rng.chance(0.3);
-            ASSERT_EQ(cache.access(line, write),
-                      oracle.access(line, write)) << "op " << op;
-        } else if (kind < 75) {
-            const bool dirty = rng.chance(0.3);
-            const InsertPosition position = rng.chance(0.25)
-                                                ? InsertPosition::Lru
-                                                : InsertPosition::Mru;
+        const bool dirty = rng.chance(0.3);
+        const InsertPosition position = rng.chance(0.25)
+                                            ? InsertPosition::Lru
+                                            : InsertPosition::Mru;
+        if (kind < 25) {
+            ASSERT_EQ(cache.access(line, dirty),
+                      oracle.access(line, dirty)) << "op " << op;
+        } else if (kind < 45) {
+            // The controller's walk: one probe, a fill on a miss, and
+            // (sometimes) an immediate dirty mark through the result.
+            Cache::Way way = cache.probe(line, dirty);
+            ASSERT_EQ(way != Cache::npos, oracle.access(line, dirty))
+                << "op " << op;
+            if (way == Cache::npos && rng.chance(0.8)) {
+                const Cache::Fill fill = cache.fill(line, dirty, position);
+                expectSameEviction(fill.evicted,
+                                   oracle.insert(line, dirty, position),
+                                   op);
+                way = fill.way;
+            }
+            if (way != Cache::npos) {
+                hinted_line = line;
+                hinted_way = way;
+                if (rng.chance(0.3)) {
+                    ASSERT_TRUE(cache.markDirty(line, way)) << "op " << op;
+                    ASSERT_TRUE(oracle.markDirty(line)) << "op " << op;
+                }
+            }
+        } else if (kind < 65) {
             expectSameEviction(cache.insert(line, dirty, position),
                                oracle.insert(line, dirty, position), op);
-        } else if (kind < 85) {
+        } else if (kind < 73) {
             ASSERT_EQ(cache.markDirty(line), oracle.markDirty(line))
                 << "op " << op;
-        } else if (kind < 93) {
+        } else if (kind < 80) {
+            ASSERT_EQ(cache.markDirty(hinted_line, hinted_way),
+                      oracle.markDirty(hinted_line)) << "op " << op;
+        } else if (kind < 90) {
             ASSERT_EQ(cache.contains(line), oracle.contains(line))
                 << "op " << op;
         } else if (kind < 99 || !rng.chance(0.01)) {

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "common/rng.hh"
 #include "dram/dram_power.hh"
 #include "dram/dram_system.hh"
@@ -188,6 +190,49 @@ TEST(DramActivity, ResetClears)
     const auto activity = dram.totalActivity();
     EXPECT_EQ(activity.reads + activity.writes + activity.activates,
               0u);
+}
+
+TEST(DramSystem, CopyOutlivesSource)
+{
+    // A copy owns its timing: once the source is gone (and its storage
+    // reused by a system with other timings), the copy must go on
+    // exactly like a system that was never copied.
+    DramConfig config;
+    config.tCL = 14;
+    config.tRCD = 13;
+    config.tRP = 13;
+    config.refresh = true;
+    DramSystem reference(config);
+    auto source = std::make_unique<DramSystem>(config);
+    Cycle when = 0;
+    for (LineAddr line = 0; line < 64; ++line) {
+        reference.access(line * 97, AccessType::Read, when);
+        source->access(line * 97, AccessType::Read, when);
+        when += 40;
+    }
+
+    DramSystem copy(*source);
+    source.reset();
+    DramConfig other;
+    other.tCL = 40;
+    other.tBURST = 9;
+    other.ranksPerChannel = 1;
+    const auto scribble = std::make_unique<DramSystem>(other);
+
+    for (LineAddr line = 0; line < 512; ++line) {
+        const AccessType type =
+            line % 3 ? AccessType::Read : AccessType::Write;
+        ASSERT_EQ(copy.access(line * 131, type, when),
+                  reference.access(line * 131, type, when))
+            << "line " << line;
+        when += 25;
+    }
+    const ChannelActivity got = copy.totalActivity();
+    const ChannelActivity want = reference.totalActivity();
+    EXPECT_EQ(got.activates, want.activates);
+    EXPECT_EQ(got.rowConflicts, want.rowConflicts);
+    EXPECT_EQ(got.refreshes, want.refreshes);
+    EXPECT_EQ(got.busBusyCycles, want.busBusyCycles);
 }
 
 TEST(DramPower, EnergyComposition)

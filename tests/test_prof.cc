@@ -9,7 +9,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdlib>
 #include <sstream>
 #include <string>
@@ -239,19 +238,6 @@ TEST_F(ProfTest, ReportFreezesTheProfile)
     profResetForTest();
     profEnable();
     EXPECT_TRUE(profEnabled());
-}
-
-TEST_F(ProfTest, SiteNamesEnumerateRegisteredScopes)
-{
-    // Sites register on first execution of their line even with
-    // profiling off.
-    {
-        MORPH_PROF_SCOPE("testprof.enumerated");
-    }
-    const std::vector<std::string> names = profSiteNames();
-    EXPECT_NE(std::find(names.begin(), names.end(),
-                        "testprof.enumerated"),
-              names.end());
 }
 
 TEST_F(ProfTest, PoolTelemetryTasksSumToSessionCount)

@@ -8,7 +8,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <string>
 
+#include "common/rng.hh"
 #include "secmem/secure_memory_model.hh"
 
 namespace morph
@@ -243,6 +246,159 @@ TEST(SecureModel, MetadataOccupancyTracksLevels)
     EXPECT_GT(occupancy[0], 0u); // encryption counter entries resident
     EXPECT_GT(occupancy[1], 0u); // level-1 entries resident
 }
+
+// The controller's exact output stream: every MemAccess {line, type,
+// category, critical} of a seeded read/write stream, FNV-1a digested.
+// Aggregate stats and timed cycles cannot see a reordered walk or a
+// flipped critical flag in traffic-only runs; these digests can. A
+// moved digest is a change to simulated behaviour: re-record them
+// only for an intended model change.
+enum class StreamVariant : unsigned
+{
+    Default,
+    Speculative,
+    CounterPrefetch,
+    DemoteEncCounters,
+    SeparateMacs,
+    LazyPersist,
+};
+constexpr unsigned numStreamVariants = 6;
+
+std::uint64_t
+streamDigest(const TreeConfig &tree, StreamVariant variant)
+{
+    SecureModelConfig config = smallConfig(tree);
+    switch (variant) {
+      case StreamVariant::Default:
+        break;
+      case StreamVariant::Speculative:
+        config.speculativeVerification = true;
+        break;
+      case StreamVariant::CounterPrefetch:
+        config.counterPrefetch = true;
+        break;
+      case StreamVariant::DemoteEncCounters:
+        config.demoteEncCounters = true;
+        break;
+      case StreamVariant::SeparateMacs:
+        config.inlineMacs = false;
+        break;
+      case StreamVariant::LazyPersist:
+        config.persist.enabled = true;
+        config.persist.policy = PersistPolicy::Lazy;
+        config.persist.epochWrites = 512;
+        break;
+    }
+    SecureMemoryModel model(config);
+
+    std::uint64_t digest = 0xcbf29ce484222325ull;
+    const auto mix = [&digest](std::uint64_t value) {
+        for (unsigned byte = 0; byte < 8; ++byte) {
+            digest ^= (value >> (8 * byte)) & 0xff;
+            digest *= 0x100000001b3ull;
+        }
+    };
+
+    // A quarter of the stream writes 32 hot lines, enough to overflow
+    // every counter format; a quarter reads and writes a warm 4096-line
+    // region; the rest spreads over the whole footprint to miss in the
+    // metadata cache and force dirty write-backs.
+    Rng rng(0x5eed);
+    const std::uint64_t lines = model.geometry().dataLines();
+    std::vector<MemAccess> out;
+    for (unsigned i = 0; i < 20000; ++i) {
+        const unsigned band = unsigned(rng.below(4));
+        const LineAddr line = band == 0   ? rng.below(32)
+                              : band == 1 ? rng.below(4096)
+                                          : rng.below(lines);
+        const AccessType type = band == 0 || rng.chance(0.3)
+                                    ? AccessType::Write
+                                    : AccessType::Read;
+        out.clear();
+        model.onDataAccess(line, type, out);
+        mix(out.size());
+        for (const MemAccess &access : out) {
+            mix(access.line);
+            mix(std::uint64_t(access.type) << 16 |
+                std::uint64_t(access.category) << 8 |
+                std::uint64_t(access.critical));
+        }
+    }
+    model.finishRun();
+    // Every config walks the tree; all but SGX's 56-bit counters
+    // overflow under the hot band.
+    EXPECT_GT(model.stats().accesses(Traffic::Ctr1), 0u);
+    if (tree.kindAt(0) != CounterKind::SC8) {
+        EXPECT_GT(model.stats().totalOverflows(), 0u);
+    }
+    return digest;
+}
+
+struct StreamPin
+{
+    const char *config;
+    std::array<std::uint64_t, numStreamVariants> digests;
+};
+
+// Columns follow StreamVariant.
+constexpr StreamPin streamPins[] = {
+    {"sc64",
+     {0x5a8459e3552a23d6ull, 0x4b2bcace519dc802ull, 0x436b8480faade7f0ull,
+      0xc6690d0dab4643b7ull, 0xe87ff12cfe0e7d50ull, 0x5a8459e3552a23d6ull}},
+    {"vault",
+     {0x0241904da6cabb92ull, 0x22f35e26dda1f267ull, 0xf9178016aed9ef45ull,
+      0x32a60b2051910a9dull, 0xa8ef16fdd0098d41ull, 0x0241904da6cabb92ull}},
+    {"morph",
+     {0xb41abf94196d43c1ull, 0xd2076669bba96becull, 0x6218412eee11b4c5ull,
+      0x8c7404c2b77b9da5ull, 0x2f23b4892d47fa19ull, 0xb41abf94196d43c1ull}},
+    {"morph-zcc",
+     {0x254b010b5e4d52d9ull, 0xabe4f7dab0db24b4ull, 0x2b336e6dda2878a2ull,
+      0x3eaf09418c112889ull, 0x8f0853eae42fd4c1ull, 0x254b010b5e4d52d9ull}},
+    {"sc128",
+     {0x92b9765de673d962ull, 0xc77b0e105ae58017ull, 0xe522f4d0256b7fddull,
+      0x6f2cf99f11dca3adull, 0x1de7c9687e5791daull, 0x92b9765de673d962ull}},
+    {"sgx",
+     {0x990c23b06016bd16ull, 0x3ce10adbdf5c99aeull, 0xf51cb958e8c915b9ull,
+      0x77f8401d527774f3ull, 0xcee63f53a8b7a6e5ull, 0x990c23b06016bd16ull}},
+    {"bmt",
+     {0xaaeabea0a34099d8ull, 0x90b57b1508f15981ull, 0xc0abbc453f68f0c6ull,
+      0x98564050c7533a29ull, 0xfed5d75c70e8b0d6ull, 0xaaeabea0a34099d8ull}},
+};
+
+void
+PrintTo(const StreamPin &pin, std::ostream *os)
+{
+    *os << pin.config;
+}
+
+class OutputStream : public ::testing::TestWithParam<StreamPin>
+{
+};
+
+TEST_P(OutputStream, DigestMatchesPin)
+{
+    const StreamPin &pin = GetParam();
+    const TreeConfig *tree = findTreeConfig(pin.config);
+    ASSERT_NE(tree, nullptr);
+    for (unsigned v = 0; v < numStreamVariants; ++v)
+        EXPECT_EQ(streamDigest(*tree, StreamVariant(v)), pin.digests[v])
+            << pin.config << " variant " << v;
+}
+
+TEST(OutputStream, EveryNamedConfigIsPinned)
+{
+    ASSERT_EQ(namedTreeConfigs().size(), std::size(streamPins));
+    for (std::size_t i = 0; i < std::size(streamPins); ++i)
+        EXPECT_STREQ(namedTreeConfigs()[i].name, streamPins[i].config);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    NamedConfigs, OutputStream, ::testing::ValuesIn(streamPins),
+    [](const ::testing::TestParamInfo<StreamPin> &info) {
+        std::string name = info.param.config;
+        std::replace(name.begin(), name.end(), '-', '_');
+        return name;
+    });
 
 } // namespace
 } // namespace morph
