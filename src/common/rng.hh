@@ -11,6 +11,7 @@
 #ifndef MORPH_COMMON_RNG_HH
 #define MORPH_COMMON_RNG_HH
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <vector>
@@ -62,12 +63,12 @@ class Rng
         }
     }
 
+    /** The top 53 bits of the next raw value: uniform() is this
+     *  times 2^-53. */
+    std::uint64_t next53() { return next() >> 11; }
+
     /** Uniform double in [0, 1). */
-    double
-    uniform()
-    {
-        return double(next() >> 11) * 0x1.0p-53;
-    }
+    double uniform() { return double(next53()) * 0x1.0p-53; }
 
     /** Bernoulli trial with probability @p p. */
     bool chance(double p) { return uniform() < p; }
@@ -97,8 +98,11 @@ class Rng
  *
  * Used to model hot/cold page popularity: a small exponent produces
  * mild skew, exponents near 1 produce the heavy page-popularity skew
- * seen in graph workloads. Sampling is O(log n) via a precomputed CDF
- * for small n, or approximate inverse-CDF for large n.
+ * seen in graph workloads. For n <= 2^20 a draw inverts a precomputed
+ * CDF exactly: a guide table narrows the binary search to one bucket
+ * of the CDF's range, so it touches a few adjacent CDF entries instead
+ * of log2(n) scattered ones. Larger n inverts a continuous
+ * approximation of the CDF in O(1).
  */
 class ZipfSampler
 {
@@ -115,6 +119,7 @@ class ZipfSampler
                 cdf_.push_back(sum);
             }
             norm_ = sum;
+            buildGuide();
         } else {
             // Harmonic approximation H(n,s) for the continuous tail.
             norm_ = generalizedHarmonic(double(n_), exponent_);
@@ -126,18 +131,8 @@ class ZipfSampler
     sample(Rng &rng) const
     {
         const double u = rng.uniform() * norm_;
-        if (!cdf_.empty()) {
-            // Binary search the precomputed CDF.
-            std::uint64_t lo = 0, hi = n_ - 1;
-            while (lo < hi) {
-                const std::uint64_t mid = (lo + hi) / 2;
-                if (cdf_[mid] < u)
-                    lo = mid + 1;
-                else
-                    hi = mid;
-            }
-            return lo;
-        }
+        if (!cdf_.empty())
+            return rankAt(u);
         // Invert the continuous approximation of the CDF.
         const double s = exponent_;
         double x;
@@ -150,10 +145,78 @@ class ZipfSampler
         return idx >= n_ ? n_ - 1 : idx;
     }
 
+    /**
+     * The first rank whose CDF value is >= @p u, or n - 1 if none is
+     * (the CDF's lower_bound, clamped). Only for n <= 2^20.
+     *
+     * Invariant: guide_[b] is the first rank whose CDF value falls in
+     * bucket b or a later one (n - 1 if none does), and bucketOf is
+     * monotone. Ranks before guide_[b] have CDF values in earlier
+     * buckets, hence below u; the CDF value at guide_[b + 1] lies in a
+     * later bucket than u, hence above it (or guide_[b + 1] is the
+     * n - 1 clamp). So the answer lies in
+     * [guide_[b], guide_[b + 1]], and the search there equals a search
+     * over all n ranks.
+     */
+    std::uint64_t
+    rankAt(double u) const
+    {
+        const std::uint64_t b = bucketOf(u);
+        std::uint64_t lo = guide_[b], hi = guide_[b + 1];
+        while (lo < hi) {
+            const std::uint64_t mid = (lo + hi) / 2;
+            if (cdf_[mid] < u)
+                lo = mid + 1;
+            else
+                hi = mid;
+        }
+        return lo;
+    }
+
+    /** The unnormalised CDF (empty beyond 2^20 ranks). */
+    const std::vector<double> &cdf() const { return cdf_; }
+
     std::uint64_t size() const { return n_; }
 
   private:
     static constexpr std::uint64_t cdfLimit = 1u << 20;
+
+    /** CDF ranks per guide bucket, on average: the guide's 4-byte
+     *  ranks take 1/32 of the CDF's memory. A denser guide shortens
+     *  the search but every Fig 15 cell builds its own. */
+    static constexpr std::uint64_t ranksPerBucket = 16;
+
+    /** Bucket of a CDF value in [0, norm_]; monotone in @p v. (The
+     *  product is below 2^63: a signed conversion is one instruction,
+     *  an unsigned one is several.) */
+    std::uint64_t
+    bucketOf(double v) const
+    {
+        return std::min(buckets_,
+                        std::uint64_t(std::int64_t(v * bucketScale_)));
+    }
+
+    /** One pass over the ranks, last to first, in which each rank
+     *  claims its own bucket, so a bucket ends with its first rank;
+     *  then one over the buckets, last to first, in which a bucket
+     *  no rank claimed takes the next bucket's rank (n - 1 past the
+     *  end). No branch depends on the CDF's values. */
+    void
+    buildGuide()
+    {
+        buckets_ = std::max<std::uint64_t>(1, n_ / ranksPerBucket);
+        bucketScale_ = double(buckets_) / norm_;
+        const auto unclaimed = std::uint32_t(n_);
+        guide_.assign(buckets_ + 2, unclaimed);
+        for (std::uint64_t i = n_; i-- > 0;)
+            guide_[bucketOf(cdf_[i])] = std::uint32_t(i);
+        auto next = std::uint32_t(n_ - 1);
+        for (std::uint64_t b = guide_.size(); b-- > 0;) {
+            if (guide_[b] != unclaimed)
+                next = guide_[b];
+            guide_[b] = next;
+        }
+    }
 
     static double
     generalizedHarmonic(double n, double s)
@@ -167,6 +230,9 @@ class ZipfSampler
     double exponent_;
     double norm_ = 1.0;
     std::vector<double> cdf_;
+    std::uint64_t buckets_ = 0;
+    double bucketScale_ = 0.0;
+    std::vector<std::uint32_t> guide_; ///< buckets_ + 2 ranks
 };
 
 } // namespace morph

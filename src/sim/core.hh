@@ -5,17 +5,20 @@
  * Each core replays its post-LLC trace: non-memory instructions retire
  * at `retireWidth` per CPU cycle; reads are issued to the secure
  * memory system and occupy the reorder buffer until their data
- * returns; the core may run ahead at most `robSize` instructions past
- * the oldest incomplete read (in-order retirement through a 192-entry
- * ROB). Write-backs are posted and never block.
+ * returns. An access enters the ROB only once it lies fewer than
+ * `robSize` instructions past the oldest incomplete read; until then
+ * the core stalls for that read (in-order retirement through a
+ * `robSize`-entry ROB, 192 by default). Write-backs are posted and
+ * never block.
  */
 
 #ifndef MORPH_SIM_CORE_HH
 #define MORPH_SIM_CORE_HH
 
 #include <algorithm>
-#include <deque>
+#include <vector>
 
+#include "common/check.hh"
 #include "common/types.hh"
 #include "workloads/trace.hh"
 
@@ -43,10 +46,11 @@ class Core
     beginEntry()
     {
         const TraceEntry entry = trace_->next();
-        // The gap instructions retire at full width.
-        clock_ += (entry.gap + config_.retireWidth - 1) /
-                  config_.retireWidth;
-        instructions_ += entry.gap + 1;
+        // The gap instructions retire at full width. (In 64 bits: a
+        // trace file's gap may be 2^32 - 1.)
+        const std::uint64_t gap = entry.gap;
+        clock_ += (gap + config_.retireWidth - 1) / config_.retireWidth;
+        instructions_ += gap + 1;
         // The ROB admits this access only once it is within robSize
         // instructions of the oldest incomplete read.
         if (instructions_ > config_.robSize)
@@ -63,9 +67,14 @@ class Core
     completeEntry(const TraceEntry &entry, Cycle done)
     {
         ++accesses_;
-        if (entry.type == AccessType::Read)
-            outstanding_.emplace_back(instructions_, done);
         // Writes are posted: the write queue absorbs them.
+        if (entry.type != AccessType::Read)
+            return;
+        if (count_ == ring_.size())
+            grow();
+        ring_[(head_ + count_) & (ring_.size() - 1)] = {instructions_,
+                                                        done};
+        ++count_;
     }
 
     /** Core-local clock (CPU cycles). */
@@ -110,11 +119,26 @@ class Core
     void
     retireUpTo(std::uint64_t window_floor)
     {
-        while (!outstanding_.empty() &&
-               outstanding_.front().first <= window_floor) {
-            clock_ = std::max(clock_, outstanding_.front().second);
-            outstanding_.pop_front();
+        while (count_ != 0 && ring_[head_].position <= window_floor) {
+            clock_ = std::max(clock_, ring_[head_].done);
+            head_ = (head_ + 1) & (ring_.size() - 1);
+            --count_;
         }
+    }
+
+    /** Double the full ring (16 slots on first use), oldest read
+     *  first. It runs a few times per core at most. */
+    [[gnu::noinline]] void
+    grow()
+    {
+        const std::size_t bound = std::max(config_.robSize, 1u);
+        MORPH_CHECK_LT(count_, bound);
+        std::vector<Outstanding> bigger(ring_.empty() ? 16
+                                                      : 2 * ring_.size());
+        for (std::size_t k = 0; k < count_; ++k)
+            bigger[k] = ring_[(head_ + k) & (ring_.size() - 1)];
+        ring_.swap(bigger);
+        head_ = 0;
     }
 
     unsigned id_;
@@ -128,8 +152,25 @@ class Core
     std::uint64_t baseInstructions_ = 0;
     std::uint64_t baseAccesses_ = 0;
 
-    /** Outstanding reads: (instruction position, completion cycle). */
-    std::deque<std::pair<std::uint64_t, Cycle>> outstanding_;
+    /** An incomplete read. */
+    struct Outstanding
+    {
+        std::uint64_t position; ///< instructions_ at the read
+        Cycle done;             ///< completion cycle
+    };
+
+    /**
+     * Incomplete reads, oldest first: count_ slots from head_ of a
+     * power-of-two ring, allocated on the first read. Each entry
+     * advances instructions_ by at least 1, so after beginEntry
+     * retires every read at or below instructions_ - robSize, the
+     * survivors hold distinct positions in the last robSize - 1
+     * instructions: with the new read, at most max(robSize, 1) slots
+     * are ever in use, and the ring never grows past twice that.
+     */
+    std::vector<Outstanding> ring_;
+    std::size_t head_ = 0;
+    std::size_t count_ = 0;
 };
 
 } // namespace morph

@@ -1,9 +1,11 @@
 #include "sim/run_config.hh"
 
 #include <cmath>
+#include <cstdio>
 #include <fstream>
 
 #include "common/parse.hh"
+#include "workloads/trace_file.hh"
 
 namespace morph
 {
@@ -242,9 +244,27 @@ resolveRunConfig(RunConfig &config, std::string &error)
                 "' (--workload, system.workload; see --list)";
         return false;
     }
-    if (!config.tracePath.empty() && !std::ifstream(config.tracePath)) {
+    if (config.tracePath.empty())
+        return true;
+    if (!std::ifstream(config.tracePath)) {
         error = "cannot read trace file " + config.tracePath +
                 " (--trace, system.trace)";
+        return false;
+    }
+    // Every line address must name a line of the protected memory;
+    // the largest one decides.
+    const FileTraceSource::Highest highest =
+        FileTraceSource(config.tracePath).highest();
+    const std::uint64_t lines = config.secmem.memBytes / lineBytes;
+    if (highest.line >= lines) {
+        char text[160];
+        std::snprintf(text, sizeof(text),
+                      ":%zu: line address %llx is past the %llu-line "
+                      "protected memory (--mem-gb, system.mem_gb)",
+                      highest.fileLine,
+                      static_cast<unsigned long long>(highest.line),
+                      static_cast<unsigned long long>(lines));
+        error = "trace " + config.tracePath + text;
         return false;
     }
     return true;

@@ -90,8 +90,10 @@ bool applyFlag(RunConfig &config, const Setting &setting,
 bool applyIni(RunConfig &config, const IniFile &ini,
               std::vector<std::string> &unknown, std::string &error);
 
-/** Check the names and the trace file, and set secmem.tree from the
- *  config name; false with @p error otherwise. */
+/** Check the names and the trace file (readable, and every line
+ *  address inside secmem.memBytes; a malformed record is fatal), and
+ *  set secmem.tree from the config name; false with @p error
+ *  otherwise. */
 bool resolveRunConfig(RunConfig &config, std::string &error);
 
 /** Simulate a resolved @p config: its trace file if it names one,

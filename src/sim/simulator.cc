@@ -226,10 +226,12 @@ SimResult
 runTraceFile(const std::string &path, const SecureModelConfig &secmem,
              const SimOptions &options, MorphScope *scope)
 {
+    // Parse once; every core replays its own copy from the start.
+    const FileTraceSource loaded(path);
     std::vector<std::unique_ptr<TraceSource>> traces;
     traces.reserve(numCores);
     for (unsigned core = 0; core < numCores; ++core)
-        traces.push_back(std::make_unique<FileTraceSource>(path));
+        traces.push_back(std::make_unique<FileTraceSource>(loaded));
     return runTraces(path, std::move(traces), secmem, options, scope);
 }
 

@@ -70,6 +70,8 @@ FileTraceSource::parse(std::istream &input, const std::string &name)
         if (end == addr_hex.c_str() || *end != '\0')
             fatal("trace %s:%zu: bad line address '%s'", name.c_str(),
                   line_number, addr_hex.c_str());
+        if (entries_.empty() || entry.line > highest_.line)
+            highest_ = {entry.line, line_number};
         entries_.push_back(entry);
     }
     if (entries_.empty())
@@ -80,7 +82,8 @@ TraceEntry
 FileTraceSource::next()
 {
     const TraceEntry entry = entries_[position_];
-    position_ = (position_ + 1) % entries_.size();
+    if (++position_ == entries_.size())
+        position_ = 0;
     return entry;
 }
 

@@ -18,6 +18,9 @@
  * FileTraceSource loads the whole trace into memory and replays it
  * cyclically (simulations usually need more events than a captured
  * trace holds; cycling a long trace is the standard USIMM practice).
+ * A copy replays the same events with its own cursor. The parser does
+ * not know the memory size: highest() lets the caller reject a line
+ * past the protected memory before the run.
  */
 
 #ifndef MORPH_WORKLOADS_TRACE_FILE_HH
@@ -47,11 +50,21 @@ class FileTraceSource : public TraceSource
     /** Number of distinct events loaded. */
     std::size_t size() const { return entries_.size(); }
 
+    /** The largest line address in the trace, and the first file line
+     *  (1-based) that holds it. */
+    struct Highest
+    {
+        LineAddr line = 0;
+        std::size_t fileLine = 0;
+    };
+    Highest highest() const { return highest_; }
+
   private:
     void parse(std::istream &input, const std::string &name);
 
     std::vector<TraceEntry> entries_;
     std::size_t position_ = 0;
+    Highest highest_;
 };
 
 /** Write trace entries in the file format (round-trip with above). */

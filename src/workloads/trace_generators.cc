@@ -1,7 +1,6 @@
 #include "workloads/trace_generators.hh"
 
 #include <cmath>
-#include <numeric>
 
 #include "common/check.hh"
 #include "common/log.hh"
@@ -24,7 +23,12 @@ gcd64(std::uint64_t a, std::uint64_t b)
     return a;
 }
 
-/** Common machinery: gap sampling, type selection, page mapping. */
+/**
+ * Common machinery: gap sampling, type selection, page mapping.
+ * Derived supplies nextVirtualLine(type), a line in [0, pages * 64),
+ * which next() calls directly.
+ */
+template <typename Derived>
 class PatternBase : public TraceSource
 {
   public:
@@ -32,58 +36,52 @@ class PatternBase : public TraceSource
         : params_(params), rng_(params.seed),
           pages_(std::max<std::uint64_t>(1,
                      params.footprintLines / linesPerPage)),
-          perm_(pages_, params.seed ^ 0xfeedfaceull)
+          perm_(pages_, params.seed ^ 0xfeedfaceull),
+          gap_(meanGap(params))
     {
         MORPH_CHECK_LE(params.footprintLines, params.regionLines);
-        const double pki = params.readPki + params.writePki;
-        MORPH_CHECK(pki > 0);
-        meanGap_ = 1000.0 / pki;
-        writeFraction_ = params.writePki / pki;
+        writeFraction_ = params.writePki / (params.readPki + params.writePki);
     }
 
     TraceEntry
-    next() override
+    next() final
     {
         TraceEntry entry;
-        entry.gap = sampleGap();
+        entry.gap = gap_(rng_.next53());
         entry.type = rng_.chance(writeFraction_) ? AccessType::Write
                                                  : AccessType::Read;
-        entry.line = mapLine(nextVirtualLine(entry.type));
+        entry.line = mapLine(
+            static_cast<Derived &>(*this).nextVirtualLine(entry.type));
         return entry;
     }
 
   protected:
-    /** Next virtual line in [0, footprintLines). */
-    virtual std::uint64_t nextVirtualLine(AccessType type) = 0;
+    /** Geometric inter-arrival mean from the PKI. */
+    static double
+    meanGap(const GeneratorParams &params)
+    {
+        const double pki = params.readPki + params.writePki;
+        MORPH_CHECK(pki > 0);
+        return 1000.0 / pki;
+    }
 
-    /** Apply the physical page permutation. */
+    /** Apply the physical page permutation (which checks the page). */
     LineAddr
     mapLine(std::uint64_t vline) const
     {
-        const std::uint64_t vpage = vline / linesPerPage;
-        const std::uint64_t offset = vline % linesPerPage;
-        const std::uint64_t ppage = perm_(vpage % pages_);
-        const LineAddr line =
-            params_.regionBaseLine + ppage * linesPerPage + offset;
+        const std::uint64_t ppage = perm_(vline / linesPerPage);
+        const LineAddr line = params_.regionBaseLine +
+                              ppage * linesPerPage + vline % linesPerPage;
         MORPH_CHECK(line <
                params_.regionBaseLine + params_.regionLines);
         return line;
-    }
-
-    std::uint32_t
-    sampleGap()
-    {
-        // Geometric inter-arrival around the PKI-derived mean.
-        const double u = rng_.uniform();
-        const double gap = -meanGap_ * std::log1p(-u);
-        return std::uint32_t(std::min(gap, 1e6));
     }
 
     GeneratorParams params_;
     Rng rng_;
     std::uint64_t pages_;
     PagePermutation perm_;
-    double meanGap_;
+    GapSampler gap_;
     double writeFraction_;
 };
 
@@ -93,30 +91,27 @@ class PatternBase : public TraceSource
  * writing another, so the write stream touches every line of its pages
  * in order — the uniform counter usage that makes rebasing effective.
  */
-class StreamingGenerator : public PatternBase
+class StreamingGenerator final : public PatternBase<StreamingGenerator>
 {
   public:
     explicit StreamingGenerator(const GeneratorParams &params)
-        : PatternBase(params),
-          writeCursor_(pages_ * linesPerPage / 2)
+        : PatternBase(params), span_(pages_ * linesPerPage),
+          writeCursor_(span_ / 2)
     {}
 
-  protected:
     std::uint64_t
-    nextVirtualLine(AccessType type) override
+    nextVirtualLine(AccessType type)
     {
-        const std::uint64_t span = pages_ * linesPerPage;
-        if (type == AccessType::Write) {
-            const std::uint64_t line = writeCursor_;
-            writeCursor_ = (writeCursor_ + 1) % span;
-            return line;
-        }
-        const std::uint64_t line = readCursor_;
-        readCursor_ = (readCursor_ + 1) % span;
+        std::uint64_t &cursor =
+            type == AccessType::Write ? writeCursor_ : readCursor_;
+        const std::uint64_t line = cursor;
+        if (++cursor == span_)
+            cursor = 0;
         return line;
     }
 
   private:
+    std::uint64_t span_;
     std::uint64_t readCursor_ = 0;
     std::uint64_t writeCursor_;
 };
@@ -171,16 +166,15 @@ class WriteWorkingSet
 };
 
 /** Uniform random lines over the footprint. */
-class RandomGenerator : public PatternBase
+class RandomGenerator final : public PatternBase<RandomGenerator>
 {
   public:
     explicit RandomGenerator(const GeneratorParams &params)
         : PatternBase(params), writes_(params, pages_)
     {}
 
-  protected:
     std::uint64_t
-    nextVirtualLine(AccessType type) override
+    nextVirtualLine(AccessType type)
     {
         if (type == AccessType::Write && writes_.enabled())
             return writes_.sample(rng_);
@@ -192,7 +186,7 @@ class RandomGenerator : public PatternBase
 };
 
 /** Zipf-popular pages, uniform lines within a page. */
-class HotColdGenerator : public PatternBase
+class HotColdGenerator final : public PatternBase<HotColdGenerator>
 {
   public:
     explicit HotColdGenerator(const GeneratorParams &params)
@@ -200,9 +194,8 @@ class HotColdGenerator : public PatternBase
           writes_(params, pages_)
     {}
 
-  protected:
     std::uint64_t
-    nextVirtualLine(AccessType type) override
+    nextVirtualLine(AccessType type)
     {
         if (type == AccessType::Write && writes_.enabled())
             return writes_.sample(rng_);
@@ -219,14 +212,13 @@ class HotColdGenerator : public PatternBase
  * Sequential page sweep touching a fixed ~40% subset of each page's
  * lines (mid-range counter-usage fraction).
  */
-class MixedGenerator : public PatternBase
+class MixedGenerator final : public PatternBase<MixedGenerator>
 {
   public:
     using PatternBase::PatternBase;
 
-  protected:
     std::uint64_t
-    nextVirtualLine(AccessType) override
+    nextVirtualLine(AccessType)
     {
         // `usedPerPage` distinct offsets per page, derived from a
         // per-page phase so different pages use different subsets.
@@ -237,7 +229,8 @@ class MixedGenerator : public PatternBase
             (phase + subCursor_ * stride) % linesPerPage;
         if (++subCursor_ >= usedPerPage) {
             subCursor_ = 0;
-            page_ = (page_ + 1) % pages_;
+            if (++page_ == pages_)
+                page_ = 0;
         }
         return page * linesPerPage + offset;
     }
@@ -251,9 +244,18 @@ class MixedGenerator : public PatternBase
 
 } // namespace
 
+std::uint32_t
+GapSampler::reference(std::uint64_t x) const
+{
+    const double u = double(x) * 0x1.0p-53;
+    const double gap = -mean_ * std::log1p(-u);
+    return std::uint32_t(std::min(gap, 1e6));
+}
+
 PagePermutation::PagePermutation(std::uint64_t num_pages,
                                  std::uint64_t seed)
-    : n_(num_pages), narrow_(num_pages <= (std::uint64_t(1) << 32))
+    : n_(num_pages), reciprocal_(~std::uint64_t(0) / num_pages),
+      narrow_(num_pages <= (std::uint64_t(1) << 32))
 {
     MORPH_CHECK(num_pages > 0);
     // Multiplier coprime to n gives a bijection v -> (a*v + b) mod n.
@@ -264,16 +266,6 @@ PagePermutation::PagePermutation(std::uint64_t num_pages,
         a = (a + 1) % n_ == 0 ? 1 : a + 1;
     multiplier_ = a;
     offset_ = (seed >> 7) % n_;
-}
-
-std::uint64_t
-PagePermutation::operator()(std::uint64_t vpage) const
-{
-    MORPH_CHECK_LT(vpage, n_);
-    // v, a, b < n <= 2^32: a * v + b <= (2^32 - 1)^2 + 2^32 - 1 < 2^64.
-    if (narrow_)
-        return (vpage * multiplier_ + offset_) % n_;
-    return wide(vpage);
 }
 
 std::uint64_t

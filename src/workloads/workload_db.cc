@@ -91,10 +91,10 @@ findMix(const std::string &name)
     return nullptr;
 }
 
-std::unique_ptr<TraceSource>
-makeWorkloadTrace(const WorkloadSpec &spec, unsigned core,
-                  unsigned cores, std::uint64_t mem_bytes,
-                  std::uint64_t seed, double footprint_scale)
+GeneratorParams
+workloadParams(const WorkloadSpec &spec, unsigned core, unsigned cores,
+               std::uint64_t mem_bytes, std::uint64_t seed,
+               double footprint_scale)
 {
     if (core >= cores)
         fatal("workload: core %u out of range (%u cores)", core, cores);
@@ -121,7 +121,17 @@ makeWorkloadTrace(const WorkloadSpec &spec, unsigned core,
     params.writeHotFraction = spec.writeHotFraction;
     params.writeZipfExponent = spec.writeZipfExponent;
     params.seed = seed * 0x1000193u + core * 0x9e370001u + 0x811c9dc5u;
-    return makeGenerator(spec.pattern, params);
+    return params;
+}
+
+std::unique_ptr<TraceSource>
+makeWorkloadTrace(const WorkloadSpec &spec, unsigned core,
+                  unsigned cores, std::uint64_t mem_bytes,
+                  std::uint64_t seed, double footprint_scale)
+{
+    return makeGenerator(spec.pattern,
+                         workloadParams(spec, core, cores, mem_bytes, seed,
+                                        footprint_scale));
 }
 
 } // namespace morph

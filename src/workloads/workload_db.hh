@@ -59,6 +59,12 @@ const WorkloadSpec *findWorkload(const std::string &name);
 /** Find a mix by name; nullptr if unknown. */
 const MixSpec *findMix(const std::string &name);
 
+/** The generator parameters of makeWorkloadTrace (same arguments). */
+GeneratorParams workloadParams(const WorkloadSpec &spec, unsigned core,
+                               unsigned cores, std::uint64_t mem_bytes,
+                               std::uint64_t seed,
+                               double footprint_scale = 1.0);
+
 /**
  * Build the per-core trace for @p spec.
  *

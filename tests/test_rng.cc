@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <map>
 
 #include "common/rng.hh"
@@ -112,6 +113,45 @@ TEST(Zipf, LargeDomainUsesApproximation)
     }
     EXPECT_GT(low, high);
     EXPECT_GT(low, 1000u);
+}
+
+TEST(Zipf, GuideSearchEqualsLowerBound)
+{
+    // At every CDF value and its neighbours, the guided search must
+    // return what a search over all n ranks returns (clamped to n-1).
+    for (const std::uint64_t n : {std::uint64_t(1), std::uint64_t(2),
+                                  std::uint64_t(3), std::uint64_t(1000),
+                                  std::uint64_t(1) << 20}) {
+        for (const double exponent : {0.0, 0.8, 0.9, 0.95, 1.0}) {
+            const ZipfSampler zipf(n, exponent);
+            const std::vector<double> &cdf = zipf.cdf();
+            ASSERT_EQ(cdf.size(), n);
+            // lower_bound by a linear walk from the previous answer:
+            // the queries come in increasing order, so it costs O(1).
+            std::uint64_t j = 0;
+            const auto expect = [&](double u) {
+                while (j > 0 && cdf[j - 1] >= u)
+                    --j;
+                while (j < n && cdf[j] < u)
+                    ++j;
+                return std::min(j, n - 1);
+            };
+            std::uint64_t mismatches = 0;
+            const auto check = [&](double u) {
+                if (zipf.rankAt(u) != expect(u) && mismatches++ == 0)
+                    ADD_FAILURE() << "n=" << n << " s=" << exponent
+                                  << " u=" << u << ": " << zipf.rankAt(u)
+                                  << " != " << expect(u);
+            };
+            check(0.0);
+            for (const double v : cdf) {
+                check(std::nextafter(v, 0.0));
+                check(v);
+                check(std::nextafter(v, INFINITY));
+            }
+            EXPECT_EQ(mismatches, 0u) << "n=" << n << " s=" << exponent;
+        }
+    }
 }
 
 TEST(Zipf, ZeroExponentIsUniform)

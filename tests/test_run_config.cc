@@ -6,7 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <filesystem>
+#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -222,6 +225,32 @@ TEST(RunConfig, ResolveChecksNamesAndTrace)
     RunConfig bad_trace;
     bad_trace.tracePath = "/nonexistent/x.trc";
     rejects(bad_trace, "system.trace");
+    RunConfig far_line;
+    far_line.tracePath =
+        std::string(MORPH_SOURCE_DIR) + "/tests/data/bad-trace-line.trc";
+    rejects(far_line, "bad-trace-line.trc:3: line address ffffffffffff");
+}
+
+TEST(RunConfig, ResolveChecksTheLastLineOfMemory)
+{
+    // 16 GiB holds lines [0, 2^28): the last one replays, the next
+    // one is a bad configuration that names its file line.
+    const auto path = std::filesystem::temp_directory_path() /
+                      ("morph-edge-" + std::to_string(::getpid()) + ".trc");
+    const auto resolve = [&](const char *text, std::string &error) {
+        std::ofstream(path) << text;
+        RunConfig config;
+        config.tracePath = path.string();
+        return resolveRunConfig(config, error);
+    };
+    std::string error;
+    EXPECT_TRUE(resolve("# edge\n1 R fffffff\n2 W 0\n", error)) << error;
+    EXPECT_FALSE(resolve("1 R fffffff\n# edge\n2 W 10000000\n", error));
+    EXPECT_NE(error.find(".trc:3: line address 10000000 is past the "
+                         "268435456-line protected memory"),
+              std::string::npos)
+        << error;
+    std::filesystem::remove(path);
 }
 
 TEST(RunConfig, ShippedConfigsLoad)

@@ -5,11 +5,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
+#include <deque>
 #include <stdexcept>
 #include <string>
 
+#include "common/rng.hh"
+#include "sim/core.hh"
 #include "sim/simulator.hh"
 
 namespace morph
@@ -108,6 +112,75 @@ TEST(CoreModel, DrainWaitsForOutstanding)
     core.completeEntry(entry, 777);
     core.drain();
     EXPECT_GE(core.clock(), 777u);
+}
+
+TEST(CoreModel, LargestGapDoesNotWrap)
+{
+    // A trace file clamps its gaps to 2^32 - 1; in 32-bit arithmetic
+    // that gap would count 0 instructions and 0 cycles.
+    struct HugeGapTrace : TraceSource
+    {
+        TraceEntry
+        next() override
+        {
+            return {~std::uint32_t(0), AccessType::Read, 0};
+        }
+    } trace;
+    Core core(0, trace, CoreConfig{});
+    core.beginEntry();
+    EXPECT_EQ(core.instructions(), std::uint64_t(1) << 32);
+    EXPECT_EQ(core.clock(), std::uint64_t(1) << 30); // ceil((2^32-1)/4)
+}
+
+TEST(CoreModel, RingMatchesUnboundedQueue)
+{
+    // The outstanding-read ring against the unbounded queue it
+    // replaced, on seeded gaps (0 included), types and completion
+    // times, at ROB sizes that fill it, wrap it and grow it.
+    struct RandomTrace : TraceSource
+    {
+        Rng rng{5};
+        TraceEntry
+        next() override
+        {
+            const auto gap = std::uint32_t(rng.below(4) == 0 ? 0
+                                                             : rng.below(40));
+            return {gap, rng.below(3) == 0 ? AccessType::Write
+                                           : AccessType::Read,
+                    0};
+        }
+    };
+    for (const unsigned rob : {0u, 1u, 2u, 3u, 17u, 64u, 192u, 1000u}) {
+        RandomTrace trace, replay;
+        const CoreConfig config{.robSize = rob, .retireWidth = 4};
+        Core core(0, trace, config);
+        std::deque<std::pair<std::uint64_t, Cycle>> queue;
+        Cycle clock = 0;
+        std::uint64_t instructions = 0;
+        const auto retire = [&](std::uint64_t floor) {
+            while (!queue.empty() && queue.front().first <= floor) {
+                clock = std::max(clock, queue.front().second);
+                queue.pop_front();
+            }
+        };
+        Rng latency(rob + 1);
+        for (int i = 0; i < 20000; ++i) {
+            const TraceEntry entry = core.beginEntry();
+            const TraceEntry expected = replay.next();
+            clock += (expected.gap + 3) / 4;
+            instructions += expected.gap + 1;
+            if (instructions > rob)
+                retire(instructions - rob);
+            ASSERT_EQ(core.clock(), clock) << "rob " << rob << " entry " << i;
+            const Cycle done = clock + latency.below(2000);
+            core.completeEntry(entry, done);
+            if (expected.type == AccessType::Read)
+                queue.emplace_back(instructions, done);
+        }
+        core.drain();
+        retire(~std::uint64_t(0));
+        EXPECT_EQ(core.clock(), clock) << "rob " << rob;
+    }
 }
 
 TEST(Simulation, DeterministicAcrossRuns)

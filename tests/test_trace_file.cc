@@ -45,6 +45,30 @@ TEST(TraceFile, SkipsCommentsAndBlankLines)
     EXPECT_EQ(trace.size(), 2u);
 }
 
+TEST(TraceFile, HighestLineNamesItsFirstFileLine)
+{
+    std::istringstream input("# header\n"
+                             "1 R 40\n"
+                             "2 W 7ff\n"
+                             "\n"
+                             "3 R 7ff\n"
+                             "4 R 3\n");
+    const FileTraceSource trace(input, "inline");
+    EXPECT_EQ(trace.highest().line, 0x7ffu);
+    EXPECT_EQ(trace.highest().fileLine, 3u);
+}
+
+TEST(TraceFile, CopiesReplayIndependently)
+{
+    // runTraceFile parses once and gives each core a copy.
+    std::istringstream input("1 R 1\n2 W 2\n3 R 3\n");
+    FileTraceSource loaded(input, "inline");
+    FileTraceSource copy(loaded);
+    EXPECT_EQ(loaded.next().line, 1u);
+    EXPECT_EQ(loaded.next().line, 2u);
+    EXPECT_EQ(copy.next().line, 1u);
+}
+
 TEST(TraceFile, ReplaysCyclically)
 {
     std::istringstream input("1 R 1\n2 W 2\n");
