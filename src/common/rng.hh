@@ -14,6 +14,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "common/check.hh"
@@ -103,35 +104,33 @@ class Rng
  * of the CDF's range, so it touches a few adjacent CDF entries instead
  * of log2(n) scattered ones. Larger n inverts a continuous
  * approximation of the CDF in O(1).
+ *
+ * The CDF and its guide depend only on (n, exponent), so every live
+ * sampler of one (n, exponent) shares one immutable Table: the first
+ * builds it, the others find it in a process-wide registry of weak
+ * references, and the last one to die frees it.
  */
 class ZipfSampler
 {
   public:
-    ZipfSampler(std::uint64_t n, double exponent)
-        : n_(n), exponent_(exponent)
+    /** The exact-inversion tables of one (n, exponent). */
+    struct Table
     {
-        MORPH_CHECK(n > 0);
-        if (n_ <= cdfLimit) {
-            cdf_.reserve(n_);
-            double sum = 0.0;
-            for (std::uint64_t i = 0; i < n_; ++i) {
-                sum += 1.0 / std::pow(double(i + 1), exponent_);
-                cdf_.push_back(sum);
-            }
-            norm_ = sum;
-            buildGuide();
-        } else {
-            // Harmonic approximation H(n,s) for the continuous tail.
-            norm_ = generalizedHarmonic(double(n_), exponent_);
-        }
-    }
+        double norm = 0.0;       ///< the CDF's last value
+        std::vector<double> cdf; ///< unnormalised, one value per rank
+        std::uint64_t buckets = 0;
+        double bucketScale = 0.0;
+        std::vector<std::uint32_t> guide; ///< buckets + 2 ranks
+    };
+
+    ZipfSampler(std::uint64_t n, double exponent);
 
     /** Draw one sample (rank 0 is the most popular item). */
     std::uint64_t
     sample(Rng &rng) const
     {
         const double u = rng.uniform() * norm_;
-        if (!cdf_.empty())
+        if (cdf_ != nullptr)
             return rankAt(u);
         // Invert the continuous approximation of the CDF.
         const double s = exponent_;
@@ -149,19 +148,18 @@ class ZipfSampler
      * The first rank whose CDF value is >= @p u, or n - 1 if none is
      * (the CDF's lower_bound, clamped). Only for n <= 2^20.
      *
-     * Invariant: guide_[b] is the first rank whose CDF value falls in
+     * Invariant: guide[b] is the first rank whose CDF value falls in
      * bucket b or a later one (n - 1 if none does), and bucketOf is
-     * monotone. Ranks before guide_[b] have CDF values in earlier
-     * buckets, hence below u; the CDF value at guide_[b + 1] lies in a
-     * later bucket than u, hence above it (or guide_[b + 1] is the
-     * n - 1 clamp). So the answer lies in
-     * [guide_[b], guide_[b + 1]], and the search there equals a search
-     * over all n ranks.
+     * monotone. Ranks before guide[b] have CDF values in earlier
+     * buckets, hence below u; the CDF value at guide[b + 1] lies in a
+     * later bucket than u, hence above it (or guide[b + 1] is the
+     * n - 1 clamp). So the answer lies in [guide[b], guide[b + 1]],
+     * and the search there equals a search over all n ranks.
      */
     std::uint64_t
     rankAt(double u) const
     {
-        const std::uint64_t b = bucketOf(u);
+        const std::uint64_t b = bucketOf(u, buckets_, bucketScale_);
         std::uint64_t lo = guide_[b], hi = guide_[b + 1];
         while (lo < hi) {
             const std::uint64_t mid = (lo + hi) / 2;
@@ -174,65 +172,48 @@ class ZipfSampler
     }
 
     /** The unnormalised CDF (empty beyond 2^20 ranks). */
-    const std::vector<double> &cdf() const { return cdf_; }
+    const std::vector<double> &
+    cdf() const
+    {
+        static const std::vector<double> none;
+        return table_ ? table_->cdf : none;
+    }
+
+    /** The shared tables (null beyond 2^20 ranks). */
+    const std::shared_ptr<const Table> &table() const { return table_; }
 
     std::uint64_t size() const { return n_; }
 
   private:
     static constexpr std::uint64_t cdfLimit = 1u << 20;
 
-    /** CDF ranks per guide bucket, on average: the guide's 4-byte
-     *  ranks take 1/32 of the CDF's memory. A denser guide shortens
-     *  the search but every Fig 15 cell builds its own. */
-    static constexpr std::uint64_t ranksPerBucket = 16;
-
-    /** Bucket of a CDF value in [0, norm_]; monotone in @p v. (The
+    /** Bucket of a CDF value in [0, norm]; monotone in @p v. (The
      *  product is below 2^63: a signed conversion is one instruction,
      *  an unsigned one is several.) */
-    std::uint64_t
-    bucketOf(double v) const
+    static std::uint64_t
+    bucketOf(double v, std::uint64_t buckets, double scale)
     {
-        return std::min(buckets_,
-                        std::uint64_t(std::int64_t(v * bucketScale_)));
+        return std::min(buckets,
+                        std::uint64_t(std::int64_t(v * scale)));
     }
 
-    /** One pass over the ranks, last to first, in which each rank
-     *  claims its own bucket, so a bucket ends with its first rank;
-     *  then one over the buckets, last to first, in which a bucket
-     *  no rank claimed takes the next bucket's rank (n - 1 past the
-     *  end). No branch depends on the CDF's values. */
-    void
-    buildGuide()
-    {
-        buckets_ = std::max<std::uint64_t>(1, n_ / ranksPerBucket);
-        bucketScale_ = double(buckets_) / norm_;
-        const auto unclaimed = std::uint32_t(n_);
-        guide_.assign(buckets_ + 2, unclaimed);
-        for (std::uint64_t i = n_; i-- > 0;)
-            guide_[bucketOf(cdf_[i])] = std::uint32_t(i);
-        auto next = std::uint32_t(n_ - 1);
-        for (std::uint64_t b = guide_.size(); b-- > 0;) {
-            if (guide_[b] != unclaimed)
-                next = guide_[b];
-            guide_[b] = next;
-        }
-    }
-
-    static double
-    generalizedHarmonic(double n, double s)
-    {
-        if (s == 1.0)
-            return std::log(n + 1.0);
-        return (std::pow(n + 1.0, 1.0 - s) - 1.0) / (1.0 - s);
-    }
+    /** The table of (n, exponent): a live one if any sampler holds
+     *  it, else a new one. */
+    static std::shared_ptr<const Table> sharedTable(std::uint64_t n,
+                                                    double exponent);
+    static std::shared_ptr<const Table> buildTable(std::uint64_t n,
+                                                   double exponent);
 
     std::uint64_t n_;
     double exponent_;
+    std::shared_ptr<const Table> table_;
+    // The hot fields of table_, copied so a draw reads no pointer
+    // through it.
     double norm_ = 1.0;
-    std::vector<double> cdf_;
+    const double *cdf_ = nullptr;
+    const std::uint32_t *guide_ = nullptr;
     std::uint64_t buckets_ = 0;
     double bucketScale_ = 0.0;
-    std::vector<std::uint32_t> guide_; ///< buckets_ + 2 ranks
 };
 
 } // namespace morph

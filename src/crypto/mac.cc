@@ -45,26 +45,34 @@ MacEngine::compute(LineAddr line, std::uint64_t counter,
     return truncate(siphash24(buf, sizeof(buf), key_.raw()), tag_bits);
 }
 
+std::uint64_t
+MacEngine::compute(const MacMessage &msg) const
+{
+    if (!msg.zeroMacWord)
+        return compute(msg.line, msg.counter, *msg.payload, msg.tagBits);
+    CachelineData payload = *msg.payload;
+    std::memset(payload.data() + lineBytes - 8, 0, 8);
+    return compute(msg.line, msg.counter, payload, msg.tagBits);
+}
+
 void
 MacEngine::computeBatch(const MacMessage *msgs, std::size_t n,
-                        std::uint64_t *tags) const
+                        std::uint64_t *tags, SipImpl impl) const
 {
     MORPH_PROF_SCOPE("crypto.mac_batch");
+    static_assert(messageBytes == sipLineBytes);
     for (std::size_t first = 0; first < n; first += 4) {
         const std::size_t lanes = std::min<std::size_t>(4, n - first);
-        std::uint8_t buf[4][messageBytes];
-        const std::uint8_t *data[4];
+        SipLines4 pass;
         for (std::size_t lane = 0; lane < 4; ++lane) {
-            if (lane < lanes) {
-                const MacMessage &m = msgs[first + lane];
-                serialize(m.line, m.counter, *m.payload, buf[lane]);
-                data[lane] = buf[lane];
-            } else {
-                data[lane] = data[lanes - 1];
-            }
+            const MacMessage &m = msgs[first + std::min(lane, lanes - 1)];
+            pass.line[lane] = m.line;
+            pass.counter[lane] = m.counter;
+            pass.payload[lane] = m.payload->data();
+            pass.lastMask[lane] = m.zeroMacWord ? 0 : ~0ull;
         }
         std::uint64_t out[4];
-        siphash24x4(data, messageBytes, key_.raw(), out, siphashDispatched());
+        siphash24x4(pass, key_.raw(), out, impl);
         for (std::size_t lane = 0; lane < lanes; ++lane)
             tags[first + lane] =
                 truncate(out[lane], msgs[first + lane].tagBits);

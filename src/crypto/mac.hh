@@ -14,9 +14,10 @@
  * store 64-bit MACs (Fig 8).
  *
  * compute() is the scalar reference. computeBatch() MACs many messages
- * four lanes per SipHash pass (siphash24x4) with bit-identical tags;
- * it is how IntegrityTree and SecureMemory MAC every level of a path,
- * and the data line, of one functional read or write together.
+ * four lanes per SipHash pass (siphash24x4) with bit-identical
+ * tags, reading each message's parts where they lie: it is how
+ * IntegrityTree and SecureMemory MAC every level of a path, and the
+ * data line, of one functional read or write together.
  */
 
 #ifndef MORPH_CRYPTO_MAC_HH
@@ -39,6 +40,9 @@ struct MacMessage
     std::uint64_t counter = 0;
     const CachelineData *payload = nullptr;
     unsigned tagBits = 64; ///< tag truncation width (1..64)
+    /** MAC the payload's last word (bytes 56-63, a counter entry's
+     *  MAC field) as zero, without writing it. */
+    bool zeroMacWord = false;
 };
 
 /** Keyed MAC engine over (address, counter, payload) tuples. */
@@ -60,14 +64,19 @@ class MacEngine
                           const CachelineData &payload,
                           unsigned tag_bits = 64) const;
 
+    /** MAC of one message: the scalar reference of computeBatch. */
+    std::uint64_t compute(const MacMessage &msg) const;
+
     /**
      * MACs of @p n messages, four per SipHash pass: tags[i] ==
-     * compute(msgs[i].line, msgs[i].counter, *msgs[i].payload,
-     * msgs[i].tagBits), on the siphashDispatched() backend. The idle
-     * lanes of a partial last pass hash a copy of its last message.
+     * compute(msgs[i]), on the @p impl backend (siphashDispatched()
+     * unless a test pins one). Each pass reads the lanes' payloads in
+     * place. The idle lanes of a partial last pass hash a copy of its
+     * last message.
      */
     void computeBatch(const MacMessage *msgs, std::size_t n,
-                      std::uint64_t *tags) const;
+                      std::uint64_t *tags,
+                      SipImpl impl = siphashDispatched()) const;
 
     /**
      * Constant-time comparison of two tags of @p tag_bits width

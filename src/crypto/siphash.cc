@@ -102,27 +102,54 @@ siphashAvx2Available()
 #endif
 }
 
+bool
+siphashAvx512Available()
+{
+#ifdef MORPH_HAVE_AVX512
+    static const bool supported = sipavx512::cpuSupported();
+    return supported;
+#else
+    return false;
+#endif
+}
+
 SipImpl
 siphashDispatched()
 {
-    return siphashAvx2Available() ? SipImpl::Avx2 : SipImpl::Portable;
+    static const SipImpl impl = siphashAvx512Available() ? SipImpl::Avx512
+                                : siphashAvx2Available() ? SipImpl::Avx2
+                                                         : SipImpl::Portable;
+    return impl;
 }
 
 void
-siphash24x4(const std::uint8_t *const data[4], std::size_t len,
-            MORPH_SECRET const SipKey &key, std::uint64_t out[4],
-            SipImpl impl)
+siphash24x4(const SipLines4 &msgs, MORPH_SECRET const SipKey &key,
+            std::uint64_t out[4], SipImpl impl)
 {
+#ifdef MORPH_HAVE_AVX512
+    if (impl == SipImpl::Avx512) {
+        MORPH_CHECK(siphashAvx512Available());
+        sipavx512::hash4(msgs, key, out);
+        return;
+    }
+#endif
 #ifdef MORPH_HAVE_AVX2
     if (impl == SipImpl::Avx2) {
         MORPH_CHECK(siphashAvx2Available());
-        sipavx2::hash4(data, len, key, out);
+        sipavx2::hash4(msgs, key, out);
         return;
     }
 #endif
     MORPH_CHECK(impl == SipImpl::Portable);
-    for (unsigned lane = 0; lane < 4; ++lane)
-        out[lane] = siphash24(data[lane], len, key);
+    for (unsigned lane = 0; lane < 4; ++lane) {
+        std::uint8_t buf[sipLineBytes];
+        std::memcpy(buf, &msgs.line[lane], 8);
+        std::memcpy(buf + 8, &msgs.counter[lane], 8);
+        std::memcpy(buf + 16, msgs.payload[lane], 64);
+        const std::uint64_t last = readLe64(buf + 72) & msgs.lastMask[lane];
+        std::memcpy(buf + 72, &last, 8);
+        out[lane] = siphash24(buf, sizeof(buf), key);
+    }
 }
 
 } // namespace morph

@@ -7,12 +7,15 @@
  * layout, 64-bit in tree entries); SipHash's 64-bit output truncates
  * cleanly. Verified against the reference test vectors in the tests.
  *
- * siphash24x4 hashes four equal-length messages in one pass. Two
- * bit-identical backends sit behind it: a loop over the scalar
- * siphash24 (the reference) and an AVX2 kernel that runs the four
- * states in the lanes of one vector (src/crypto/siphash_avx2.cc).
- * siphashDispatched() picks one once per process by CPUID alone;
- * tests pin a backend by passing it explicitly.
+ * siphash24x4 hashes four 80-byte MAC messages (line || counter ||
+ * payload) in one pass, reading each one's parts where they lie,
+ * without assembling the message in a buffer. Three bit-identical
+ * backends sit behind it: a loop over the scalar siphash24 (the
+ * reference), and one four-lane kernel that runs the four states in
+ * the lanes of one vector (src/crypto/siphash_avx2.cc), built once for
+ * AVX2 and once for AVX-512VL, whose rotates are single instructions.
+ * siphashDispatched() picks the widest the CPU runs, once per process
+ * by CPUID alone; tests pin a backend by passing it explicitly.
  */
 
 #ifndef MORPH_CRYPTO_SIPHASH_HH
@@ -43,23 +46,44 @@ enum class SipImpl : std::uint8_t
 {
     Portable, ///< four calls of the scalar siphash24
     Avx2,     ///< four lanes of one AVX2 pass
+    Avx512,   ///< the AVX2 kernel with AVX-512VL rotates
+};
+
+/** Bytes of one MAC message: line || counter || 64-byte payload. */
+constexpr std::size_t sipLineBytes = 80;
+
+/**
+ * Four MAC messages, one per lane, as their parts: lane i is the
+ * little-endian words line[i], counter[i], then the eight words of the
+ * 64 bytes at payload[i], the last of them ANDed with lastMask[i]
+ * (~0 keeps it, 0 hashes it as zero).
+ */
+struct SipLines4
+{
+    std::uint64_t line[4];
+    std::uint64_t counter[4];
+    const std::uint8_t *payload[4];
+    std::uint64_t lastMask[4];
 };
 
 /**
- * SipHash-2-4 of four @p len-byte messages under one @p key, in one
- * pass: out[i] == siphash24(data[i], len, key) for every lane.
- * @p impl must be Portable, or Avx2 when siphashAvx2Available()
+ * SipHash-2-4 of the four 80-byte messages of @p msgs under one
+ * @p key, in one pass: out[i] is siphash24 of lane i's message,
+ * serialized. @p impl must be Portable or an available SIMD backend
  * (MORPH_CHECK).
  */
-void siphash24x4(const std::uint8_t *const data[4], std::size_t len,
-                 MORPH_SECRET const SipKey &key, std::uint64_t out[4],
-                 SipImpl impl);
+void siphash24x4(const SipLines4 &msgs, MORPH_SECRET const SipKey &key,
+                 std::uint64_t out[4], SipImpl impl);
 
 /** True if the build and the CPU both support the AVX2 backend. */
 bool siphashAvx2Available();
 
-/** Avx2 when siphashAvx2Available(), else Portable; the CPUID probe
- *  is latched on first use. */
+/** True if the build and the CPU both support the AVX-512VL backend. */
+bool siphashAvx512Available();
+
+/** Avx512 when siphashAvx512Available(), else Avx2 when
+ *  siphashAvx2Available(), else Portable; the CPUID probes are latched
+ *  on first use. */
 SipImpl siphashDispatched();
 
 } // namespace morph

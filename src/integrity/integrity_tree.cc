@@ -32,15 +32,14 @@ IntegrityTree::entryAt(unsigned level, std::uint64_t index)
 MacMessage
 IntegrityTree::entryMessage(unsigned level, std::uint64_t index,
                             const CachelineData &image,
-                            std::uint64_t parent_counter,
-                            CachelineData &payload) const
+                            std::uint64_t parent_counter) const
 {
     // MAC covers the entry contents (MAC field zeroed), bound to the
     // entry's physical line address and its parent counter.
-    payload = image;
-    CounterFormat::setMac(payload, 0);
-    return {geometry().lineOfEntry(level, index), parent_counter, &payload,
-            64};
+    static_assert(CounterFormat::macOffset == 8 * (lineBytes - 8),
+                  "the MAC field is the entry's last word");
+    return {geometry().lineOfEntry(level, index), parent_counter, &image,
+            64, true};
 }
 
 std::uint64_t
@@ -51,10 +50,8 @@ IntegrityTree::entryMac(unsigned level, std::uint64_t index,
         state_.locate(level + 1, index);
     const std::uint64_t parent_counter = state_.format(level + 1).read(
         entryAt(level + 1, parent.index), parent.slot);
-    CachelineData payload;
-    const MacMessage m =
-        entryMessage(level, index, image, parent_counter, payload);
-    return macEngine_.compute(m.line, m.counter, payload);
+    return macEngine_.compute(
+        entryMessage(level, index, image, parent_counter));
 }
 
 void
@@ -182,14 +179,12 @@ void
 IntegrityTree::runLanes(DataLane *data)
 {
     const std::size_t entries = lanes_.size();
-    payloads_.resize(entries);
     msgs_.resize(entries + (data ? 1 : 0));
     for (std::size_t i = 0; i < entries; ++i) {
         const EntryLane &lane = lanes_[i];
         msgs_[i] = entryMessage(
             lane.level, lane.index, *lane.image,
-            state_.format(lane.level + 1).read(*lane.parent, lane.slot),
-            payloads_[i]);
+            state_.format(lane.level + 1).read(*lane.parent, lane.slot));
     }
     if (data) {
         data->counter = dataMsg_.counter;

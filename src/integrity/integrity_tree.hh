@@ -18,7 +18,8 @@
  * functionally equivalent and maximally conservative.
  *
  * The MACs of one operation are computed together once its counters
- * are final, four lanes per SipHash pass (MacEngine::computeBatch):
+ * are final, four lanes per SipHash pass (MacEngine::computeBatch),
+ * each entry read in place with its MAC field taken as zero:
  * verify() MACs every level of the path, and a bump MACs the path and
  * the overflow-reset children it invalidated. A caller may add its
  * data-line MAC to either batch as one more lane (DataLane).
@@ -160,12 +161,11 @@ class IntegrityTree
 
     CachelineData &entryAt(unsigned level, std::uint64_t index);
     /** The MAC message of entry (@p level, @p index) under
-     *  @p parent_counter; @p payload receives the MAC'd copy of
-     *  @p image the message points at. */
+     *  @p parent_counter: @p image in place, its MAC field read as
+     *  zero. */
     MacMessage entryMessage(unsigned level, std::uint64_t index,
                             const CachelineData &image,
-                            std::uint64_t parent_counter,
-                            CachelineData &payload) const;
+                            std::uint64_t parent_counter) const;
     std::uint64_t entryMac(unsigned level, std::uint64_t index,
                            const CachelineData &image);
     void resealEntry(unsigned level, std::uint64_t index,
@@ -183,7 +183,6 @@ class IntegrityTree
     // beginBump() and finishBump(), lanes_ holds the pending reseals
     // and dataMsg_ the bumped line and its new counter.
     std::vector<EntryLane> lanes_;
-    std::vector<CachelineData> payloads_;
     std::vector<MacMessage> msgs_;
     std::vector<std::uint64_t> tags_;
     MacMessage dataMsg_;

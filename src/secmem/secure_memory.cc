@@ -9,6 +9,24 @@
 namespace morph
 {
 
+namespace
+{
+
+/** Start loading the @p size-byte record at @p record for reading
+ *  (0) or writing (1): the host cache lines of its first and last
+ *  bytes. A line's record is 72 bytes at an 8-byte-aligned address,
+ *  so those are all of its lines. */
+template <int Write>
+void
+prefetchRecord(const void *record, std::size_t size)
+{
+    const auto *bytes = static_cast<const char *>(record);
+    __builtin_prefetch(bytes, Write);
+    __builtin_prefetch(bytes + size - 1, Write);
+}
+
+} // namespace
+
 SecureMemory::SecureMemory(const SecureMemoryConfig &config)
     : config_(config), otp_(config.encryptionKey),
       tree_(config.memBytes, config.tree, config.macKey)
@@ -109,11 +127,24 @@ SecureMemory::dataMac(LineAddr line, std::uint64_t counter,
                                      config_.macBits);
 }
 
+SecureMemory::StoredLine *
+SecureMemory::find(LineAddr line)
+{
+    Page *page = store_.find(line >> Page::lineLog2);
+    const unsigned slot = slotOf(line);
+    if (page == nullptr || (page->present >> slot & 1) == 0)
+        return nullptr;
+    return &page->lines[slot];
+}
+
 SecureMemory::StoredLine &
 SecureMemory::materialize(LineAddr line)
 {
-    if (StoredLine *stored = store_.find(line))
-        return *stored;
+    Page &page = store_[line >> Page::lineLog2];
+    const unsigned slot = slotOf(line);
+    StoredLine &stored = page.lines[slot];
+    if (page.present >> slot & 1)
+        return stored;
 
     // First touch: the line logically holds zeros, encrypted under
     // its current counter (0 for virgin lines; possibly higher if an
@@ -122,8 +153,42 @@ SecureMemory::materialize(LineAddr line)
     CachelineData ciphertext{};
     auditEncrypt(line, counter);
     otp_.xorPad(ciphertext, line, counter);
-    return store_[line] = {ciphertext,
-                           dataMac(line, counter, ciphertext)};
+    stored = {ciphertext, dataMac(line, counter, ciphertext)};
+    page.present |= 1ull << slot;
+    return stored;
+}
+
+void
+SecureMemory::reencryptSiblings(LineAddr line,
+                                const std::vector<LineAddr> &reencrypt,
+                                const CachelineData &before)
+{
+    const CounterTreeState &state = tree_.state();
+    siblingMsgs_.clear();
+    siblingMacs_.clear();
+    for (const LineAddr child : reencrypt) {
+        if (child == line)
+            continue; // rewritten by the caller with fresh plaintext
+        StoredLine *stored = find(child);
+        if (!stored)
+            continue; // never materialized; nothing to re-encrypt
+        // Decrypt under the old counter, re-encrypt under the new.
+        CachelineData &data = stored->ciphertext;
+        otp_.xorPad(data, child,
+                    state.format(0).read(before,
+                                         state.locate(0, child).slot));
+        const std::uint64_t fresh = counterOf(child);
+        auditEncrypt(child, fresh);
+        otp_.xorPad(data, child, fresh);
+        siblingMsgs_.push_back({child, fresh, &data, config_.macBits});
+        siblingMacs_.push_back(&stored->mac);
+        ++stats_.reencryptedLines;
+    }
+    siblingTags_.resize(siblingMsgs_.size());
+    tree_.macEngine().computeBatch(siblingMsgs_.data(), siblingMsgs_.size(),
+                                   siblingTags_.data());
+    for (std::size_t i = 0; i < siblingTags_.size(); ++i)
+        *siblingMacs_[i] = siblingTags_[i];
 }
 
 void
@@ -132,6 +197,13 @@ SecureMemory::writeLine(LineAddr line, const CachelineData &plaintext)
     MORPH_PROF_SCOPE("secmem.write_line");
     MORPH_CHECK_LT(line, geometry().dataLines());
     ++stats_.writes;
+
+    // The line's record is found (its page made) before the counter
+    // bump, so that its host lines load while the tree is walked.
+    Page &page = store_[line >> Page::lineLog2];
+    const unsigned slot = slotOf(line);
+    StoredLine &stored = page.lines[slot];
+    prefetchRecord<1>(&stored, sizeof(stored));
 
     // Snapshot the level-0 entry before the bump: if the bump
     // overflows, the controller re-encrypts each sibling from its old
@@ -145,31 +217,14 @@ SecureMemory::writeLine(LineAddr line, const CachelineData &plaintext)
     stats_.rebases += bump.rebases;
     if (bump.overflowed) {
         ++stats_.counterOverflows;
-        for (const LineAddr child : bump.reencrypt) {
-            if (child == line)
-                continue; // rewritten below with fresh plaintext
-            StoredLine *stored = store_.find(child);
-            if (!stored)
-                continue; // never materialized; nothing to re-encrypt
-            // Decrypt under the old counter, re-encrypt under the new.
-            CachelineData data = stored->ciphertext;
-            otp_.xorPad(data, child,
-                        state.format(0).read(
-                            before, state.locate(0, child).slot));
-            const std::uint64_t fresh = counterOf(child);
-            auditEncrypt(child, fresh);
-            otp_.xorPad(data, child, fresh);
-            stored->ciphertext = data;
-            stored->mac = dataMac(child, fresh, data);
-            ++stats_.reencryptedLines;
-        }
+        reencryptSiblings(line, bump.reencrypt, before);
     }
 
-    CachelineData ciphertext = plaintext;
+    stored.ciphertext = plaintext;
     auditEncrypt(line, bump.newCounter);
-    otp_.xorPad(ciphertext, line, bump.newCounter);
-    store_[line] = {ciphertext,
-                    sealWrite(line, bump.newCounter, ciphertext)};
+    otp_.xorPad(stored.ciphertext, line, bump.newCounter);
+    stored.mac = sealWrite(line, bump.newCounter, stored.ciphertext);
+    page.present |= 1ull << slot;
 }
 
 std::optional<CachelineData>
@@ -183,7 +238,9 @@ SecureMemory::readLine(LineAddr line, Verdict &verdict)
     // the tree all the way to the on-chip root. Under the counter tree
     // a stored line's data MAC is computed in the tree's batch; a line
     // never written is materialized only after its counter verified.
-    StoredLine *stored = store_.find(line);
+    StoredLine *stored = find(line);
+    if (stored)
+        prefetchRecord<0>(stored, sizeof(*stored)); // loads during the walk
     const bool batched = !merkle_ && stored;
     IntegrityTree::DataLane data{batched ? &stored->ciphertext : nullptr,
                                  config_.macBits};

@@ -23,6 +23,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <vector>
 
 #include "common/annotations.hh"
 #include "common/sparse_store.hh"
@@ -167,9 +168,39 @@ class SecureMemory
         std::uint64_t mac;
     };
 
+    /** 64 consecutive lines, stored in place: a line's record is there
+     *  once its bit in present is set. The store's directory holds one
+     *  entry per touched page, so finding a line's record is one probe
+     *  of a small index, and the record's address is known before the
+     *  tree walk starts. */
+    struct Page
+    {
+        static constexpr unsigned lineLog2 = 6;
+        std::uint64_t present;
+        StoredLine lines[1u << lineLog2];
+    };
+    static_assert(sizeof(StoredLine) == 72 && alignof(StoredLine) == 8,
+                  "a record spans exactly two host cache lines");
+
+    /** The slot of @p line within its page. */
+    static unsigned
+    slotOf(LineAddr line)
+    {
+        return unsigned(line) & ((1u << Page::lineLog2) - 1);
+    }
+
+    /** The record of @p line if it is stored, else nullptr. */
+    StoredLine *find(LineAddr line);
     StoredLine &materialize(LineAddr line);
     std::uint64_t dataMac(LineAddr line, std::uint64_t counter,
                           const CachelineData &ciphertext) const;
+
+    /** Re-encrypt every stored sibling of @p line in @p reencrypt from
+     *  its counter in @p before (the level-0 entry before the bump) to
+     *  its current one; their data MACs are computed four per pass. */
+    void reencryptSiblings(LineAddr line,
+                           const std::vector<LineAddr> &reencrypt,
+                           const CachelineData &before);
 
     /** Bump the counter of @p line, under either freshness scheme;
      *  fills the re-encryption work exactly as the tree would. Under
@@ -196,8 +227,13 @@ class SecureMemory
     OtpEngine otp_;
     IntegrityTree tree_; // its MacEngine also MACs the data lines
     std::optional<MacTree> merkle_;
-    SparseStore<StoredLine> store_;
+    SparseStore<Page> store_; // keyed by line >> Page::lineLog2
     Stats stats_;
+
+    // Scratch of reencryptSiblings, kept to reuse its capacity.
+    std::vector<MacMessage> siblingMsgs_;
+    std::vector<std::uint64_t *> siblingMacs_;
+    std::vector<std::uint64_t> siblingTags_;
 
 #ifdef MORPH_AUDIT_PADS
     PadAuditor padAuditor_;

@@ -251,10 +251,13 @@ resolveRunConfig(RunConfig &config, std::string &error)
                 " (--trace, system.trace)";
         return false;
     }
-    // Every line address must name a line of the protected memory;
-    // the largest one decides.
-    const FileTraceSource::Highest highest =
-        FileTraceSource(config.tracePath).highest();
+    // Every record must parse, and every line address must name a
+    // line of the protected memory; the largest one decides.
+    const std::optional<FileTraceSource> trace =
+        FileTraceSource::load(config.tracePath, error);
+    if (!trace)
+        return false;
+    const FileTraceSource::Highest highest = trace->highest();
     const std::uint64_t lines = config.secmem.memBytes / lineBytes;
     if (highest.line >= lines) {
         char text[160];

@@ -10,22 +10,61 @@
 namespace morph
 {
 
-FileTraceSource::FileTraceSource(const std::string &path)
+namespace
+{
+
+/** The message of a malformed record: "trace NAME:LINE: WHAT". */
+std::string
+recordError(const std::string &name, std::size_t line_number,
+            const std::string &what)
+{
+    return "trace " + name + ":" + std::to_string(line_number) + ": " +
+           what;
+}
+
+} // namespace
+
+std::optional<FileTraceSource>
+FileTraceSource::load(const std::string &path, std::string &error)
 {
     std::ifstream input(path);
-    if (!input)
-        fatal("trace: cannot open %s", path.c_str());
-    parse(input, path);
+    if (!input) {
+        error = "trace: cannot open " + path;
+        return std::nullopt;
+    }
+    return load(input, path, error);
+}
+
+std::optional<FileTraceSource>
+FileTraceSource::load(std::istream &input, const std::string &name,
+                      std::string &error)
+{
+    FileTraceSource trace;
+    if (!trace.parse(input, name, error))
+        return std::nullopt;
+    return trace;
+}
+
+FileTraceSource::FileTraceSource(const std::string &path)
+{
+    std::string error;
+    std::optional<FileTraceSource> loaded = load(path, error);
+    if (!loaded)
+        fatal("%s", error.c_str());
+    *this = std::move(*loaded);
 }
 
 FileTraceSource::FileTraceSource(std::istream &input,
                                  const std::string &name)
 {
-    parse(input, name);
+    std::string error;
+    if (!parse(input, name, error))
+        fatal("%s", error.c_str());
 }
 
-void
-FileTraceSource::parse(std::istream &input, const std::string &name)
+bool
+FileTraceSource::parse(std::istream &input, const std::string &name,
+                       std::string &error)
 {
     std::string line;
     std::size_t line_number = 0;
@@ -48,14 +87,16 @@ FileTraceSource::parse(std::istream &input, const std::string &name)
             std::strtoull(gap_text.c_str(), &gap_end, 10);
         if (gap_text[0] == '-' || gap_end == gap_text.c_str() ||
             *gap_end != '\0') {
-            fatal("trace %s:%zu: bad gap '%s'; expected "
-                  "'<gap> <R|W> <hex-line>'",
-                  name.c_str(), line_number, gap_text.c_str());
+            error = recordError(name, line_number,
+                                "bad gap '" + gap_text +
+                                    "'; expected '<gap> <R|W> <hex-line>'");
+            return false;
         }
         if (!(fields >> type >> addr_hex) ||
             (type != "R" && type != "W")) {
-            fatal("trace %s:%zu: expected '<gap> <R|W> <hex-line>'",
-                  name.c_str(), line_number);
+            error = recordError(name, line_number,
+                                "expected '<gap> <R|W> <hex-line>'");
+            return false;
         }
         TraceEntry entry;
         if (gap > ~std::uint32_t(0))
@@ -67,15 +108,20 @@ FileTraceSource::parse(std::istream &input, const std::string &name)
         entry.type = type == "W" ? AccessType::Write : AccessType::Read;
         char *end = nullptr;
         entry.line = std::strtoull(addr_hex.c_str(), &end, 16);
-        if (end == addr_hex.c_str() || *end != '\0')
-            fatal("trace %s:%zu: bad line address '%s'", name.c_str(),
-                  line_number, addr_hex.c_str());
+        if (end == addr_hex.c_str() || *end != '\0') {
+            error = recordError(name, line_number,
+                                "bad line address '" + addr_hex + "'");
+            return false;
+        }
         if (entries_.empty() || entry.line > highest_.line)
             highest_ = {entry.line, line_number};
         entries_.push_back(entry);
     }
-    if (entries_.empty())
-        fatal("trace %s: no events", name.c_str());
+    if (entries_.empty()) {
+        error = "trace " + name + ": no events";
+        return false;
+    }
+    return true;
 }
 
 TraceEntry

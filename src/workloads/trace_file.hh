@@ -11,7 +11,8 @@
  * e.g. "37 R 1a2b3c" — 37 non-memory instructions, then a read of
  * cacheline 0x1a2b3c. '#' starts a comment; blank and comment-only
  * lines are skipped. Any other malformed line — a non-numeric or
- * negative gap, a bad type, a bad address — is fatal: a truncated
+ * negative gap, a bad type, a bad address — fails the load with an
+ * error naming file:line, as does a trace with no events: a truncated
  * record must never be silently dropped. Gaps wider than 32 bits are
  * clamped to the uint32 maximum with a warning.
  *
@@ -27,6 +28,7 @@
 #define MORPH_WORKLOADS_TRACE_FILE_HH
 
 #include <iosfwd>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -39,10 +41,25 @@ namespace morph
 class FileTraceSource : public TraceSource
 {
   public:
-    /** Load from a file path; fatal() on open/parse errors. */
+    /**
+     * Load the trace at @p path. On an unreadable file, a malformed
+     * record or a trace with no events, returns nullopt and sets
+     * @p error to a message naming the file (and line); morphsim's
+     * resolve step reports it as a bad configuration.
+     */
+    static std::optional<FileTraceSource> load(const std::string &path,
+                                               std::string &error);
+
+    /** As above, from a stream whose messages call it @p name. */
+    static std::optional<FileTraceSource> load(std::istream &input,
+                                               const std::string &name,
+                                               std::string &error);
+
+    /** Load from a file path known to hold a valid trace; fatal() on
+     *  any load error. */
     explicit FileTraceSource(const std::string &path);
 
-    /** Load from a stream (tests); fatal() on parse errors. */
+    /** Load from a stream (tests); fatal() on any load error. */
     FileTraceSource(std::istream &input, const std::string &name);
 
     TraceEntry next() override;
@@ -60,7 +77,12 @@ class FileTraceSource : public TraceSource
     Highest highest() const { return highest_; }
 
   private:
-    void parse(std::istream &input, const std::string &name);
+    FileTraceSource() = default;
+
+    /** Append the events of @p input; false with @p error set on a
+     *  malformed record or no events. */
+    bool parse(std::istream &input, const std::string &name,
+               std::string &error);
 
     std::vector<TraceEntry> entries_;
     std::size_t position_ = 0;

@@ -1,12 +1,13 @@
 /**
  * @file
  * Batched MACs: siphash24x4 and MacEngine::computeBatch against the
- * scalar reference on both backends, and the batched IntegrityTree /
+ * scalar reference on every backend, and the batched IntegrityTree /
  * SecureMemory paths against scalar recomputation of every stored MAC.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <ostream>
 #include <vector>
 
@@ -30,13 +31,17 @@ backends()
     std::vector<SipImpl> out{SipImpl::Portable};
     if (siphashAvx2Available())
         out.push_back(SipImpl::Avx2);
+    if (siphashAvx512Available())
+        out.push_back(SipImpl::Avx512);
     return out;
 }
 
 const char *
 nameOf(SipImpl impl)
 {
-    return impl == SipImpl::Avx2 ? "avx2" : "portable";
+    return impl == SipImpl::Avx512 ? "avx512"
+           : impl == SipImpl::Avx2 ? "avx2"
+                                   : "portable";
 }
 
 SipKey
@@ -59,10 +64,28 @@ randomLine(Rng &rng)
 
 TEST(SipHashBatch, DispatchFollowsCpuid)
 {
+    // The widest backend the CPU runs.
     EXPECT_EQ(siphashDispatched(),
-              siphashAvx2Available() ? SipImpl::Avx2 : SipImpl::Portable);
+              siphashAvx512Available() ? SipImpl::Avx512
+              : siphashAvx2Available() ? SipImpl::Avx2
+                                       : SipImpl::Portable);
     if (!siphashAvx2Available())
         GTEST_SKIP() << "no AVX2 on this CPU: only the portable backend";
+}
+
+/** Lane @p lane of @p msgs serialized: the bytes siphash24x4 hashes. */
+std::vector<std::uint8_t>
+serialized(const SipLines4 &msgs, unsigned lane)
+{
+    std::vector<std::uint8_t> bytes(sipLineBytes);
+    std::memcpy(bytes.data(), &msgs.line[lane], 8);
+    std::memcpy(bytes.data() + 8, &msgs.counter[lane], 8);
+    std::memcpy(bytes.data() + 16, msgs.payload[lane], 64);
+    std::uint64_t last;
+    std::memcpy(&last, bytes.data() + 72, 8);
+    last &= msgs.lastMask[lane];
+    std::memcpy(bytes.data() + 72, &last, 8);
+    return bytes;
 }
 
 TEST(SipHashBatch, EveryLaneMatchesScalar)
@@ -72,43 +95,55 @@ TEST(SipHashBatch, EveryLaneMatchesScalar)
         SCOPED_TRACE(nameOf(impl));
         for (unsigned trial = 0; trial < 400; ++trial) {
             const SipKey key = randomKey(rng);
-            // Lengths cover the empty message, every tail length and
-            // more than one four-word block.
-            const std::size_t len = trial % 100;
-            std::vector<std::uint8_t> msgs[4];
-            const std::uint8_t *data[4];
+            // Distinct lanes; masks that keep, clear or cut the last
+            // payload word.
+            CachelineData payloads[4];
+            SipLines4 msgs;
             for (unsigned lane = 0; lane < 4; ++lane) {
-                msgs[lane].resize(len + 1);
-                for (auto &b : msgs[lane])
-                    b = std::uint8_t(rng.next());
-                data[lane] = msgs[lane].data();
+                payloads[lane] = randomLine(rng);
+                msgs.line[lane] = rng.next();
+                msgs.counter[lane] = rng.next();
+                msgs.payload[lane] = payloads[lane].data();
+                const std::uint64_t pick = rng.below(3);
+                msgs.lastMask[lane] = pick == 0   ? ~0ull
+                                      : pick == 1 ? 0
+                                                  : rng.next();
             }
             std::uint64_t out[4];
-            siphash24x4(data, len, key, out, impl);
+            siphash24x4(msgs, key, out, impl);
             for (unsigned lane = 0; lane < 4; ++lane)
-                ASSERT_EQ(out[lane], siphash24(data[lane], len, key))
-                    << "len " << len << " lane " << lane;
+                ASSERT_EQ(out[lane],
+                          siphash24(serialized(msgs, lane).data(),
+                                    sipLineBytes, key))
+                    << "trial " << trial << " lane " << lane;
         }
     }
 }
 
 TEST(SipHashBatch, FourEqualLanes)
 {
-    // The reference vector of the 8-byte message 00..07 under key
-    // 00..0f, in all four lanes at once.
+    // The 80-byte message 00..4f under key 00..0f, in all four lanes
+    // at once: every lane equals the scalar reference (itself pinned
+    // to the published vectors in test_siphash.cc).
     SipKey key;
-    std::uint8_t msg[8];
     for (unsigned i = 0; i < 16; ++i)
         key[i] = std::uint8_t(i);
-    for (unsigned i = 0; i < 8; ++i)
-        msg[i] = std::uint8_t(i);
-    const std::uint8_t *data[4] = {msg, msg, msg, msg};
+    std::uint8_t bytes[sipLineBytes];
+    for (unsigned i = 0; i < sipLineBytes; ++i)
+        bytes[i] = std::uint8_t(i);
+    SipLines4 msgs;
+    for (unsigned lane = 0; lane < 4; ++lane) {
+        std::memcpy(&msgs.line[lane], bytes, 8);
+        std::memcpy(&msgs.counter[lane], bytes + 8, 8);
+        msgs.payload[lane] = bytes + 16;
+        msgs.lastMask[lane] = ~0ull;
+    }
+    const std::uint64_t expect = siphash24(bytes, sizeof(bytes), key);
     for (const SipImpl impl : backends()) {
         std::uint64_t out[4];
-        siphash24x4(data, sizeof(msg), key, out, impl);
+        siphash24x4(msgs, key, out, impl);
         for (unsigned lane = 0; lane < 4; ++lane)
-            EXPECT_EQ(out[lane], 0x93f5f5799a932462ull)
-                << nameOf(impl) << " lane " << lane;
+            EXPECT_EQ(out[lane], expect) << nameOf(impl) << " lane " << lane;
     }
 }
 
@@ -138,6 +173,61 @@ TEST(MacBatch, MatchesScalarComputeWithTruncation)
                 << "message " << i << " of " << n;
     }
 }
+
+class MacBatchBackend : public ::testing::TestWithParam<SipImpl>
+{
+  protected:
+    void
+    SetUp() override
+    {
+        const SipImpl impl = GetParam();
+        if ((impl == SipImpl::Avx2 && !siphashAvx2Available()) ||
+            (impl == SipImpl::Avx512 && !siphashAvx512Available()))
+            GTEST_SKIP() << "no " << nameOf(impl) << " on this CPU";
+    }
+};
+
+TEST_P(MacBatchBackend, InPlaceLanesMatchScalarCompute)
+{
+    // 1..9 messages (every lane count of a partial pass, one and two
+    // full passes), entry lanes (MAC word read as zero) mixed with data
+    // lanes, tag widths 1, 54 and 64. The reference zeroes the MAC word
+    // of its own copy; the batch must leave every payload as it was.
+    Rng rng(0x1a7e + unsigned(GetParam()));
+    constexpr unsigned widths[] = {1, 54, 64};
+    for (unsigned trial = 0; trial < 300; ++trial) {
+        const MacEngine engine(randomKey(rng));
+        const std::size_t n = 1 + trial % 9;
+        std::vector<CachelineData> payloads(n);
+        std::vector<MacMessage> msgs(n);
+        for (std::size_t i = 0; i < n; ++i) {
+            payloads[i] = randomLine(rng);
+            msgs[i] = {rng.next(), rng.next(), &payloads[i],
+                       widths[rng.below(3)], rng.below(2) == 0};
+        }
+        const std::vector<CachelineData> before = payloads;
+        std::vector<std::uint64_t> tags(n);
+        engine.computeBatch(msgs.data(), n, tags.data(), GetParam());
+        EXPECT_EQ(payloads, before);
+        for (std::size_t i = 0; i < n; ++i) {
+            CachelineData payload = payloads[i];
+            if (msgs[i].zeroMacWord)
+                CounterFormat::setMac(payload, 0);
+            ASSERT_EQ(tags[i], engine.compute(msgs[i].line, msgs[i].counter,
+                                              payload, msgs[i].tagBits))
+                << "message " << i << " of " << n << ", entry lane "
+                << msgs[i].zeroMacWord << ", " << msgs[i].tagBits
+                << " bits";
+        }
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Backends, MacBatchBackend,
+    ::testing::Values(SipImpl::Portable, SipImpl::Avx2, SipImpl::Avx512),
+    [](const ::testing::TestParamInfo<SipImpl> &info) {
+        return std::string(nameOf(info.param));
+    });
 
 /** Every stored entry MAC of @p tree, recomputed one at a time. */
 void

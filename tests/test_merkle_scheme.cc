@@ -133,8 +133,22 @@ TEST_F(MerkleSchemeTest, OverflowReencryptionStillWorks)
         const CachelineData a = patternLine(21);
         m.writeLine(0, a);
         ASSERT_EQ(m.counterOf(0), 1u);
-        for (int w = 0; w < 200; ++w)
+        // After every re-encryption, the re-encrypted sibling and the
+        // written line carry the scalar reference MAC.
+        const MacEngine scalar(config.macKey);
+        std::uint64_t overflows = 0;
+        for (int w = 0; w < 200; ++w) {
             m.writeLine(1, patternLine(std::uint8_t(w)));
+            if (m.stats().counterOverflows == overflows)
+                continue;
+            overflows = m.stats().counterOverflows;
+            for (LineAddr line = 0; line < 2; ++line)
+                ASSERT_EQ(m.macOf(line),
+                          scalar.compute(line, m.counterOf(line),
+                                         m.ciphertextOf(line),
+                                         config.macBits))
+                    << "line " << line << ", write " << w;
+        }
         EXPECT_GT(m.stats().counterOverflows, 0u);
         EXPECT_EQ(m.stats().reencryptedLines,
                   m.stats().counterOverflows); // line 0, once each

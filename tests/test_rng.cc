@@ -5,8 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <map>
+#include <memory>
+#include <thread>
+#include <vector>
 
 #include "common/rng.hh"
 
@@ -152,6 +156,69 @@ TEST(Zipf, GuideSearchEqualsLowerBound)
             EXPECT_EQ(mismatches, 0u) << "n=" << n << " s=" << exponent;
         }
     }
+}
+
+TEST(Zipf, EqualSamplersShareOneTable)
+{
+    // Samplers of one (n, exponent) share one table, which dies with
+    // the last of them; another shape gets its own, and a table built
+    // after the old one died draws exactly as the old one did.
+    std::weak_ptr<const ZipfSampler::Table> shared;
+    std::uint64_t draws[2][64];
+    for (unsigned round = 0; round < 2; ++round) {
+        auto a = std::make_unique<ZipfSampler>(4915, 0.9);
+        auto b = std::make_unique<ZipfSampler>(4915, 0.9);
+        const ZipfSampler other_n(4916, 0.9);
+        const ZipfSampler other_s(4915, 0.95);
+        ASSERT_NE(a->table(), nullptr);
+        EXPECT_EQ(a->table(), b->table());
+        EXPECT_EQ(&a->cdf(), &b->cdf());
+        EXPECT_NE(a->table(), other_n.table());
+        EXPECT_NE(a->table(), other_s.table());
+        EXPECT_EQ(a->table().use_count(), 2);
+        shared = a->table();
+        Rng rng(31);
+        for (std::uint64_t &d : draws[round])
+            d = b->sample(rng);
+        a.reset();
+        EXPECT_FALSE(shared.expired()); // b still holds it
+        b.reset();
+        EXPECT_TRUE(shared.expired());
+    }
+    EXPECT_TRUE(std::equal(std::begin(draws[0]), std::end(draws[0]),
+                           std::begin(draws[1])));
+}
+
+TEST(Zipf, ConcurrentSamplersDrawAlike)
+{
+    // Sweep cells build samplers on several pool threads at once:
+    // shapes shared between threads and shapes of their own, created
+    // and dropped while others are live, draw as a lone sampler does.
+    const auto draws = [](std::uint64_t n, double s) {
+        const ZipfSampler zipf(n, s);
+        Rng rng(n);
+        std::uint64_t sum = 0;
+        for (int i = 0; i < 64; ++i)
+            sum = sum * 31 + zipf.sample(rng);
+        return sum;
+    };
+    const std::uint64_t shared = draws(4915, 0.9);
+    std::uint64_t own[4];
+    for (unsigned t = 0; t < 4; ++t)
+        own[t] = draws(1000 + t, 0.8);
+    unsigned mismatches[4] = {};
+    std::vector<std::thread> threads;
+    for (unsigned t = 0; t < 4; ++t)
+        threads.emplace_back([&, t] {
+            for (int round = 0; round < 50; ++round) {
+                mismatches[t] += draws(4915, 0.9) != shared;
+                mismatches[t] += draws(1000 + t, 0.8) != own[t];
+            }
+        });
+    for (std::thread &thread : threads)
+        thread.join();
+    for (unsigned t = 0; t < 4; ++t)
+        EXPECT_EQ(mismatches[t], 0u) << "thread " << t;
 }
 
 TEST(Zipf, ZeroExponentIsUniform)

@@ -229,6 +229,10 @@ TEST(RunConfig, ResolveChecksNamesAndTrace)
     far_line.tracePath =
         std::string(MORPH_SOURCE_DIR) + "/tests/data/bad-trace-line.trc";
     rejects(far_line, "bad-trace-line.trc:3: line address ffffffffffff");
+    RunConfig bad_record;
+    bad_record.tracePath =
+        std::string(MORPH_SOURCE_DIR) + "/tests/data/bad-trace-record.trc";
+    rejects(bad_record, "bad-trace-record.trc:3: expected");
 }
 
 TEST(RunConfig, ResolveChecksTheLastLineOfMemory)

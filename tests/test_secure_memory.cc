@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <map>
+#include <vector>
 
 #include "common/rng.hh"
 #include "secmem/secure_memory.hh"
@@ -37,6 +39,15 @@ patternLine(std::uint8_t seed)
     CachelineData data;
     for (unsigned i = 0; i < lineBytes; ++i)
         data[i] = std::uint8_t(seed + i * 3);
+    return data;
+}
+
+CachelineData
+randomLine(Rng &rng)
+{
+    CachelineData data;
+    for (auto &b : data)
+        b = std::uint8_t(rng.next());
     return data;
 }
 
@@ -252,6 +263,14 @@ TEST_F(SecureMemoryTest, OverflowReencryptsSiblings)
             EXPECT_TRUE(m.tree().verifyAll());
         else
             EXPECT_TRUE(m.macTree().verifyAll());
+        // The re-encrypted siblings were MACed in one batch; every
+        // stored data MAC equals the scalar reference.
+        const MacEngine scalar(config.macKey);
+        for (LineAddr line = 0; line < 4; ++line)
+            EXPECT_EQ(m.macOf(line),
+                      scalar.compute(line, m.counterOf(line),
+                                     m.ciphertextOf(line), config.macBits))
+                << "line " << line;
     }
 }
 
@@ -305,6 +324,121 @@ TEST(SecureMemoryMacWidth, TruncatedMacStillDetectsTampering)
     cipher[0] ^= 1;
     mem.tamperCiphertext(1, cipher);
     EXPECT_FALSE(mem.readLine(1).has_value());
+}
+
+/**
+ * Differential of SecureMemory's paged line store against a map of
+ * the records it must hold. The oracle keeps, per touched line, the
+ * logical contents (the ciphertext decrypted under the line's current
+ * counter) and the stored MAC; a line whose counter moved without
+ * being written was re-encrypted, so its expected MAC is recomputed.
+ * Lines 0, 63, 64 and 65 straddle a page boundary and the last line
+ * ends the address space.
+ */
+TEST(SecureMemoryPagedStore, MatchesMapOracle)
+{
+    struct Record
+    {
+        CachelineData logical; // plaintext under the current counter
+        std::uint64_t counter;
+        std::uint64_t mac;
+    };
+    for (const FreshnessScheme scheme :
+         {FreshnessScheme::CounterTree, FreshnessScheme::MerkleMacTree}) {
+        SCOPED_TRACE(scheme == FreshnessScheme::CounterTree ? "counter"
+                                                            : "merkle");
+        // SC-64 entries overflow every few dozen writes, so the hot
+        // lines re-encrypt their stored siblings many times.
+        SecureMemoryConfig config = testConfig(TreeConfig::sc64());
+        config.freshness = scheme;
+        SecureMemory m(config);
+        const MacEngine scalar(config.macKey);
+        OtpEngine otp(config.encryptionKey);
+        const std::uint64_t mask = (1ull << config.macBits) - 1;
+        const LineAddr last = m.geometry().dataLines() - 1;
+        const LineAddr edges[] = {0, 63, 64, 65, last, last - 1, last - 64};
+
+        std::map<LineAddr, Record> oracle;
+        const auto cipherOf = [&](LineAddr line, const Record &r) {
+            CachelineData c = r.logical;
+            otp.xorPad(c, line, r.counter);
+            return c;
+        };
+        const auto validMac = [&](LineAddr line, const Record &r) {
+            return scalar.compute(line, r.counter, cipherOf(line, r),
+                                  config.macBits);
+        };
+        // A first touch materializes zeros under the current counter.
+        const auto touch = [&](LineAddr line) -> Record & {
+            auto [it, fresh] = oracle.try_emplace(line);
+            if (fresh) {
+                it->second = {CachelineData{}, m.counterOf(line), 0};
+                it->second.mac = validMac(line, it->second);
+            }
+            return it->second;
+        };
+
+        Rng rng(0xda6e + unsigned(scheme));
+        for (unsigned op = 0; op < 6000; ++op) {
+            const std::uint64_t where = rng.below(10);
+            const LineAddr line = where < 4   ? edges[rng.below(7)]
+                                  : where < 9 ? rng.below(200)
+                                              : rng.below(last + 1);
+            const std::uint64_t kind = rng.below(20);
+            if (kind < 8) {
+                const CachelineData data = randomLine(rng);
+                m.writeLine(line, data);
+                Record &r = oracle[line];
+                r = {data, m.counterOf(line), 0};
+                r.mac = validMac(line, r);
+            } else if (kind < 13) {
+                Record &r = touch(line);
+                const bool intact = ((r.mac ^ validMac(line, r)) & mask) == 0;
+                SecureMemory::Verdict verdict;
+                const auto got = m.readLine(line, verdict);
+                ASSERT_EQ(got.has_value(), intact) << "op " << op;
+                if (intact)
+                    ASSERT_EQ(*got, r.logical) << "op " << op;
+                else
+                    ASSERT_EQ(verdict,
+                              SecureMemory::Verdict::DataMacMismatch);
+            } else if (kind < 15) {
+                const Record &r = touch(line);
+                ASSERT_EQ(m.ciphertextOf(line), cipherOf(line, r))
+                    << "op " << op;
+            } else if (kind < 17) {
+                const Record &r = touch(line);
+                ASSERT_EQ(m.macOf(line), r.mac) << "op " << op;
+            } else if (kind < 19) {
+                Record &r = touch(line);
+                CachelineData c = randomLine(rng);
+                m.tamperCiphertext(line, c);
+                otp.xorPad(c, line, r.counter);
+                r.logical = c;
+            } else {
+                Record &r = touch(line);
+                r.mac = rng.next();
+                m.tamperMac(line, r.mac);
+            }
+            // Overflows re-encrypt every stored sibling: same logical
+            // contents, the new counter, a MAC recomputed over the new
+            // ciphertext.
+            for (auto &[l, r] : oracle) {
+                const std::uint64_t now = m.counterOf(l);
+                if (now != r.counter) {
+                    r.counter = now;
+                    r.mac = validMac(l, r);
+                }
+            }
+        }
+        EXPECT_GT(m.stats().counterOverflows, 0u);
+        EXPECT_GT(m.stats().reencryptedLines, m.stats().counterOverflows);
+        for (const auto &[line, r] : oracle) {
+            ASSERT_EQ(m.ciphertextOf(line), cipherOf(line, r))
+                << "line " << line;
+            ASSERT_EQ(m.macOf(line), r.mac) << "line " << line;
+        }
+    }
 }
 
 } // namespace

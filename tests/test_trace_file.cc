@@ -78,37 +78,48 @@ TEST(TraceFile, ReplaysCyclically)
     EXPECT_EQ(trace.next().line, 1u); // wrapped
 }
 
+// The TraceFileDeath cases pin every way a trace fails to load. The
+// loader returns a message naming file:line instead of ending the
+// process, and morphsim reports it as a bad configuration (exit 3,
+// the morphsim_exit_bad_trace_record test).
+
+/** The error of loading @p text as trace "bad"; expects a failure. */
+std::string
+loadError(const std::string &text)
+{
+    std::istringstream input(text);
+    std::string error;
+    EXPECT_FALSE(FileTraceSource::load(input, "bad", error).has_value());
+    return error;
+}
+
 TEST(TraceFileDeath, RejectsBadType)
 {
-    std::istringstream input("1 X 1\n");
-    EXPECT_EXIT(FileTraceSource(input, "bad"),
-                ::testing::ExitedWithCode(1), "expected");
+    EXPECT_EQ(loadError("1 X 1\n"),
+              "trace bad:1: expected '<gap> <R|W> <hex-line>'");
 }
 
 TEST(TraceFileDeath, RejectsBadGap)
 {
-    // A truncated record ("R 12") must die, not silently drop: the
+    // A truncated record ("R 12") must fail, not silently drop: the
     // first field is not a number, so the line is a broken trace.
-    std::istringstream input("10 R 1a\n"
-                             "R 12\n");
-    EXPECT_EXIT(FileTraceSource(input, "bad"),
-                ::testing::ExitedWithCode(1), "bad gap 'R'");
+    EXPECT_EQ(loadError("10 R 1a\n"
+                        "R 12\n"),
+              "trace bad:2: bad gap 'R'; expected '<gap> <R|W> <hex-line>'");
 }
 
 TEST(TraceFileDeath, RejectsNegativeGap)
 {
     // strtoull would happily wrap "-5" to a huge value; the parser
     // must reject the sign instead.
-    std::istringstream input("-5 R 1a\n");
-    EXPECT_EXIT(FileTraceSource(input, "bad"),
-                ::testing::ExitedWithCode(1), "bad gap '-5'");
+    EXPECT_NE(loadError("-5 R 1a\n").find("bad:1: bad gap '-5'"),
+              std::string::npos);
 }
 
 TEST(TraceFileDeath, RejectsTrailingGarbageInGap)
 {
-    std::istringstream input("12x R 1a\n");
-    EXPECT_EXIT(FileTraceSource(input, "bad"),
-                ::testing::ExitedWithCode(1), "bad gap '12x'");
+    EXPECT_NE(loadError("12x R 1a\n").find("bad:1: bad gap '12x'"),
+              std::string::npos);
 }
 
 TEST(TraceFile, ClampsOversizedGapWithWarning)
@@ -125,22 +136,29 @@ TEST(TraceFile, ClampsOversizedGapWithWarning)
 
 TEST(TraceFileDeath, RejectsBadAddress)
 {
-    std::istringstream input("1 R zz!\n");
-    EXPECT_EXIT(FileTraceSource(input, "bad"),
-                ::testing::ExitedWithCode(1), "bad line address");
+    EXPECT_EQ(loadError("1 R zz!\n"), "trace bad:1: bad line address 'zz!'");
 }
 
 TEST(TraceFileDeath, RejectsEmpty)
 {
-    std::istringstream input("# only comments\n");
-    EXPECT_EXIT(FileTraceSource(input, "empty"),
-                ::testing::ExitedWithCode(1), "no events");
+    EXPECT_EQ(loadError("# only comments\n"), "trace bad: no events");
 }
 
 TEST(TraceFileDeath, RejectsMissingFile)
 {
-    EXPECT_EXIT(FileTraceSource("/nonexistent/trace.trc"),
-                ::testing::ExitedWithCode(1), "cannot open");
+    std::string error;
+    EXPECT_FALSE(
+        FileTraceSource::load("/nonexistent/trace.trc", error).has_value());
+    EXPECT_EQ(error, "trace: cannot open /nonexistent/trace.trc");
+}
+
+TEST(TraceFileDeath, ConstructorStillEndsTheProcess)
+{
+    // The constructors are for traces already known to load; on a bad
+    // one they end the process with the same message.
+    std::istringstream input("1 X 1\n");
+    EXPECT_EXIT(FileTraceSource(input, "bad"), ::testing::ExitedWithCode(1),
+                "bad:1: expected");
 }
 
 TEST(TraceFile, RoundTripsThroughWriter)

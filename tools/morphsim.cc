@@ -32,8 +32,9 @@
  * Exit codes: 0 success, 2 bad command line (a flag value outside its
  * range included) or a malformed MORPH_SIM_ACCESSES/MORPH_SIM_WARMUP
  * value, 3 bad configuration (a bad INI value, an unknown INI key,
- * workload or config, an unreadable file, a trace line past the
- * protected memory), 4 runtime failure (export I/O, internal error).
+ * workload or config, an unreadable file, a malformed trace record, a
+ * trace line past the protected memory), 4 runtime failure (export
+ * I/O, internal error).
  */
 
 #include <cstdio>
