@@ -42,16 +42,15 @@ main()
     std::printf("\n%-8s %12s %14s %12s\n", "memory", "SC-64 IPC",
                 "Morph IPC", "speedup");
     SimOptions options = perfOptions();
-    const WorkloadSpec *mcf = findWorkload("mcf");
     for (unsigned shift = 2; shift <= 5; ++shift) {
         const std::uint64_t mem = 1ull << (30 + shift);
         auto sc64_config = modelConfig(TreeConfig::sc64());
         auto morph_config = modelConfig(TreeConfig::morph());
         sc64_config.memBytes = morph_config.memBytes = mem;
         const double sc64_ipc =
-            runWorkload(*mcf, sc64_config, options).ipc;
+            runByName("mcf", sc64_config, options).ipc;
         const double morph_ipc =
-            runWorkload(*mcf, morph_config, options).ipc;
+            runByName("mcf", morph_config, options).ipc;
         std::printf("%3llu GB   %12.3f %14.3f %+11.1f%%\n",
                     (unsigned long long)(mem >> 30), sc64_ipc,
                     morph_ipc, (morph_ipc / sc64_ipc - 1.0) * 100);

@@ -20,15 +20,6 @@ vlog(const char *prefix, const char *fmt, std::va_list args)
 } // namespace
 
 void
-inform(const char *fmt, ...)
-{
-    std::va_list args;
-    va_start(args, fmt);
-    vlog("info", fmt, args);
-    va_end(args);
-}
-
-void
 warn(const char *fmt, ...)
 {
     std::va_list args;

@@ -4,7 +4,7 @@
  *
  * Follows the gem5 convention: panic() for internal invariant
  * violations (simulator bugs — aborts), fatal() for user/configuration
- * errors (clean exit), warn()/inform() for status.
+ * errors (clean exit), warn() for status.
  */
 
 #ifndef MORPH_COMMON_LOG_HH
@@ -15,9 +15,6 @@
 
 namespace morph
 {
-
-/** Print an informational message to stderr. */
-void inform(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
 
 /** Print a warning message to stderr. */
 void warn(const char *fmt, ...) __attribute__((format(printf, 1, 2)));

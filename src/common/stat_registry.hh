@@ -9,7 +9,7 @@
  * morphbench CI matrix — reads the registry instead of plumbing
  * per-component stat structs by hand.
  *
- * Naming contract (enforced at registration, re-derived by morphlint):
+ * Naming contract (enforced at registration, pinned by StatName.Contract):
  * every name matches [a-z0-9_.]+ and is unique within the registry.
  *
  * Three statistic kinds:

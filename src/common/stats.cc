@@ -165,41 +165,4 @@ ExpHistogram::reset()
     sum_ = 0.0;
 }
 
-void
-StatSet::set(const std::string &key, double value)
-{
-    for (auto &kv : values_) {
-        if (kv.first == key) {
-            kv.second = value;
-            return;
-        }
-    }
-    values_.emplace_back(key, value);
-}
-
-double
-StatSet::get(const std::string &key) const
-{
-    for (const auto &kv : values_)
-        if (kv.first == key)
-            return kv.second;
-    return 0.0;
-}
-
-bool
-StatSet::has(const std::string &key) const
-{
-    for (const auto &kv : values_)
-        if (kv.first == key)
-            return true;
-    return false;
-}
-
-void
-StatSet::dump(std::ostream &os) const
-{
-    for (const auto &kv : values_)
-        os << name_ << "." << kv.first << " " << kv.second << "\n";
-}
-
 } // namespace morph

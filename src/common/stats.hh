@@ -1,18 +1,16 @@
 /**
  * @file
- * Lightweight statistics: named scalars and fixed-bucket histograms.
+ * Lightweight statistics: fixed-bucket histograms.
  *
- * Components own plain integer/double members for speed and register
- * them in a StatSet for uniform reporting. A Histogram supports the
- * usage-fraction distributions reported in the paper (Fig 7).
+ * Components own plain integer/double members for speed. A Histogram
+ * supports the usage-fraction distributions reported in the paper
+ * (Fig 7).
  */
 
 #ifndef MORPH_COMMON_STATS_HH
 #define MORPH_COMMON_STATS_HH
 
 #include <cstdint>
-#include <ostream>
-#include <string>
 #include <vector>
 
 namespace morph
@@ -124,31 +122,6 @@ class ExpHistogram
     std::uint64_t count_ = 0;
     std::uint64_t max_ = 0;
     double sum_ = 0.0;
-};
-
-/** A named collection of scalar statistics for reporting. */
-class StatSet
-{
-  public:
-    explicit StatSet(std::string name) : name_(std::move(name)) {}
-
-    /** Add (or overwrite) a named scalar value. */
-    void set(const std::string &key, double value);
-
-    /** Look up a scalar; returns 0 for missing keys. */
-    double get(const std::string &key) const;
-
-    /** True if the key has been set. */
-    bool has(const std::string &key) const;
-
-    /** Print "name.key value" lines, in insertion order. */
-    void dump(std::ostream &os) const;
-
-    const std::string &name() const { return name_; }
-
-  private:
-    std::string name_;
-    std::vector<std::pair<std::string, double>> values_;
 };
 
 } // namespace morph

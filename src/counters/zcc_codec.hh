@@ -69,7 +69,7 @@ constexpr unsigned bvWord = bvOffset / 64;
 /**
  * §III width schedule as a direct lookup: widthForCount[k] is the
  * per-counter width when k counters are live. The bucket boundaries
- * are cross-checked by morphlint rule 1 and the morphverify
+ * are cross-checked by Zcc.SizeForCountTable and the morphverify
  * ZCC-schedule invariant.
  */
 inline constexpr std::array<std::uint8_t, maxNonZero + 1>

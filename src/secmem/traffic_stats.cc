@@ -104,27 +104,6 @@ TrafficStats::reset()
 }
 
 void
-TrafficStats::report(StatSet &out) const
-{
-    for (unsigned i = 0; i < numTrafficCategories; ++i) {
-        const auto cat = Traffic(i);
-        out.set(std::string("traffic.") + trafficName(cat) + ".reads",
-                double(reads[i]));
-        out.set(std::string("traffic.") + trafficName(cat) + ".writes",
-                double(writes[i]));
-    }
-    out.set("traffic.total", double(total()));
-    out.set("traffic.bloat", bloat());
-    out.set("overflows.total", double(totalOverflows()));
-    out.set("rebases.total", double(totalRebases()));
-    for (unsigned level = 0; level < overflowsByLevel.size(); ++level) {
-        if (overflowsByLevel[level])
-            out.set("overflows.level" + std::to_string(level),
-                    double(overflowsByLevel[level]));
-    }
-}
-
-void
 TrafficStats::registerStats(StatRegistry &registry,
                             const std::string &prefix) const
 {

@@ -4,8 +4,8 @@
 #include <cstdio>
 #include <fstream>
 
+#include "common/check.hh"
 #include "common/parse.hh"
-#include "workloads/trace_file.hh"
 
 namespace morph
 {
@@ -202,8 +202,7 @@ applyFlag(RunConfig &config, const Setting &setting, const char *text,
 }
 
 bool
-applyIni(RunConfig &config, const IniFile &ini,
-         std::vector<std::string> &unknown, std::string &error)
+applyIni(RunConfig &config, const IniFile &ini, std::string &error)
 {
     for (const Setting &setting : runSettings()) {
         if (!ini.has(setting.key))
@@ -222,8 +221,10 @@ applyIni(RunConfig &config, const IniFile &ini,
         bool known = false;
         for (const Setting &setting : runSettings())
             known = known || key == setting.key;
-        if (!known)
-            unknown.push_back(key);
+        if (!known) {
+            error = "config " + ini.name() + ": unknown key '" + key + "'";
+            return false;
+        }
     }
     return true;
 }
@@ -253,7 +254,7 @@ resolveRunConfig(RunConfig &config, std::string &error)
     }
     // Every record must parse, and every line address must name a
     // line of the protected memory; the largest one decides.
-    const std::optional<FileTraceSource> trace =
+    std::optional<FileTraceSource> trace =
         FileTraceSource::load(config.tracePath, error);
     if (!trace)
         return false;
@@ -270,15 +271,19 @@ resolveRunConfig(RunConfig &config, std::string &error)
         error = "trace " + config.tracePath + text;
         return false;
     }
+    config.trace =
+        std::make_shared<const FileTraceSource>(std::move(*trace));
     return true;
 }
 
 SimResult
 simulate(const RunConfig &config, MorphScope *scope)
 {
-    if (!config.tracePath.empty())
-        return runTraceFile(config.tracePath, config.secmem,
-                            config.options, scope);
+    if (!config.tracePath.empty()) {
+        MORPH_CHECK(config.trace != nullptr);
+        return runTraceFile(*config.trace, config.tracePath,
+                            config.secmem, config.options, scope);
+    }
     return runByName(config.workload, config.secmem, config.options,
                      scope);
 }

@@ -3,12 +3,11 @@
  * The simulator's settings, defined once.
  *
  * A setting reaches the simulator as a morphsim flag or as a key of an
- * INI file (morphsim --config-file), and morphlint checks INI files
- * against the same rules. Each row of the settings table names the INI
- * key, the morphsim flag (if any), and the one parser and range its
- * value must pass, so a flag and its key cannot accept different
- * values. resolveRunConfig() then checks what no single value can: that
- * names name something and that a trace file is readable.
+ * INI file (morphsim --config-file). Each row of the settings table
+ * names the INI key, the morphsim flag (if any), and the one parser and
+ * range its value must pass, so a flag and its key cannot accept
+ * different values. resolveRunConfig() then checks what no single value
+ * can: that names name something and that a trace file loads.
  *
  * Nothing here calls fatal() or exits. Every check returns false with
  * an error message, and the caller picks the exit code.
@@ -18,11 +17,13 @@
 #define MORPH_SIM_RUN_CONFIG_HH
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "common/ini.hh"
 #include "sim/simulator.hh"
+#include "workloads/trace_file.hh"
 
 namespace morph
 {
@@ -35,6 +36,9 @@ struct RunConfig
     std::string configName = "morph"; ///< named tree configuration
     SecureModelConfig secmem;         ///< .tree set by resolveRunConfig
     SimOptions options;
+    /** tracePath's events, loaded once by resolveRunConfig; copies of
+     *  the config share them. */
+    std::shared_ptr<const FileTraceSource> trace;
 };
 
 /** How a setting's value is parsed, and which values it accepts. */
@@ -83,21 +87,20 @@ const Setting *findSettingFlag(const std::string &flag);
 bool applyFlag(RunConfig &config, const Setting &setting,
                const char *text, std::string &error);
 
-/** Apply every key of @p ini that names a setting (the last
- *  assignment of a key wins); false with @p error naming the file and
- *  key on the first bad value. Keys that name no setting are appended
- *  to @p unknown, in file order, for the caller to accept or reject. */
-bool applyIni(RunConfig &config, const IniFile &ini,
-              std::vector<std::string> &unknown, std::string &error);
+/** Apply every key of @p ini to its setting (the last assignment of a
+ *  key wins); false with @p error naming the file and key on the first
+ *  bad value or, if every value is good, on the first key (in file
+ *  order) that names no setting. */
+bool applyIni(RunConfig &config, const IniFile &ini, std::string &error);
 
-/** Check the names and the trace file (readable, and every line
- *  address inside secmem.memBytes; a malformed record is fatal), and
- *  set secmem.tree from the config name; false with @p error
- *  otherwise. */
+/** Check the names, load the trace file into config.trace (every
+ *  record must parse and every line address lie inside
+ *  secmem.memBytes), and set secmem.tree from the config name; false
+ *  with @p error otherwise. */
 bool resolveRunConfig(RunConfig &config, std::string &error);
 
-/** Simulate a resolved @p config: its trace file if it names one,
- *  else its workload or mix. @copydetails runWorkload */
+/** Simulate a resolved @p config: the trace it loaded if it names a
+ *  trace file, else its workload or mix. @copydetails runByName */
 SimResult simulate(const RunConfig &config, MorphScope *scope = nullptr);
 
 } // namespace morph

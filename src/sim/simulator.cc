@@ -174,8 +174,6 @@ runTraces(const std::string &name,
 
 constexpr unsigned numCores = 4;
 
-} // namespace
-
 SimResult
 runWorkload(const WorkloadSpec &workload, const SecureModelConfig &secmem,
             const SimOptions &options, MorphScope *scope)
@@ -211,6 +209,8 @@ runMix(const MixSpec &mix, const SecureModelConfig &secmem,
                      scope);
 }
 
+} // namespace
+
 SimResult
 runByName(const std::string &name, const SecureModelConfig &secmem,
           const SimOptions &options, MorphScope *scope)
@@ -223,16 +223,15 @@ runByName(const std::string &name, const SecureModelConfig &secmem,
 }
 
 SimResult
-runTraceFile(const std::string &path, const SecureModelConfig &secmem,
-             const SimOptions &options, MorphScope *scope)
+runTraceFile(const FileTraceSource &trace, const std::string &name,
+             const SecureModelConfig &secmem, const SimOptions &options,
+             MorphScope *scope)
 {
-    // Parse once; every core replays its own copy from the start.
-    const FileTraceSource loaded(path);
     std::vector<std::unique_ptr<TraceSource>> traces;
     traces.reserve(numCores);
     for (unsigned core = 0; core < numCores; ++core)
-        traces.push_back(std::make_unique<FileTraceSource>(loaded));
-    return runTraces(path, std::move(traces), secmem, options, scope);
+        traces.push_back(std::make_unique<FileTraceSource>(trace));
+    return runTraces(name, std::move(traces), secmem, options, scope);
 }
 
 std::vector<std::string>

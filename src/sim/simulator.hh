@@ -27,6 +27,8 @@
 namespace morph
 {
 
+class FileTraceSource;
+
 /** Environment variable @p name as a count >= @p min: nullopt when
  *  unset; anything else throws std::invalid_argument naming it. */
 std::optional<std::uint64_t> envCount(const char *name,
@@ -88,7 +90,8 @@ struct SimResult
 };
 
 /**
- * Simulate @p workload (rate mode: all cores run copies).
+ * Simulate a workload or mix by name (rate mode: all cores run copies
+ * of a workload; fatal if the name is unknown).
  *
  * When @p scope is non-null, every component's statistics register
  * into its registry, the measured window is sampled into its epoch
@@ -96,26 +99,15 @@ struct SimResult
  * its trace log, and the registry is frozen before return — the scope
  * is safe to export after the call.
  */
-SimResult runWorkload(const WorkloadSpec &workload,
-                      const SecureModelConfig &secmem,
-                      const SimOptions &options,
-                      MorphScope *scope = nullptr);
-
-/** Simulate a 4-core mix. @copydetails runWorkload */
-SimResult runMix(const MixSpec &mix, const SecureModelConfig &secmem,
-                 const SimOptions &options,
-                 MorphScope *scope = nullptr);
-
-/** Simulate a workload or mix by name (fatal if unknown).
- *  @copydetails runWorkload */
 SimResult runByName(const std::string &name,
                     const SecureModelConfig &secmem,
                     const SimOptions &options,
                     MorphScope *scope = nullptr);
 
-/** Simulate a trace file (every core replays a copy; fatal if the
- *  file cannot be parsed). @copydetails runWorkload */
-SimResult runTraceFile(const std::string &path,
+/** Simulate a loaded trace, reported as workload @p name: every core
+ *  replays its own copy from the start. @copydetails runByName */
+SimResult runTraceFile(const FileTraceSource &trace,
+                       const std::string &name,
                        const SecureModelConfig &secmem,
                        const SimOptions &options,
                        MorphScope *scope = nullptr);

@@ -45,15 +45,6 @@ FileTraceSource::load(std::istream &input, const std::string &name,
     return trace;
 }
 
-FileTraceSource::FileTraceSource(const std::string &path)
-{
-    std::string error;
-    std::optional<FileTraceSource> loaded = load(path, error);
-    if (!loaded)
-        fatal("%s", error.c_str());
-    *this = std::move(*loaded);
-}
-
 FileTraceSource::FileTraceSource(std::istream &input,
                                  const std::string &name)
 {

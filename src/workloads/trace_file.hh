@@ -55,10 +55,6 @@ class FileTraceSource : public TraceSource
                                                const std::string &name,
                                                std::string &error);
 
-    /** Load from a file path known to hold a valid trace; fatal() on
-     *  any load error. */
-    explicit FileTraceSource(const std::string &path);
-
     /** Load from a stream (tests); fatal() on any load error. */
     FileTraceSource(std::istream &input, const std::string &name);
 

@@ -9,6 +9,7 @@
 #include <tuple>
 
 #include "common/rng.hh"
+#include "counters/counter_factory.hh"
 #include "integrity/tree_geometry.hh"
 
 namespace morph
@@ -57,14 +58,20 @@ TEST_P(GeometrySweep, LevelsShrinkByArity)
     const auto &levels = geom.levels();
     ASSERT_GE(levels.size(), 1u);
 
+    EXPECT_EQ(geom.dataLines(), memBytes() / lineBytes);
     std::uint64_t covered = geom.dataLines();
     for (const auto &info : levels) {
+        EXPECT_EQ(info.arity, counterArity(config().kindAt(info.level)))
+            << "level " << info.level;
         EXPECT_EQ(info.entries, (covered + info.arity - 1) / info.arity)
             << "level " << info.level;
         EXPECT_EQ(info.bytes, info.entries * lineBytes);
         covered = info.entries;
     }
     EXPECT_EQ(levels.back().entries, 1u);
+    EXPECT_EQ(geom.treeLevels(), levels.size() - 1)
+        << "tree levels exclude the encryption counters";
+    EXPECT_EQ(geom.encryptionBytes(), levels[0].bytes);
 }
 
 TEST_P(GeometrySweep, PlacementIsContiguousAndDisjoint)
@@ -121,7 +128,10 @@ TEST_P(GeometrySweep, MetadataOverheadIsBounded)
 INSTANTIATE_TEST_SUITE_P(
     ConfigsTimesSizes, GeometrySweep,
     ::testing::Combine(::testing::Range(0, 8),
-                       ::testing::Values(std::uint64_t(1) << 20,
+                       // 100003 lines: no level divides evenly, so
+                       // a floor in place of a ceil drops entries.
+                       ::testing::Values(std::uint64_t(100003) * lineBytes,
+                                         std::uint64_t(1) << 20,
                                          std::uint64_t(1) << 26,
                                          std::uint64_t(1) << 30,
                                          std::uint64_t(16) << 30,

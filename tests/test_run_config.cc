@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "sim/morphscope.hh"
 #include "sim/run_config.hh"
 
 namespace morph
@@ -57,11 +58,8 @@ iniWith(const std::string &key, const std::string &value)
 std::string
 viaIni(RunConfig &config, const Setting &setting, const std::string &value)
 {
-    std::vector<std::string> unknown;
     std::string error;
-    if (applyIni(config, iniWith(setting.key, value), unknown, error)) {
-        EXPECT_TRUE(unknown.empty());
-    }
+    applyIni(config, iniWith(setting.key, value), error);
     return error;
 }
 
@@ -187,19 +185,25 @@ TEST(RunConfig, FlagsAreUniqueAndPresenceFlagsAreBooleans)
     EXPECT_EQ(findSettingFlag("--stats-json"), nullptr);
 }
 
-TEST(RunConfig, UnknownKeysAreReturnedNotApplied)
+TEST(RunConfig, UnknownKeysAreRejected)
 {
-    std::istringstream input("[system]\nworkload = lbm\ncache_k = 3\n"
-                             "[lint.zcc]\nbuckets = 16:16\n");
-    IniFile ini;
+    const auto apply = [](const char *text, std::string &error) {
+        std::istringstream input(text);
+        IniFile ini;
+        EXPECT_TRUE(IniFile::fromStream(input, "typo.ini", ini, error));
+        RunConfig config;
+        return applyIni(config, ini, error);
+    };
     std::string error;
-    ASSERT_TRUE(IniFile::fromStream(input, "typo.ini", ini, error));
-    RunConfig config;
-    std::vector<std::string> unknown;
-    ASSERT_TRUE(applyIni(config, ini, unknown, error)) << error;
-    EXPECT_EQ(config.workload, "lbm");
-    EXPECT_EQ(unknown, (std::vector<std::string>{"system.cache_k",
-                                                 "lint.zcc.buckets"}));
+    EXPECT_FALSE(apply("[system]\nworkload = lbm\ncache_k = 3\n"
+                       "[lint.zcc]\nbuckets = 16:16\n",
+                       error));
+    EXPECT_EQ(error, "config typo.ini: unknown key 'system.cache_k'");
+    // A bad value is reported before an unknown key.
+    EXPECT_FALSE(
+        apply("[system]\ncache_k = 3\ntiming = maybe\n", error));
+    EXPECT_NE(error.find("system.timing needs"), std::string::npos)
+        << error;
 }
 
 TEST(RunConfig, ResolveChecksNamesAndTrace)
@@ -257,6 +261,34 @@ TEST(RunConfig, ResolveChecksTheLastLineOfMemory)
     std::filesystem::remove(path);
 }
 
+TEST(RunConfig, SimulateReplaysTheResolvedTrace)
+{
+    // resolveRunConfig loads the trace once; simulate() replays that
+    // copy and never reads the file again.
+    const auto path = std::filesystem::temp_directory_path() /
+                      ("morph-replay-" + std::to_string(::getpid()) +
+                       ".trc");
+    std::ofstream(path) << "3 R 10\n0 W 2f\n7 R 4000\n1 W 10\n";
+    RunConfig config;
+    config.tracePath = path.string();
+    config.options.accessesPerCore = 400;
+    config.options.warmupPerCore = 100;
+    std::string error;
+    ASSERT_TRUE(resolveRunConfig(config, error)) << error;
+    const auto run = [&config] {
+        MorphScope scope{ScopeConfig()};
+        const SimResult result = simulate(config, &scope);
+        std::ostringstream text;
+        text << result.workload << ' ' << result.cycles << '\n';
+        scope.dumpText(text, "sim");
+        return text.str();
+    };
+    const std::string before = run();
+    std::filesystem::remove(path);
+    EXPECT_EQ(run(), before);
+    EXPECT_NE(before.find(path.string()), std::string::npos);
+}
+
 TEST(RunConfig, ShippedConfigsLoad)
 {
     namespace fs = std::filesystem;
@@ -270,13 +302,11 @@ TEST(RunConfig, ShippedConfigsLoad)
         SCOPED_TRACE(path.string());
         IniFile ini;
         RunConfig config;
-        std::vector<std::string> unknown;
         std::string error;
         EXPECT_TRUE(IniFile::fromFile(path.string(), ini, error) &&
-                    applyIni(config, ini, unknown, error) &&
+                    applyIni(config, ini, error) &&
                     resolveRunConfig(config, error))
             << error;
-        EXPECT_TRUE(unknown.empty());
         EXPECT_FALSE(config.workload.empty());
     }
 }

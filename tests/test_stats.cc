@@ -1,12 +1,11 @@
 /**
  * @file
- * Unit tests for histograms and stat sets.
+ * Unit tests for histograms.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <sstream>
 
 #include "common/stats.hh"
 
@@ -243,28 +242,6 @@ TEST(ExpHistogram, PercentileEmptyAndMonotone)
     // p50 of 1..1024 lies in the [512, 1024) bucket's range.
     EXPECT_GE(h.percentile(0.5), 256.0);
     EXPECT_LE(h.percentile(0.5), 1024.0);
-}
-
-TEST(StatSet, SetGetAndOverwrite)
-{
-    StatSet stats("unit");
-    stats.set("a", 1.0);
-    stats.set("b", 2.0);
-    stats.set("a", 3.0);
-    EXPECT_DOUBLE_EQ(stats.get("a"), 3.0);
-    EXPECT_DOUBLE_EQ(stats.get("b"), 2.0);
-    EXPECT_DOUBLE_EQ(stats.get("missing"), 0.0);
-    EXPECT_TRUE(stats.has("a"));
-    EXPECT_FALSE(stats.has("missing"));
-}
-
-TEST(StatSet, DumpFormat)
-{
-    StatSet stats("sys");
-    stats.set("ipc", 1.5);
-    std::ostringstream os;
-    stats.dump(os);
-    EXPECT_EQ(os.str(), "sys.ipc 1.5\n");
 }
 
 } // namespace

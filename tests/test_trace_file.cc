@@ -60,7 +60,8 @@ TEST(TraceFile, HighestLineNamesItsFirstFileLine)
 
 TEST(TraceFile, CopiesReplayIndependently)
 {
-    // runTraceFile parses once and gives each core a copy.
+    // simulate() replays the trace resolveRunConfig loaded, one copy
+    // per core.
     std::istringstream input("1 R 1\n2 W 2\n3 R 3\n");
     FileTraceSource loaded(input, "inline");
     FileTraceSource copy(loaded);

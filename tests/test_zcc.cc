@@ -15,26 +15,27 @@ namespace
 
 TEST(Zcc, SizeForCountTable)
 {
-    // The paper's width schedule (Fig 8 discussion).
-    EXPECT_EQ(zcc::sizeForCount(0), 16u);
-    EXPECT_EQ(zcc::sizeForCount(1), 16u);
-    EXPECT_EQ(zcc::sizeForCount(16), 16u);
-    EXPECT_EQ(zcc::sizeForCount(17), 8u);
-    EXPECT_EQ(zcc::sizeForCount(32), 8u);
-    EXPECT_EQ(zcc::sizeForCount(33), 7u);
-    EXPECT_EQ(zcc::sizeForCount(36), 7u);
-    EXPECT_EQ(zcc::sizeForCount(37), 6u);
-    EXPECT_EQ(zcc::sizeForCount(42), 6u);
-    EXPECT_EQ(zcc::sizeForCount(43), 5u);
-    EXPECT_EQ(zcc::sizeForCount(51), 5u);
-    EXPECT_EQ(zcc::sizeForCount(52), 4u);
-    EXPECT_EQ(zcc::sizeForCount(64), 4u);
+    // The paper's width schedule (Fig 8 discussion): every population
+    // up to a bound gets the width beside it.
+    const unsigned buckets[][2] = {{16, 16}, {32, 8}, {36, 7},
+                                   {42, 6},  {51, 5}, {64, 4}};
+    unsigned k = 0;
+    for (const auto &[bound, width] : buckets)
+        for (; k <= bound; ++k)
+            EXPECT_EQ(zcc::sizeForCount(k), width) << k;
 }
 
 TEST(Zcc, WidthsAlwaysFitPayload)
 {
-    for (unsigned k = 1; k <= zcc::maxNonZero; ++k)
-        EXPECT_LE(k * zcc::sizeForCount(k), zcc::payloadBits) << k;
+    for (unsigned k = 1; k <= zcc::maxNonZero; ++k) {
+        EXPECT_LE(k * zcc::sizeForCount(k), 256u) << k;
+        // Utility-maximal: at a bucket's last population, one more
+        // counter of the same width would not fit the payload.
+        if (k == zcc::maxNonZero ||
+            zcc::sizeForCount(k + 1) != zcc::sizeForCount(k)) {
+            EXPECT_GT((k + 1) * zcc::sizeForCount(k), 256u) << k;
+        }
+    }
 }
 
 TEST(Zcc, InitState)

@@ -308,13 +308,9 @@ main(int argc, char **argv)
                 badFlag("%s", error.c_str());
         } else if (arg == "--config-file") {
             IniFile ini;
-            std::vector<std::string> unknown;
             if (!IniFile::fromFile(value(), ini, error) ||
-                !applyIni(config, ini, unknown, error))
+                !applyIni(config, ini, error))
                 badConfig(error);
-            if (!unknown.empty())
-                badConfig("config " + ini.name() + ": unknown key '" +
-                          unknown.front() + "'");
         } else if (arg == "--occupancy") {
             scope_config.occupancy = true;
         } else if (arg == "--epoch") {

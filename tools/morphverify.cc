@@ -4,7 +4,7 @@
  * formats' transition relations.
  *
  * Where tests/test_codec_fuzz.cc *samples* write sequences and
- * tools/morphlint.cc *pattern-checks* constants, morphverify walks the
+ * tests/test_formats.cc *pattern-checks* constants, morphverify walks the
  * actual state graph: breadth-first search from deterministic seed
  * states over symmetry-reduced canonical states (see
  * src/counters/transition_model.hh), taking every representative
