@@ -52,29 +52,31 @@ main()
                         modelConfig(TreeConfig::morph())});
     variants.back().config.speculativeVerification = true;
 
-    std::vector<double> base_ipc;
-    for (const char *w : workloads)
-        base_ipc.push_back(
-            runByName(w, variants[0].config, options).ipc);
+    std::vector<RunConfig> cells;
+    for (const Variant &v : variants)
+        for (const char *w : workloads)
+            cells.push_back(cell(w, v.config, options));
+    const std::vector<SimResult> results = runSweep(cells);
 
     std::printf("%-28s", "variant");
     for (const char *w : workloads)
         std::printf(" %10s", w);
     std::printf(" %8s %8s\n", "gmean", "bloat");
 
-    for (const Variant &v : variants) {
-        std::printf("%-28s", v.name);
+    // Normalized to variants[0], the SC-64 baseline.
+    const std::size_t n = std::size(workloads);
+    for (std::size_t v = 0; v < variants.size(); ++v) {
+        std::printf("%-28s", variants[v].name);
         std::vector<double> normalized;
         double bloat = 0;
-        for (std::size_t i = 0; i < std::size(workloads); ++i) {
-            const SimResult result =
-                runByName(workloads[i], v.config, options);
-            normalized.push_back(result.ipc / base_ipc[i]);
+        for (std::size_t i = 0; i < n; ++i) {
+            const SimResult &result = results[v * n + i];
+            normalized.push_back(result.ipc / results[i].ipc);
             bloat += result.bloat();
             std::printf(" %10.3f", normalized.back());
         }
         std::printf(" %8.3f %8.3f\n", geomean(normalized),
-                    bloat / double(std::size(workloads)));
+                    bloat / double(n));
     }
 
     std::printf("\nExpected: spec-verify helps both designs (latency) "

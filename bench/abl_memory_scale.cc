@@ -41,19 +41,23 @@ main()
     // footprint grows with memory so the counter working set scales.
     std::printf("\n%-8s %12s %14s %12s\n", "memory", "SC-64 IPC",
                 "Morph IPC", "speedup");
-    SimOptions options = perfOptions();
-    for (unsigned shift = 2; shift <= 5; ++shift) {
-        const std::uint64_t mem = 1ull << (30 + shift);
-        auto sc64_config = modelConfig(TreeConfig::sc64());
-        auto morph_config = modelConfig(TreeConfig::morph());
-        sc64_config.memBytes = morph_config.memBytes = mem;
-        const double sc64_ipc =
-            runByName("mcf", sc64_config, options).ipc;
-        const double morph_ipc =
-            runByName("mcf", morph_config, options).ipc;
+    const SimOptions options = perfOptions();
+    constexpr unsigned shifts[] = {2, 3, 4, 5};
+    std::vector<RunConfig> cells;
+    for (const unsigned shift : shifts) {
+        for (const TreeConfig &tree :
+             {TreeConfig::sc64(), TreeConfig::morph()}) {
+            cells.push_back(cell("mcf", modelConfig(tree), options));
+            cells.back().secmem.memBytes = 1ull << (30 + shift);
+        }
+    }
+    const std::vector<SimResult> results = runSweep(cells);
+    for (std::size_t s = 0; s < std::size(shifts); ++s) {
+        const double sc64_ipc = results[2 * s].ipc;
+        const double morph_ipc = results[2 * s + 1].ipc;
         std::printf("%3llu GB   %12.3f %14.3f %+11.1f%%\n",
-                    (unsigned long long)(mem >> 30), sc64_ipc,
-                    morph_ipc, (morph_ipc / sc64_ipc - 1.0) * 100);
+                    1ull << shifts[s], sc64_ipc, morph_ipc,
+                    (morph_ipc / sc64_ipc - 1.0) * 100);
     }
 
     std::printf("\nExpected: the Morph advantage persists (and the "

@@ -25,16 +25,6 @@ namespace
 
 using namespace morph;
 
-SecureModelConfig
-persistConfig(PersistPolicy policy, std::uint64_t epoch_writes)
-{
-    SecureModelConfig config = bench::modelConfig(TreeConfig::morph());
-    config.persist.enabled = true;
-    config.persist.policy = policy;
-    config.persist.epochWrites = epoch_writes;
-    return config;
-}
-
 void
 printRow(const char *label, const SimResult &result)
 {
@@ -65,19 +55,25 @@ main()
     const SimOptions options = perfOptions();
     constexpr std::uint64_t epochs[] = {256, 4096};
 
-    const auto workloads = evaluationWorkloads();
-    std::vector<SweepCase> cases;
-    for (const std::string &name : workloads) {
-        cases.push_back(
-            {name, persistConfig(PersistPolicy::Strict, 1), options});
-        for (std::uint64_t epoch : epochs)
-            cases.push_back(
-                {name, persistConfig(PersistPolicy::Lazy, epoch),
-                 options});
-    }
-    const std::vector<SimResult> results = runSweep(cases);
+    std::vector<PersistConfig> rows = {
+        {.enabled = true, .policy = PersistPolicy::Strict}};
+    for (std::uint64_t epoch : epochs)
+        rows.push_back({.enabled = true,
+                        .policy = PersistPolicy::Lazy,
+                        .epochWrites = epoch});
 
-    const std::size_t rows_per_workload = 1 + std::size(epochs);
+    const auto workloads = evaluationWorkloads();
+    std::vector<RunConfig> cells;
+    for (const std::string &name : workloads) {
+        for (const PersistConfig &row : rows) {
+            cells.push_back(
+                cell(name, modelConfig(TreeConfig::morph()), options));
+            cells.back().secmem.persist = row;
+        }
+    }
+    const std::vector<SimResult> results = runSweep(cells);
+
+    const std::size_t rows_per_workload = rows.size();
     std::printf("%-16s %9s %9s %9s %10s %9s\n", "",
                 "prst/wr", "log/wr", "root/wr", "persists",
                 "barriers");

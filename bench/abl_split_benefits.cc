@@ -65,19 +65,19 @@ main()
         std::printf(" %9s", w);
     std::printf(" %9s\n", "gmean");
 
-    std::vector<double> base_ipc;
-    for (const char *w : workloads)
-        base_ipc.push_back(
-            runByName(w, modelConfig(variants[0].config), options).ipc);
+    std::vector<RunConfig> cells;
+    for (const Variant &v : variants)
+        for (const char *w : workloads)
+            cells.push_back(cell(w, modelConfig(v.config), options));
+    const std::vector<SimResult> results = runSweep(cells);
 
-    for (const Variant &v : variants) {
-        std::printf("%-24s", v.name);
+    // Normalized to variants[0], the SC-64 baseline.
+    const std::size_t n = std::size(workloads);
+    for (std::size_t v = 0; v < std::size(variants); ++v) {
+        std::printf("%-24s", variants[v].name);
         std::vector<double> normalized;
-        for (std::size_t i = 0; i < std::size(workloads); ++i) {
-            const double ipc =
-                runByName(workloads[i], modelConfig(v.config), options)
-                    .ipc;
-            normalized.push_back(ipc / base_ipc[i]);
+        for (std::size_t i = 0; i < n; ++i) {
+            normalized.push_back(results[v * n + i].ipc / results[i].ipc);
             std::printf(" %9.3f", normalized.back());
         }
         std::printf(" %9.3f\n", geomean(normalized));

@@ -30,7 +30,7 @@
 
 #include "common/log.hh"
 #include "common/run_pool.hh"
-#include "sim/simulator.hh"
+#include "sim/run_config.hh"
 
 namespace morph
 {
@@ -108,28 +108,30 @@ envJobs()
     return jobs ? unsigned(*jobs) : RunPool::hardwareJobs();
 }
 
-/** One independent cell of a figure's (workload, config) grid. */
-struct SweepCase
+/** One cell of a figure's grid: @p workload on @p secmem at
+ *  @p options, named by its tree config. */
+inline RunConfig
+cell(const std::string &workload, const SecureModelConfig &secmem,
+     const SimOptions &options)
 {
-    std::string workload;
-    SecureModelConfig config;
-    SimOptions options;
-};
+    RunConfig config;
+    config.workload = workload;
+    config.configName = secmem.tree.name;
+    config.secmem = secmem;
+    config.options = options;
+    return config;
+}
 
-/** Run every case on a RunPool and return the results in case order.
- *
- *  Each run owns its whole simulated system and a deterministic seed
- *  from its SimOptions, and aggregation/printing reads the ordered
- *  results exactly as the old serial loops did — figure output is
- *  byte-identical at any MORPH_BENCH_JOBS level. */
+/** Simulate every cell on a RunPool and return the results in cell
+ *  order. Each run owns its whole simulated system and seeds from its
+ *  SimOptions, so figure output is byte-identical at any
+ *  MORPH_BENCH_JOBS level. */
 inline std::vector<SimResult>
-runSweep(const std::vector<SweepCase> &cases)
+runSweep(const std::vector<RunConfig> &cells)
 {
     SweepEngine engine(envJobs());
-    return engine.map<SimResult>(cases.size(), [&](std::size_t i) {
-        return runByName(cases[i].workload, cases[i].config,
-                         cases[i].options);
-    });
+    return engine.map<SimResult>(
+        cells.size(), [&](std::size_t i) { return simulate(cells[i]); });
 }
 
 /** Print the standard figure header. */
@@ -141,18 +143,6 @@ banner(const char *figure, const char *caption)
     std::printf("%s — %s\n", figure, caption);
     std::printf("===================================================="
                 "========================\n");
-}
-
-/** Geometric-mean helper over a result metric. */
-template <typename Fn>
-double
-geomeanOf(const std::vector<SimResult> &results, Fn &&metric)
-{
-    std::vector<double> values;
-    values.reserve(results.size());
-    for (const auto &r : results)
-        values.push_back(metric(r));
-    return geomean(values);
 }
 
 } // namespace bench

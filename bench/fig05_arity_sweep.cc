@@ -42,11 +42,11 @@ main()
     std::vector<double> bloat(rows.size(), 0.0);
     std::vector<double> overflow_traffic(rows.size(), 0.0);
 
-    std::vector<SweepCase> cases;
+    std::vector<RunConfig> cells;
     for (const std::string &name : workloads)
         for (const Row &row : rows)
-            cases.push_back({name, row.config, options});
-    const std::vector<SimResult> results = runSweep(cases);
+            cells.push_back(cell(name, row.config, options));
+    const std::vector<SimResult> results = runSweep(cells);
 
     std::size_t next = 0;
     for (std::size_t w = 0; w < workloads.size(); ++w) {

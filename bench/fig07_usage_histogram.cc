@@ -22,12 +22,13 @@ main()
                     "(SC-64, all workloads)");
 
     const SimOptions options = overflowOptions();
-    const auto config = modelConfig(TreeConfig::sc64());
+    std::vector<RunConfig> cells;
+    for (const std::string &name : evaluationWorkloads())
+        cells.push_back(cell(name, modelConfig(TreeConfig::sc64()), options));
 
     Histogram combined(0.0, 1.0 + 1e-9, 20);
     std::uint64_t workloads_with_overflows = 0;
-    for (const std::string &name : evaluationWorkloads()) {
-        const SimResult result = runByName(name, config, options);
+    for (const SimResult &result : runSweep(cells)) {
         const Histogram &h = result.traffic.usageAtOverflow;
         if (h.count() == 0)
             continue;

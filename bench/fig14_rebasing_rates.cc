@@ -28,11 +28,11 @@ main()
     std::printf("%-12s %12s %16s %18s %10s\n", "workload", "SC-64",
                 "Morph(ZCC)", "Morph(ZCC+Reb)", "rebases/M");
     const auto workloads = evaluationWorkloads();
-    std::vector<SweepCase> cases;
+    std::vector<RunConfig> cells;
     for (const std::string &name : workloads)
         for (int c = 0; c < 3; ++c)
-            cases.push_back({name, modelConfig(configs[c]), options});
-    const std::vector<SimResult> results = runSweep(cases);
+            cells.push_back(cell(name, modelConfig(configs[c]), options));
+    const std::vector<SimResult> results = runSweep(cells);
 
     double sums[3] = {};
     unsigned rows = 0;

@@ -26,13 +26,13 @@ main()
     std::printf("%-12s %10s %10s %14s %14s\n", "workload", "VAULT",
                 "SC-64", "MorphCtr-128", "(SC-64 IPC)");
     const auto workloads = evaluationWorkloads();
-    std::vector<SweepCase> cases;
+    std::vector<RunConfig> cells;
     for (const std::string &name : workloads) {
-        cases.push_back({name, modelConfig(TreeConfig::vault()), options});
-        cases.push_back({name, modelConfig(TreeConfig::sc64()), options});
-        cases.push_back({name, modelConfig(TreeConfig::morph()), options});
+        cells.push_back(cell(name, modelConfig(TreeConfig::vault()), options));
+        cells.push_back(cell(name, modelConfig(TreeConfig::sc64()), options));
+        cells.push_back(cell(name, modelConfig(TreeConfig::morph()), options));
     }
-    const std::vector<SimResult> results = runSweep(cases);
+    const std::vector<SimResult> results = runSweep(cells);
 
     std::vector<double> vault_norm, morph_norm;
     for (std::size_t w = 0; w < workloads.size(); ++w) {

@@ -47,13 +47,13 @@ main()
                 "Ctr_Encr", "Ctr_1", "Ctr_2", "Ctr_3&Up", "Overflow");
 
     const auto workloads = evaluationWorkloads();
-    std::vector<SweepCase> cases;
+    std::vector<RunConfig> cells;
     for (const std::string &name : workloads) {
-        cases.push_back({name, modelConfig(TreeConfig::vault()), options});
-        cases.push_back({name, modelConfig(TreeConfig::sc64()), options});
-        cases.push_back({name, modelConfig(TreeConfig::morph()), options});
+        cells.push_back(cell(name, modelConfig(TreeConfig::vault()), options));
+        cells.push_back(cell(name, modelConfig(TreeConfig::sc64()), options));
+        cells.push_back(cell(name, modelConfig(TreeConfig::morph()), options));
     }
-    const std::vector<SimResult> results = runSweep(cases);
+    const std::vector<SimResult> results = runSweep(cells);
 
     double bloat_sums[3] = {};
     unsigned rows = 0;

@@ -26,16 +26,19 @@ main()
                                   TreeConfig::morph()};
     const char *names[] = {"VAULT", "SC-64", "MorphCtr-128"};
 
+    const auto workloads = evaluationWorkloads();
+    std::vector<RunConfig> cells;
+    for (const std::string &name : workloads)
+        for (const TreeConfig &tree : configs)
+            cells.push_back(cell(name, modelConfig(tree), options));
+    const std::vector<SimResult> results = runSweep(cells);
+
     // Accumulate per-workload normalized metrics (geometric mean).
     std::vector<double> power[3], time[3], energy[3], edp[3];
-    for (const std::string &workload : evaluationWorkloads()) {
-        SimResult results[3];
-        for (int c = 0; c < 3; ++c)
-            results[c] =
-                runByName(workload, modelConfig(configs[c]), options);
-        const EnergyReport &base = results[1].energy;
-        for (int c = 0; c < 3; ++c) {
-            const EnergyReport &r = results[c].energy;
+    for (std::size_t w = 0; w < workloads.size(); ++w) {
+        const EnergyReport &base = results[3 * w + 1].energy;
+        for (std::size_t c = 0; c < 3; ++c) {
+            const EnergyReport &r = results[3 * w + c].energy;
             power[c].push_back(r.systemPowerW / base.systemPowerW);
             time[c].push_back(r.seconds / base.seconds);
             energy[c].push_back(r.systemJ / base.systemJ);

@@ -27,36 +27,36 @@ main()
     SimOptions options = perfOptions();
     options.footprintScale = envScale(1.0);
     const std::size_t sizes[] = {64 * 1024, 128 * 1024, 256 * 1024};
+    const TreeConfig designs[] = {TreeConfig::sc64(), TreeConfig::morph()};
 
-    // Baseline: SC-64 with the default 128 KB cache.
-    std::vector<double> base_ipc;
-    for (const std::string &name : evaluationWorkloads())
-        base_ipc.push_back(
-            runByName(name, modelConfig(TreeConfig::sc64()), options)
-                .ipc);
+    const auto workloads = evaluationWorkloads();
+    std::vector<RunConfig> cells;
+    for (const std::size_t size : sizes) {
+        for (const std::string &name : workloads) {
+            for (const TreeConfig &tree : designs) {
+                cells.push_back(cell(name, modelConfig(tree), options));
+                cells.back().secmem.metadataCacheBytes = size;
+            }
+        }
+    }
+    const std::vector<SimResult> results = runSweep(cells);
+    auto ipc = [&](std::size_t s, std::size_t w, std::size_t design) {
+        return results[(s * workloads.size() + w) * 2 + design].ipc;
+    };
 
+    // Baseline: SC-64 with the default 128 KB cache (sizes[1]).
     std::printf("%-10s %12s %16s %18s\n", "cache", "SC-64",
                 "MorphCtr-128", "Morph speedup");
-    for (const std::size_t size : sizes) {
+    for (std::size_t s = 0; s < std::size(sizes); ++s) {
         std::vector<double> sc64_norm, morph_norm;
-        unsigned w = 0;
-        for (const std::string &name : evaluationWorkloads()) {
-            auto sc64_config = modelConfig(TreeConfig::sc64());
-            auto morph_config = modelConfig(TreeConfig::morph());
-            sc64_config.metadataCacheBytes = size;
-            morph_config.metadataCacheBytes = size;
-            sc64_norm.push_back(
-                runByName(name, sc64_config, options).ipc /
-                base_ipc[w]);
-            morph_norm.push_back(
-                runByName(name, morph_config, options).ipc /
-                base_ipc[w]);
-            ++w;
+        for (std::size_t w = 0; w < workloads.size(); ++w) {
+            sc64_norm.push_back(ipc(s, w, 0) / ipc(1, w, 0));
+            morph_norm.push_back(ipc(s, w, 1) / ipc(1, w, 0));
         }
-        const double s = geomean(sc64_norm);
+        const double sc = geomean(sc64_norm);
         const double m = geomean(morph_norm);
         std::printf("%4zu KB    %12.3f %16.3f %+17.1f%%\n",
-                    size / 1024, s, m, (m / s - 1.0) * 100);
+                    sizes[s] / 1024, sc, m, (m / sc - 1.0) * 100);
     }
 
     std::printf("\nPaper: +11%% @ 64 KB, +6.3%% @ 128 KB, +3.3%% @ "

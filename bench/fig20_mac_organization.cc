@@ -22,35 +22,37 @@ main()
                      "SC-64 in-line)");
 
     const SimOptions options = perfOptions();
+    const bool organizations[] = {false, true}; // in-line MACs?
+    const TreeConfig designs[] = {TreeConfig::sc64(), TreeConfig::morph()};
 
-    std::vector<double> base_ipc;
-    for (const std::string &name : evaluationWorkloads())
-        base_ipc.push_back(
-            runByName(name, modelConfig(TreeConfig::sc64()), options)
-                .ipc);
+    const auto workloads = evaluationWorkloads();
+    std::vector<RunConfig> cells;
+    for (const bool inline_macs : organizations) {
+        for (const std::string &name : workloads) {
+            for (const TreeConfig &tree : designs) {
+                cells.push_back(cell(name, modelConfig(tree), options));
+                cells.back().secmem.inlineMacs = inline_macs;
+            }
+        }
+    }
+    const std::vector<SimResult> results = runSweep(cells);
+    auto ipc = [&](std::size_t org, std::size_t w, std::size_t design) {
+        return results[(org * workloads.size() + w) * 2 + design].ipc;
+    };
 
+    // Baseline: SC-64 with in-line MACs (organizations[1]).
     std::printf("%-16s %12s %16s %18s\n", "MAC organization", "SC-64",
                 "MorphCtr-128", "Morph speedup");
-    for (const bool inline_macs : {false, true}) {
+    for (std::size_t o = 0; o < std::size(organizations); ++o) {
         std::vector<double> sc64_norm, morph_norm;
-        unsigned w = 0;
-        for (const std::string &name : evaluationWorkloads()) {
-            auto sc64_config = modelConfig(TreeConfig::sc64());
-            auto morph_config = modelConfig(TreeConfig::morph());
-            sc64_config.inlineMacs = inline_macs;
-            morph_config.inlineMacs = inline_macs;
-            sc64_norm.push_back(
-                runByName(name, sc64_config, options).ipc /
-                base_ipc[w]);
-            morph_norm.push_back(
-                runByName(name, morph_config, options).ipc /
-                base_ipc[w]);
-            ++w;
+        for (std::size_t w = 0; w < workloads.size(); ++w) {
+            sc64_norm.push_back(ipc(o, w, 0) / ipc(1, w, 0));
+            morph_norm.push_back(ipc(o, w, 1) / ipc(1, w, 0));
         }
         const double s = geomean(sc64_norm);
         const double m = geomean(morph_norm);
         std::printf("%-16s %12.3f %16.3f %+17.1f%%\n",
-                    inline_macs ? "In-Line (Synergy)" : "Separate",
+                    organizations[o] ? "In-Line (Synergy)" : "Separate",
                     s, m, (m / s - 1.0) * 100);
     }
 

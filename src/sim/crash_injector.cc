@@ -10,25 +10,25 @@ namespace morph
 {
 
 CrashReport
-injectCrash(const CrashInjectorOptions &options)
+injectCrash(const RunConfig &config, std::uint64_t cut)
 {
-    if (!options.model.persist.enabled)
+    if (!config.secmem.persist.enabled)
         fatal("crash injector: the model's persist domain is disabled");
-    const WorkloadSpec *spec = findWorkload(options.workload);
+    const WorkloadSpec *spec = findWorkload(config.workload);
     if (!spec)
         fatal("crash injector: unknown workload %s",
-              options.workload.c_str());
+              config.workload.c_str());
 
     // One core, no DRAM timing: the persist domain only observes the
     // controller, so the cheapest faithful drive is the raw access
     // stream. Crashing *is* stopping — nothing is drained.
-    SecureMemoryModel model(options.model);
-    auto trace = makeWorkloadTrace(*spec, 0, 1, options.model.memBytes,
-                                   options.seed,
-                                   options.footprintScale);
+    SecureMemoryModel model(config.secmem);
+    auto trace = makeWorkloadTrace(*spec, 0, 1, config.secmem.memBytes,
+                                   config.options.seed,
+                                   config.options.footprintScale);
 
     std::vector<MemAccess> scratch;
-    for (std::uint64_t i = 0; i < options.cutAccesses; ++i) {
+    for (std::uint64_t i = 0; i < cut; ++i) {
         const TraceEntry entry = trace->next();
         scratch.clear();
         model.onDataAccess(entry.line, entry.type, scratch);
@@ -38,7 +38,7 @@ injectCrash(const CrashInjectorOptions &options)
     MORPH_CHECK(domain != nullptr);
 
     CrashReport report;
-    report.cutAccesses = options.cutAccesses;
+    report.cutAccesses = cut;
     report.persist = domain->stats();
     report.recovery = domain->recover();
     report.fingerprint = domain->durableFingerprint();

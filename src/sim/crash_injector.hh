@@ -5,12 +5,12 @@
  *
  * The injector streams a workload trace straight through a
  * SecureMemoryModel with the persist domain enabled — no DRAM timing,
- * no warm-up — and "crashes" after exactly `cutAccesses` data
- * accesses: everything volatile (metadata cache, on-chip counters,
- * the persist domain's pending set as pending) is lost, and recovery
- * is replayed from what had reached NVM. The resulting CrashReport is
- * pure data, so a run_pool sweep over cut points and seeds is
- * deterministic at any --jobs count (pinned by durableFingerprint).
+ * no warm-up — and "crashes" after exactly `cut` data accesses:
+ * everything volatile (metadata cache, on-chip counters, the persist
+ * domain's pending set as pending) is lost, and recovery is replayed
+ * from what had reached NVM. The resulting CrashReport is pure data,
+ * so a run_pool sweep over cut points and seeds is deterministic at
+ * any --jobs count (pinned by durableFingerprint).
  *
  * morphverify's --recovery invariant sweeps this over strict and lazy
  * policies: every reachable post-crash durable state must reconstruct
@@ -20,22 +20,12 @@
 #ifndef MORPH_SIM_CRASH_INJECTOR_HH
 #define MORPH_SIM_CRASH_INJECTOR_HH
 
-#include <string>
+#include <cstdint>
 
-#include "secmem/secure_memory_model.hh"
+#include "sim/run_config.hh"
 
 namespace morph
 {
-
-/** One crash experiment: workload, model, and where to cut. */
-struct CrashInjectorOptions
-{
-    std::string workload = "mcf"; ///< workload name (fatal if unknown)
-    SecureModelConfig model;      ///< persist.enabled must be set
-    std::uint64_t seed = 1;       ///< trace seed (sweepSeed output)
-    std::uint64_t cutAccesses = 10'000; ///< data accesses before crash
-    double footprintScale = 1.0;
-};
 
 /** Durable state and recovery outcome at the cut point. */
 struct CrashReport
@@ -47,11 +37,13 @@ struct CrashReport
 };
 
 /**
- * Run @p options.workload through a fresh model and crash it after
- * @p options.cutAccesses data accesses. Fatal if the workload is
- * unknown or the model's persist domain is disabled.
+ * Run @p config's workload (one core, its seed and footprint scale)
+ * through a fresh model of @p config.secmem and crash it after @p cut
+ * data accesses. The warm-up, accesses and timing settings are not
+ * used. Fatal if the workload is a mix or unknown, or the persist
+ * domain is disabled.
  */
-CrashReport injectCrash(const CrashInjectorOptions &options);
+CrashReport injectCrash(const RunConfig &config, std::uint64_t cut);
 
 } // namespace morph
 

@@ -4,7 +4,6 @@
 #include <cstdio>
 #include <fstream>
 
-#include "common/check.hh"
 #include "common/parse.hh"
 
 namespace morph
@@ -274,18 +273,6 @@ resolveRunConfig(RunConfig &config, std::string &error)
     config.trace =
         std::make_shared<const FileTraceSource>(std::move(*trace));
     return true;
-}
-
-SimResult
-simulate(const RunConfig &config, MorphScope *scope)
-{
-    if (!config.tracePath.empty()) {
-        MORPH_CHECK(config.trace != nullptr);
-        return runTraceFile(*config.trace, config.tracePath,
-                            config.secmem, config.options, scope);
-    }
-    return runByName(config.workload, config.secmem, config.options,
-                     scope);
 }
 
 } // namespace morph

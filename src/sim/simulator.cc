@@ -1,12 +1,15 @@
 #include "sim/simulator.hh"
 
+#include <array>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <stdexcept>
 
+#include "common/check.hh"
 #include "common/log.hh"
 #include "common/prof.hh"
+#include "sim/run_config.hh"
 #include "workloads/trace_file.hh"
 
 namespace morph
@@ -174,64 +177,50 @@ runTraces(const std::string &name,
 
 constexpr unsigned numCores = 4;
 
-SimResult
-runWorkload(const WorkloadSpec &workload, const SecureModelConfig &secmem,
-            const SimOptions &options, MorphScope *scope)
-{
-    std::vector<std::unique_ptr<TraceSource>> traces;
-    traces.reserve(numCores);
-    for (unsigned core = 0; core < numCores; ++core)
-        traces.push_back(makeWorkloadTrace(workload, core, numCores,
-                                           secmem.memBytes,
-                                           options.seed,
-                                           options.footprintScale));
-    return runTraces(workload.name, std::move(traces), secmem,
-                     options, scope);
-}
-
-SimResult
-runMix(const MixSpec &mix, const SecureModelConfig &secmem,
-       const SimOptions &options, MorphScope *scope)
-{
-    std::vector<std::unique_ptr<TraceSource>> traces;
-    traces.reserve(numCores);
-    for (unsigned core = 0; core < numCores; ++core) {
-        const WorkloadSpec *spec = findWorkload(mix.parts[core]);
-        if (!spec)
-            fatal("mix %s: unknown workload %s", mix.name.c_str(),
-                  mix.parts[core].c_str());
-        traces.push_back(makeWorkloadTrace(*spec, core, numCores,
-                                           secmem.memBytes,
-                                           options.seed,
-                                           options.footprintScale));
-    }
-    return runTraces(mix.name, std::move(traces), secmem, options,
-                     scope);
-}
-
 } // namespace
 
 SimResult
 runByName(const std::string &name, const SecureModelConfig &secmem,
           const SimOptions &options, MorphScope *scope)
 {
-    if (const WorkloadSpec *spec = findWorkload(name))
-        return runWorkload(*spec, secmem, options, scope);
-    if (const MixSpec *mix = findMix(name))
-        return runMix(*mix, secmem, options, scope);
-    fatal("unknown workload or mix: %s", name.c_str());
+    // Rate mode runs the workload on every core; a mix names one
+    // workload per core.
+    std::array<std::string, numCores> parts;
+    if (findWorkload(name))
+        parts.fill(name);
+    else if (const MixSpec *mix = findMix(name))
+        parts = mix->parts;
+    else
+        fatal("unknown workload or mix: %s", name.c_str());
+    std::vector<std::unique_ptr<TraceSource>> traces;
+    traces.reserve(numCores);
+    for (unsigned core = 0; core < numCores; ++core) {
+        const WorkloadSpec *spec = findWorkload(parts[core]);
+        if (!spec)
+            fatal("mix %s: unknown workload %s", name.c_str(),
+                  parts[core].c_str());
+        traces.push_back(makeWorkloadTrace(*spec, core, numCores,
+                                           secmem.memBytes,
+                                           options.seed,
+                                           options.footprintScale));
+    }
+    return runTraces(name, std::move(traces), secmem, options, scope);
 }
 
 SimResult
-runTraceFile(const FileTraceSource &trace, const std::string &name,
-             const SecureModelConfig &secmem, const SimOptions &options,
-             MorphScope *scope)
+simulate(const RunConfig &config, MorphScope *scope)
 {
+    if (config.tracePath.empty())
+        return runByName(config.workload, config.secmem, config.options,
+                         scope);
+    // Every core replays the loaded trace from the start, each with
+    // its own cursor over the shared events.
+    MORPH_CHECK(config.trace != nullptr);
     std::vector<std::unique_ptr<TraceSource>> traces;
-    traces.reserve(numCores);
     for (unsigned core = 0; core < numCores; ++core)
-        traces.push_back(std::make_unique<FileTraceSource>(trace));
-    return runTraces(name, std::move(traces), secmem, options, scope);
+        traces.push_back(std::make_unique<FileTraceSource>(*config.trace));
+    return runTraces(config.tracePath, std::move(traces), config.secmem,
+                     config.options, scope);
 }
 
 std::vector<std::string>

@@ -27,8 +27,6 @@
 namespace morph
 {
 
-class FileTraceSource;
-
 /** Environment variable @p name as a count >= @p min: nullopt when
  *  unset; anything else throws std::invalid_argument naming it. */
 std::optional<std::uint64_t> envCount(const char *name,
@@ -103,14 +101,6 @@ SimResult runByName(const std::string &name,
                     const SecureModelConfig &secmem,
                     const SimOptions &options,
                     MorphScope *scope = nullptr);
-
-/** Simulate a loaded trace, reported as workload @p name: every core
- *  replays its own copy from the start. @copydetails runByName */
-SimResult runTraceFile(const FileTraceSource &trace,
-                       const std::string &name,
-                       const SecureModelConfig &secmem,
-                       const SimOptions &options,
-                       MorphScope *scope = nullptr);
 
 /** All 28 evaluation targets: 16 SPEC + 6 mixes + 6 GAP, the paper's
  *  Fig 15 x-axis order. */

@@ -10,24 +10,28 @@
  *
  * e.g. "37 R 1a2b3c" — 37 non-memory instructions, then a read of
  * cacheline 0x1a2b3c. '#' starts a comment; blank and comment-only
- * lines are skipped. Any other malformed line — a non-numeric or
- * negative gap, a bad type, a bad address — fails the load with an
- * error naming file:line, as does a trace with no events: a truncated
- * record must never be silently dropped. Gaps wider than 32 bits are
- * clamped to the uint32 maximum with a warning.
+ * lines are skipped. The gap is decimal digits and the address hex
+ * digits with an optional 0x prefix; neither takes a sign. Any other
+ * line — a non-numeric or signed gap, a bad type, a bad or signed
+ * address, a fourth field — fails the load with an error naming
+ * file:line, as does a trace with no events: a truncated record must
+ * never be silently dropped. Gaps wider than 32 bits are clamped to
+ * the uint32 maximum with a warning.
  *
  * FileTraceSource loads the whole trace into memory and replays it
  * cyclically (simulations usually need more events than a captured
  * trace holds; cycling a long trace is the standard USIMM practice).
- * A copy replays the same events with its own cursor. The parser does
- * not know the memory size: highest() lets the caller reject a line
- * past the protected memory before the run.
+ * A copy shares the loaded events, which are immutable, and replays
+ * them with its own cursor, so one copy per core costs no memory. The
+ * parser does not know the memory size: highest() lets the caller
+ * reject a line past the protected memory before the run.
  */
 
 #ifndef MORPH_WORKLOADS_TRACE_FILE_HH
 #define MORPH_WORKLOADS_TRACE_FILE_HH
 
 #include <iosfwd>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -61,7 +65,7 @@ class FileTraceSource : public TraceSource
     TraceEntry next() override;
 
     /** Number of distinct events loaded. */
-    std::size_t size() const { return entries_.size(); }
+    std::size_t size() const { return entries_->size(); }
 
     /** The largest line address in the trace, and the first file line
      *  (1-based) that holds it. */
@@ -75,12 +79,13 @@ class FileTraceSource : public TraceSource
   private:
     FileTraceSource() = default;
 
-    /** Append the events of @p input; false with @p error set on a
+    /** Load the events of @p input; false with @p error set on a
      *  malformed record or no events. */
     bool parse(std::istream &input, const std::string &name,
                std::string &error);
 
-    std::vector<TraceEntry> entries_;
+    /** The loaded events, shared by every copy. */
+    std::shared_ptr<const std::vector<TraceEntry>> entries_;
     std::size_t position_ = 0;
     Highest highest_;
 };

@@ -13,29 +13,30 @@ namespace morph
 namespace
 {
 
-CrashInjectorOptions
-baseOptions(PersistPolicy policy)
+/** The crash cut the tests use unless they sweep their own. */
+constexpr std::uint64_t baseCut = 2'000;
+
+RunConfig
+baseConfig(PersistPolicy policy)
 {
-    CrashInjectorOptions options;
-    options.workload = "mcf";
-    options.model.tree = TreeConfig::morph();
+    RunConfig config;
+    config.workload = "mcf";
+    config.secmem.tree = TreeConfig::morph();
     // Small metadata cache so tree-level writebacks happen within the
     // short cut windows these tests can afford.
-    options.model.metadataCacheBytes = 4 * 1024;
-    options.model.persist.enabled = true;
-    options.model.persist.policy = policy;
-    options.model.persist.epochWrites = 64;
-    options.seed = 11;
-    options.cutAccesses = 2'000;
-    return options;
+    config.secmem.metadataCacheBytes = 4 * 1024;
+    config.secmem.persist.enabled = true;
+    config.secmem.persist.policy = policy;
+    config.secmem.persist.epochWrites = 64;
+    config.options.seed = 11;
+    return config;
 }
 
 TEST(CrashInjector, ReplayIsDeterministic)
 {
-    const CrashInjectorOptions options =
-        baseOptions(PersistPolicy::Lazy);
-    const CrashReport a = injectCrash(options);
-    const CrashReport b = injectCrash(options);
+    const RunConfig config = baseConfig(PersistPolicy::Lazy);
+    const CrashReport a = injectCrash(config, baseCut);
+    const CrashReport b = injectCrash(config, baseCut);
     EXPECT_EQ(a.fingerprint, b.fingerprint);
     EXPECT_EQ(a.persist.linePersists, b.persist.linePersists);
     EXPECT_EQ(a.persist.barriers, b.persist.barriers);
@@ -45,10 +46,9 @@ TEST(CrashInjector, ReplayIsDeterministic)
 
 TEST(CrashInjector, DifferentCutsDiverge)
 {
-    CrashInjectorOptions options = baseOptions(PersistPolicy::Lazy);
-    const CrashReport early = injectCrash(options);
-    options.cutAccesses = 3'000;
-    const CrashReport late = injectCrash(options);
+    const RunConfig config = baseConfig(PersistPolicy::Lazy);
+    const CrashReport early = injectCrash(config, baseCut);
+    const CrashReport late = injectCrash(config, 3'000);
     EXPECT_NE(early.fingerprint, late.fingerprint);
     EXPECT_GT(late.persist.entryMutations,
               early.persist.entryMutations);
@@ -57,10 +57,8 @@ TEST(CrashInjector, DifferentCutsDiverge)
 TEST(CrashInjector, StrictRecoversAtSweptCuts)
 {
     for (std::uint64_t cut : {200ull, 900ull, 2'500ull}) {
-        CrashInjectorOptions options =
-            baseOptions(PersistPolicy::Strict);
-        options.cutAccesses = cut;
-        const CrashReport report = injectCrash(options);
+        const CrashReport report =
+            injectCrash(baseConfig(PersistPolicy::Strict), cut);
         EXPECT_TRUE(report.recovery.consistent) << "cut " << cut;
         EXPECT_EQ(report.recovery.rolledBack, 0u);
         EXPECT_EQ(report.recovery.lostWrites, 0u);
@@ -70,22 +68,20 @@ TEST(CrashInjector, StrictRecoversAtSweptCuts)
 TEST(CrashInjector, LazyRecoversAtSweptCuts)
 {
     for (std::uint64_t cut : {200ull, 900ull, 2'500ull}) {
-        CrashInjectorOptions options =
-            baseOptions(PersistPolicy::Lazy);
-        options.cutAccesses = cut;
-        const CrashReport report = injectCrash(options);
+        const CrashReport report =
+            injectCrash(baseConfig(PersistPolicy::Lazy), cut);
         EXPECT_TRUE(report.recovery.consistent) << "cut " << cut;
     }
 }
 
 TEST(CrashInjector, BrokenTreePersistCaught)
 {
-    CrashInjectorOptions options = baseOptions(PersistPolicy::Lazy);
+    RunConfig config = baseConfig(PersistPolicy::Lazy);
     // Disarm the barrier so a commit never papers over the missing
     // write-ahead records inside the cut window.
-    options.model.persist.epochWrites = 1ull << 40;
-    options.model.persist.brokenSkipTreePersist = true;
-    const CrashReport report = injectCrash(options);
+    config.secmem.persist.epochWrites = 1ull << 40;
+    config.secmem.persist.brokenSkipTreePersist = true;
+    const CrashReport report = injectCrash(config, baseCut);
     EXPECT_FALSE(report.recovery.consistent);
 }
 

@@ -123,6 +123,51 @@ TEST(TraceFileDeath, RejectsTrailingGarbageInGap)
               std::string::npos);
 }
 
+TEST(TraceFileDeath, RejectsSignedGap)
+{
+    EXPECT_EQ(loadError("+5 R 1a\n"),
+              "trace bad:1: bad gap '+5'; expected '<gap> <R|W> <hex-line>'");
+}
+
+TEST(TraceFileDeath, RejectsFourthField)
+{
+    // A fourth field is a record this format does not know, not a
+    // comment to drop.
+    EXPECT_EQ(loadError("10 R 1a 99\n"),
+              "trace bad:1: unexpected field '99'; expected "
+              "'<gap> <R|W> <hex-line>'");
+}
+
+TEST(TraceFileDeath, RejectsSignedAddress)
+{
+    // "-1" would otherwise wrap to line 0xffffffffffffffff.
+    EXPECT_EQ(loadError("10 R -1\n"), "trace bad:1: bad line address '-1'");
+    EXPECT_EQ(loadError("10 R +1\n"), "trace bad:1: bad line address '+1'");
+    EXPECT_EQ(loadError("10 R 0x-1\n"),
+              "trace bad:1: bad line address '0x-1'");
+}
+
+TEST(TraceFileDeath, RejectsAddressPast64Bits)
+{
+    EXPECT_EQ(loadError("1 R 10000000000000000\n"),
+              "trace bad:1: bad line address '10000000000000000'");
+}
+
+TEST(TraceFile, AcceptsHexPrefixTabsAndCrlf)
+{
+    std::istringstream input("1 R 0x1a\r\n"
+                             "2\tW\t0XFF \r\n"
+                             "3 R ffffffffffffffff\n");
+    FileTraceSource trace(input, "inline");
+    ASSERT_EQ(trace.size(), 3u);
+    EXPECT_EQ(trace.next().line, 0x1au);
+    const TraceEntry entry = trace.next();
+    EXPECT_EQ(entry.gap, 2u);
+    EXPECT_EQ(int(entry.type), int(AccessType::Write));
+    EXPECT_EQ(entry.line, 0xffu);
+    EXPECT_EQ(trace.next().line, ~LineAddr(0));
+}
+
 TEST(TraceFile, ClampsOversizedGapWithWarning)
 {
     // Gaps wider than 32 bits clamp to the field's maximum; the

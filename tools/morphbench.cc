@@ -55,7 +55,7 @@
 #include "common/prof.hh"
 #include "common/run_pool.hh"
 #include "kernels.hh"
-#include "sim/simulator.hh"
+#include "sim/run_config.hh"
 
 namespace
 {
@@ -70,8 +70,8 @@ struct BenchCase
 
 /** Per-push matrix: one random, one streaming, one mix — the three
  *  trace shapes — against the paper's two headline configs, plus the
- *  two NVM persist policies on the random workload so persist-traffic
- *  drift is gated per push. */
+ *  two NVM persist policies (configs/morph-nvm-*.ini) on the random
+ *  workload so persist-traffic drift is gated per push. */
 constexpr BenchCase quickMatrix[] = {
     {"mcf", "morph"},     {"mcf", "sc64"},
     {"libquantum", "morph"}, {"libquantum", "sc64"},
@@ -94,35 +94,33 @@ constexpr BenchCase fullMatrix[] = {
 };
 
 /**
- * Resolve a matrix config name to a full model configuration. Plain
- * names select a tree layout from namedTreeConfigs(); the
- * "morph-nvm-*" names select "morph" and additionally
- * enable the persist domain (a pure observer — IPC and traffic match
- * the plain "morph" cells; only the persist counters differ).
+ * A matrix cell's configuration: a named tree config, else
+ * configs/<name>.ini, then the cell's workload and the document's
+ * scale (never MORPH_SIM_*), so `morphsim --config NAME` or
+ * `--config-file configs/NAME.ini` re-runs it. Exits 2 on a bad name.
  */
-SecureModelConfig
-modelByName(const std::string &name)
+RunConfig
+cellConfig(const BenchCase &cell, std::uint64_t accesses,
+           std::uint64_t warmup)
 {
-    SecureModelConfig secmem;
-    std::string tree_name = name;
-    if (name == "morph-nvm-strict") {
-        tree_name = "morph";
-        secmem.persist.enabled = true;
-        secmem.persist.policy = PersistPolicy::Strict;
-    } else if (name == "morph-nvm-lazy") {
-        tree_name = "morph";
-        secmem.persist.enabled = true;
-        secmem.persist.policy = PersistPolicy::Lazy;
-        secmem.persist.epochWrites = 4096;
-    }
-    const TreeConfig *tree = findTreeConfig(tree_name);
-    if (!tree) {
-        std::fprintf(stderr, "morphbench: unknown config '%s'\n",
-                     name.c_str());
+    RunConfig config;
+    config.configName = cell.config;
+    IniFile ini;
+    std::string error;
+    const bool ok = findTreeConfig(cell.config) ||
+                    (IniFile::fromFile(std::string(MORPH_CONFIGS_DIR) +
+                                           "/" + cell.config + ".ini",
+                                       ini, error) &&
+                     applyIni(config, ini, error));
+    config.workload = cell.workload;
+    config.options.accessesPerCore = accesses;
+    config.options.warmupPerCore = warmup;
+    if (!ok || !resolveRunConfig(config, error)) {
+        std::fprintf(stderr, "morphbench: cell %s/%s: %s\n",
+                     cell.workload, cell.config, error.c_str());
         std::exit(2);
     }
-    secmem.tree = *tree;
-    return secmem;
+    return config;
 }
 
 /** Default one-directional kernel-gate threshold (see file header). */
@@ -139,10 +137,11 @@ runMatrix(bool quick, const std::string &out_path,
                                   ? std::size(quickMatrix)
                                   : std::size(fullMatrix);
 
-    // Validate config names up front: modelByName exits on an unknown
-    // name, and that must not happen from a pool worker.
+    // Resolve every cell up front: a bad name exits, and that must
+    // not happen from a pool worker.
+    std::vector<RunConfig> configs;
     for (std::size_t i = 0; i < count; ++i)
-        (void)modelByName(cases[i].config);
+        configs.push_back(cellConfig(cases[i], accesses, warmup));
 
     // Every cell is an independent simulation; render each one's JSON
     // fragment on the pool, then join in matrix order so the document
@@ -164,12 +163,7 @@ runMatrix(bool quick, const std::string &out_path,
                              ++started, count, c.workload, c.config);
             }
 
-            const SecureModelConfig secmem = modelByName(c.config);
-            SimOptions options;
-            options.accessesPerCore = accesses;
-            options.warmupPerCore = warmup;
-
-            const SimResult r = runByName(c.workload, secmem, options);
+            const SimResult r = simulate(configs[i]);
 
             std::ostringstream cell;
             cell << "{\"workload\": \"" << c.workload

@@ -579,10 +579,9 @@ makeBrokenModel(const std::string &name)
 
 struct RecoveryCase
 {
-    PersistPolicy policy;
-    bool broken; ///< unpersisted-tree-write fixture
+    RunConfig config; ///< the policy's NVM cell under this case's seed
+    bool broken;      ///< unpersisted-tree-write fixture
     std::uint64_t cut;
-    std::uint64_t seed;
 };
 
 const char *
@@ -591,27 +590,9 @@ policyName(PersistPolicy policy)
     return policy == PersistPolicy::Strict ? "strict" : "lazy";
 }
 
-SecureModelConfig
-recoveryModelConfig(PersistPolicy policy, bool broken)
-{
-    SecureModelConfig config;
-    config.tree = TreeConfig::morph();
-    // A tiny metadata cache forces tree-level dirty writebacks — the
-    // paths persistence bugs hide in — within a short run.
-    config.metadataCacheBytes = 4 * 1024;
-    config.persist.enabled = true;
-    config.persist.policy = policy;
-    config.persist.brokenSkipTreePersist = broken;
-    // The broken fixture must not be masked by an epoch barrier (a
-    // barrier flushes everything and re-commits the root, making the
-    // durable state consistent again): push barriers past run end.
-    // The clean sweep instead uses a short epoch so barrier paths are
-    // reached within the cut range (mcf is ~3% writes).
-    config.persist.epochWrites = broken ? (1ull << 40) : 256;
-    return config;
-}
-
-/** Seed-derived cut points: deterministic, spread over the run. */
+/** Seed-derived cut points: deterministic, spread over the run. Each
+ *  policy's cells start from configs/morph-nvm-<policy>.ini; exits 2
+ *  if that file does not load. */
 std::vector<RecoveryCase>
 recoveryCases(bool broken, std::uint64_t cuts,
               std::uint64_t max_accesses)
@@ -619,17 +600,38 @@ recoveryCases(bool broken, std::uint64_t cuts,
     std::vector<RecoveryCase> cases;
     for (const PersistPolicy policy :
          {PersistPolicy::Strict, PersistPolicy::Lazy}) {
+        RunConfig config;
+        IniFile ini;
+        std::string error;
+        if (!IniFile::fromFile(std::string(MORPH_CONFIGS_DIR) +
+                                   "/morph-nvm-" + policyName(policy) +
+                                   ".ini",
+                               ini, error) ||
+            !applyIni(config, ini, error) ||
+            !resolveRunConfig(config, error)) {
+            std::fprintf(stderr, "morphverify: %s\n", error.c_str());
+            std::exit(2);
+        }
+        // A tiny metadata cache forces tree-level dirty writebacks —
+        // the paths persistence bugs hide in — within a short run.
+        config.secmem.metadataCacheBytes = 4 * 1024;
+        config.secmem.persist.brokenSkipTreePersist = broken;
+        // The broken fixture must not be masked by an epoch barrier
+        // (a barrier flushes everything and re-commits the root,
+        // making the durable state consistent again): push barriers
+        // past run end. The clean sweep instead uses a short epoch so
+        // barrier paths are reached within the cut range (mcf is ~3%
+        // writes).
+        config.secmem.persist.epochWrites = broken ? (1ull << 40) : 256;
         for (std::uint64_t i = 0; i < cuts; ++i) {
             const std::string key = std::string("recovery/") +
                                     (broken ? "broken/" : "") +
                                     policyName(policy) + "/" +
                                     std::to_string(i);
-            RecoveryCase c;
-            c.policy = policy;
-            c.broken = broken;
-            c.cut = 1 + sweepSeed(key, 17) % max_accesses;
-            c.seed = sweepSeed(key + "/trace", 29);
-            cases.push_back(c);
+            RecoveryCase c{config, broken,
+                           1 + sweepSeed(key, 17) % max_accesses};
+            c.config.options.seed = sweepSeed(key + "/trace", 29);
+            cases.push_back(std::move(c));
         }
     }
     return cases;
@@ -639,17 +641,12 @@ ModelReport
 runRecoveryCase(const RecoveryCase &c, bool quiet)
 {
     MORPH_PROF_SCOPE("verify.recovery");
-    CrashInjectorOptions options;
-    options.workload = "mcf";
-    options.model = recoveryModelConfig(c.policy, c.broken);
-    options.seed = c.seed;
-    options.cutAccesses = c.cut;
-    const CrashReport report = injectCrash(options);
+    const CrashReport report = injectCrash(c.config, c.cut);
 
     ModelReport out;
-    const std::string label = std::string("recovery:") +
-                              (c.broken ? "broken:" : "") +
-                              policyName(c.policy);
+    const std::string label =
+        std::string("recovery:") + (c.broken ? "broken:" : "") +
+        policyName(c.config.secmem.persist.policy);
     if (!report.recovery.consistent) {
         char line[512];
         std::snprintf(
@@ -658,7 +655,7 @@ runRecoveryCase(const RecoveryCase &c, bool quiet)
             ": recovered digest %016" PRIx64
             " != persisted root %016" PRIx64 " (durable=%" PRIu64
             " rolled_back=%" PRIu64 ")\n",
-            label.c_str(), c.cut, c.seed,
+            label.c_str(), c.cut, c.config.options.seed,
             report.recovery.recoveredDigest,
             report.recovery.persistedRoot,
             report.recovery.durableEntries, report.recovery.rolledBack);
