@@ -12,7 +12,6 @@
 #include "common/json.hh"
 #include "common/log.hh"
 #include "common/mutex.hh"
-#include "common/trace_log.hh"
 
 namespace morph
 {
@@ -466,8 +465,6 @@ ProfReport::writeJson(std::ostream &os) const
         }
         os << "\n      {\"worker\": " << ws.worker
            << ", \"tasks\": " << ws.tasks
-           << ", \"steals\": " << ws.steals
-           << ", \"steal_fails\": " << ws.stealFails
            << ", \"idle_ns\": " << ws.idleNs << "}";
     }
     if (!current.empty())
@@ -483,129 +480,6 @@ ProfReport::writeCollapsed(std::ostream &os) const
             continue;
         os << entry.thread << ";" << entry.path << " "
            << entry.exclusiveNs << "\n";
-    }
-}
-
-void
-ProfReport::writeSpeedscope(std::ostream &os) const
-{
-    // Frame table: one frame per distinct scope name.
-    std::vector<std::string> frames;
-    auto frameIndex = [&frames](const std::string &name) {
-        for (std::size_t i = 0; i < frames.size(); ++i) {
-            if (frames[i] == name)
-                return i;
-        }
-        frames.push_back(name);
-        return frames.size() - 1;
-    };
-    // Resolve every entry's stack up front so the frame table is
-    // complete before the header is written.
-    struct Sample
-    {
-        std::string thread;
-        std::vector<std::size_t> stack;
-        std::uint64_t weight;
-    };
-    std::vector<Sample> samples;
-    for (const ProfEntry &entry : entries) {
-        if (entry.exclusiveNs == 0)
-            continue;
-        Sample sample;
-        sample.thread = entry.thread;
-        sample.weight = entry.exclusiveNs;
-        std::size_t pos = 0;
-        while (pos <= entry.path.size()) {
-            const std::size_t sep = entry.path.find(';', pos);
-            const std::size_t end =
-                sep == std::string::npos ? entry.path.size() : sep;
-            sample.stack.push_back(
-                frameIndex(entry.path.substr(pos, end - pos)));
-            if (sep == std::string::npos)
-                break;
-            pos = sep + 1;
-        }
-        samples.push_back(std::move(sample));
-    }
-
-    os << "{\n  \"$schema\": "
-          "\"https://www.speedscope.app/file-format-schema.json\",\n";
-    os << "  \"exporter\": \"morphprof\",\n";
-    os << "  \"name\": \"" << jsonEscape(meta.get("tool").empty()
-                                             ? std::string("morphprof")
-                                             : meta.get("tool"))
-       << "\",\n";
-    os << "  \"activeProfileIndex\": 0,\n";
-    os << "  \"shared\": {\"frames\": [";
-    for (std::size_t i = 0; i < frames.size(); ++i) {
-        os << (i == 0 ? "" : ",") << "\n    {\"name\": \""
-           << jsonEscape(frames[i]) << "\"}";
-    }
-    os << (frames.empty() ? "" : "\n  ") << "]},\n";
-    os << "  \"profiles\": [";
-    bool firstProfile = true;
-    for (const std::string &thread : threads) {
-        std::uint64_t total = 0;
-        for (const Sample &sample : samples) {
-            if (sample.thread == thread)
-                total += sample.weight;
-        }
-        if (!firstProfile)
-            os << ",";
-        firstProfile = false;
-        os << "\n    {\"type\": \"sampled\", \"name\": \""
-           << jsonEscape(thread)
-           << "\", \"unit\": \"nanoseconds\", \"startValue\": 0, "
-              "\"endValue\": "
-           << total << ",\n     \"samples\": [";
-        bool firstSample = true;
-        for (const Sample &sample : samples) {
-            if (sample.thread != thread)
-                continue;
-            os << (firstSample ? "" : ",") << "[";
-            firstSample = false;
-            for (std::size_t i = 0; i < sample.stack.size(); ++i)
-                os << (i == 0 ? "" : ",") << sample.stack[i];
-            os << "]";
-        }
-        os << "],\n     \"weights\": [";
-        firstSample = true;
-        for (const Sample &sample : samples) {
-            if (sample.thread != thread)
-                continue;
-            os << (firstSample ? "" : ",") << sample.weight;
-            firstSample = false;
-        }
-        os << "]}";
-    }
-    os << (firstProfile ? "" : "\n  ") << "]\n}\n";
-}
-
-void
-ProfReport::mergeIntoTrace(TraceLog &trace, std::uint32_t tid_base) const
-{
-    // The merged tree has no real timestamps (calls at one site are
-    // folded together), so lay siblings out sequentially: a node
-    // starts where its previous sibling ended, inside its parent.
-    // Timestamps are microsecond offsets from 0 on prof.* tracks.
-    for (std::size_t t = 0; t < threads.size(); ++t) {
-        const std::uint32_t tid =
-            tid_base + std::uint32_t(t);
-        trace.nameTrack(tid, "prof." + threads[t]);
-        // cursor[d] = next free start offset (us) at depth d while
-        // walking the pre-order entry list.
-        std::vector<std::uint64_t> cursor(1, 0);
-        for (const ProfEntry &entry : entries) {
-            if (entry.thread != threads[t])
-                continue;
-            cursor.resize(std::size_t(entry.depth) + 1);
-            const std::uint64_t start = cursor[entry.depth];
-            const std::uint64_t durUs =
-                std::max<std::uint64_t>(1, entry.inclusiveNs / 1000);
-            trace.completeOwned(entry.name, "prof", tid, start, durUs);
-            cursor[entry.depth] = start + durUs;
-            cursor.push_back(start); // children start where we start
-        }
     }
 }
 
@@ -645,38 +519,30 @@ ProfReport::dumpText(std::ostream &os) const
         }
     }
     std::string current;
-    std::uint64_t tasks = 0, steals = 0, fails = 0;
+    std::uint64_t tasks = 0;
     unsigned count = 0;
     auto flush = [&]() {
         if (current.empty())
             return;
         std::snprintf(buf, sizeof buf,
-                      "pool %s: %u workers, %llu tasks, %llu steals, "
-                      "%llu failed scans\n",
+                      "pool %s: %u workers, %llu tasks\n",
                       current.c_str(), count,
-                      static_cast<unsigned long long>(tasks),
-                      static_cast<unsigned long long>(steals),
-                      static_cast<unsigned long long>(fails));
+                      static_cast<unsigned long long>(tasks));
         os << buf;
     };
     for (const ProfWorkerStats &ws : workers) {
         if (ws.pool != current) {
             flush();
             current = ws.pool;
-            tasks = steals = fails = 0;
+            tasks = 0;
             count = 0;
         }
         ++count;
         tasks += ws.tasks;
-        steals += ws.steals;
-        fails += ws.stealFails;
         std::snprintf(buf, sizeof buf,
-                      "  %s worker %u: tasks %llu, steals %llu, "
-                      "steal_fails %llu, idle %.3f ms\n",
+                      "  %s worker %u: tasks %llu, idle %.3f ms\n",
                       ws.pool.c_str(), ws.worker,
                       static_cast<unsigned long long>(ws.tasks),
-                      static_cast<unsigned long long>(ws.steals),
-                      static_cast<unsigned long long>(ws.stealFails),
                       double(ws.idleNs) / 1e6);
         os << buf;
     }
@@ -712,7 +578,6 @@ profExport(const ProfReport &report, const std::string &base,
     const Sink sinks[] = {
         {base, &ProfReport::writeJson},
         {base + ".collapsed", &ProfReport::writeCollapsed},
-        {base + ".speedscope.json", &ProfReport::writeSpeedscope},
     };
     for (const Sink &sink : sinks) {
         if (base.empty())

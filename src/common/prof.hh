@@ -35,12 +35,12 @@
  * are invisible). Call profReport() only when instrumented work is
  * quiesced — after pools drain, never mid-run. RunPool instances
  * self-register so every report also carries per-worker telemetry
- * (tasks run, steals, failed steal scans, idle ns).
+ * (tasks run, idle ns).
  *
  * Exporters: morphprof JSON (the morphprof CLI's input), collapsed
- * stacks (flamegraph.pl), speedscope JSON, a Chrome-trace merge into
- * an existing TraceLog, and a text tree for stderr summaries. See
- * docs/OBSERVABILITY.md, "Profiling the simulator itself".
+ * stacks (flamegraph.pl and speedscope both open them), and a text
+ * tree for stderr summaries. See docs/OBSERVABILITY.md, "Profiling
+ * the simulator itself".
  */
 
 #ifndef MORPH_COMMON_PROF_HH
@@ -57,8 +57,6 @@
 
 namespace morph
 {
-
-class TraceLog;
 
 /** True if @p name satisfies the scope-name contract [a-z0-9_.]+. */
 bool isValidProfName(const std::string &name);
@@ -150,8 +148,6 @@ struct ProfWorkerStats
     std::string pool;              ///< registration-order label
     unsigned worker = 0;           ///< worker index within the pool
     std::uint64_t tasks = 0;       ///< tasks executed
-    std::uint64_t steals = 0;      ///< tasks obtained from a sibling
-    std::uint64_t stealFails = 0;  ///< full steal scans finding nothing
     std::uint64_t idleNs = 0;      ///< wall ns blocked awaiting work
 };
 
@@ -201,15 +197,6 @@ struct ProfReport
      *  flamegraph.pl. */
     void writeCollapsed(std::ostream &os) const;
 
-    /** Speedscope JSON (one sampled profile per thread, ns units). */
-    void writeSpeedscope(std::ostream &os) const;
-
-    /** Append the merged tree as nested duration events on
-     *  "prof.<thread>" tracks of an existing Chrome trace.
-     *  Timestamps are synthetic offsets in microseconds. */
-    void mergeIntoTrace(TraceLog &trace,
-                        std::uint32_t tid_base = 64) const;
-
     /** Indented text tree + worker table (stderr summaries). */
     void dumpText(std::ostream &os) const;
 };
@@ -236,10 +223,9 @@ void profApplyEnv(std::string &prof_out, bool &stderr_summary);
 
 /**
  * End-of-run plumbing for the tools' profiled runs. With a non-empty
- * @p base, write the three export files: the morphprof JSON at
- * @p base, collapsed stacks at "<base>.collapsed", and speedscope
- * JSON at "<base>.speedscope.json". With @p stderr_summary, print the
- * text summary on stderr. On a write failure, print
+ * @p base, write the two export files: the morphprof JSON at @p base
+ * and collapsed stacks at "<base>.collapsed". With @p stderr_summary,
+ * print the text summary on stderr. On a write failure, print
  * "<tool>: cannot write <path>" and return false.
  */
 bool profExport(const ProfReport &report, const std::string &base,

@@ -18,11 +18,13 @@
  *    sweepSeed(), or an explicit per-run SimOptions::seed), never
  *    from pool scheduling order, thread ids, or time.
  *
- *  - Work stealing. Tasks are dealt into per-worker deques in
- *    contiguous blocks; a worker drains its own deque from the front
- *    and steals from the back of a sibling's when empty, so a few
- *    slow cells (random-access workloads run ~3x longer than
- *    streaming ones) cannot strand the other cores.
+ *  - One shared cursor. Workers claim one index at a time, in a
+ *    fixed order that interleaves distant parts of the job list (see
+ *    forEach in run_pool.cc), so a few slow cells (random-access workloads run ~3x
+ *    longer than streaming ones) hold up only the worker running
+ *    them: the others keep claiming cells. A sweep cell runs for
+ *    tenths of a second, so one lock round trip per claim costs
+ *    nothing measurable.
  *
  *  - Exceptions propagate. The first failure *by task index* (again:
  *    not by completion order) is rethrown from forEach() after the
@@ -33,10 +35,9 @@
  * from one thread. Tasks must not call back into the same pool.
  *
  * Locking discipline (machine-checked by morphrace and, under clang,
- * by -Wthread-safety — see docs/CONCURRENCY.md): session state is
- * guarded by lock_, each shard's deque by its own Shard::lock, and
- * the only nested acquisition is lock_ -> Shard::lock (dealing tasks
- * in forEach), so the acquisition graph is acyclic by construction.
+ * by -Wthread-safety — see docs/CONCURRENCY.md): all session state,
+ * the cursor included, is guarded by the one lock_, and no other lock
+ * is ever taken while it is held.
  */
 
 #ifndef MORPH_COMMON_RUN_POOL_HH
@@ -45,7 +46,6 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <exception>
 #include <functional>
 #include <memory>
@@ -72,7 +72,7 @@ namespace morph
  *  to exclude. */
 std::uint64_t sweepSeed(std::string_view key, std::uint64_t base = 0);
 
-/** Work-stealing thread pool over index-addressed task ranges. */
+/** Thread pool over index-addressed task ranges. */
 class RunPool
 {
   public:
@@ -102,44 +102,30 @@ class RunPool
         MORPH_EXCLUDES(lock_);
 
     /**
-     * Per-worker telemetry snapshot (tasks run, steals, failed steal
-     * scans, idle wall time). Counters are relaxed atomics — tasks,
-     * steals and steal-fails count always; idle time accrues only
-     * while morphprof is enabled (a clock read per sleep is not free).
-     * Snapshot between sessions for exact sums; the pool also
-     * publishes this through morphprof's pool registration, so every
-     * profile report carries it.
+     * Per-worker telemetry snapshot (tasks run, idle wall time).
+     * Counters are relaxed atomics — tasks count always; idle time
+     * accrues only while morphprof is enabled (a clock read per claim
+     * is not free). Snapshot between sessions for exact sums; the
+     * pool also publishes this through morphprof's pool registration,
+     * so every profile report carries it.
      */
     std::vector<ProfWorkerStats> telemetry() const;
 
   private:
-    /** One worker's task deque (own front = pop, sibling back = steal). */
-    struct Shard
-    {
-        Mutex lock;
-        std::deque<std::size_t> taskQueue MORPH_GUARDED_BY(lock);
-    };
-
     /** One worker's telemetry counters (relaxed atomics: each is
      *  written by its owning worker and read by snapshots; no
      *  ordering is implied between counters). */
     struct WorkerCounters
     {
         std::atomic<std::uint64_t> tasks{0};
-        std::atomic<std::uint64_t> steals{0};
-        std::atomic<std::uint64_t> stealFails{0};
         std::atomic<std::uint64_t> idleNs{0};
     };
 
     void workerLoop(unsigned id) MORPH_EXCLUDES(lock_);
-    bool popLocal(unsigned id, std::size_t &task);
-    bool stealTask(unsigned id, std::size_t &task);
-    void runTask(std::size_t task) MORPH_EXCLUDES(lock_);
     /** Record completion (and optional failure) of @p task. */
     void finishTask(std::size_t task, std::exception_ptr error)
         MORPH_REQUIRES(lock_);
 
-    std::vector<std::unique_ptr<Shard>> shards_;
     // unique_ptr: a vector of atomics is not movable, and the heap
     // slot gives each worker's counters a stable address for life.
     std::vector<std::unique_ptr<WorkerCounters>> counters_;
@@ -147,11 +133,13 @@ class RunPool
     std::size_t profToken_ = 0; ///< morphprof pool registration
 
     Mutex lock_; ///< guards the session state below
-    std::condition_variable_any wake_; ///< workers: a session started
+    std::condition_variable_any wake_; ///< workers: tasks to claim
     std::condition_variable_any idle_; ///< forEach: the session drained
     const std::function<void(std::size_t)> *fn_
         MORPH_GUARDED_BY(lock_) = nullptr;
-    std::uint64_t session_ MORPH_GUARDED_BY(lock_) = 0;
+    std::size_t next_ MORPH_GUARDED_BY(lock_) = 0;   ///< claims made
+    std::size_t count_ MORPH_GUARDED_BY(lock_) = 0;  ///< session size
+    std::size_t stride_ MORPH_GUARDED_BY(lock_) = 1; ///< claim order
     std::size_t pending_ MORPH_GUARDED_BY(lock_) = 0;
     std::size_t firstErrorIndex_ MORPH_GUARDED_BY(lock_) = 0;
     std::exception_ptr error_ MORPH_GUARDED_BY(lock_);
@@ -166,10 +154,10 @@ class RunPool
  * read results exactly as a serial loop would have produced them:
  *
  *   SweepEngine engine(jobs);
- *   auto results = engine.map<SimResult>(cases.size(), [&](size_t i) {
- *       return runByName(cases[i].workload, cases[i].config, options);
+ *   auto results = engine.map<SimResult>(cells.size(), [&](size_t i) {
+ *       return simulate(cells[i]);
  *   });
- *   // results[i] corresponds to cases[i]; print in order.
+ *   // results[i] corresponds to cells[i]; print in order.
  */
 class SweepEngine
 {
@@ -182,7 +170,7 @@ class SweepEngine
 
     /**
      * One-line worker utilization summary from the pool's telemetry
-     * ("jobs 4: 128 tasks (min 28/max 36 per worker), 12 steals, ...")
+     * ("jobs 4: 128 tasks (min 28 / max 36 per worker), idle ...")
      * for driver stderr reporting. Call between map() sessions.
      */
     std::string utilization() const;

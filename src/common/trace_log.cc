@@ -28,18 +28,6 @@ TraceLog::complete(const char *name, const char *cat,
 }
 
 void
-TraceLog::completeOwned(const std::string &name, const char *cat,
-                        std::uint32_t tid, std::uint64_t ts,
-                        std::uint64_t dur)
-{
-    if (!roomFor())
-        return;
-    ownedNames_.push_back(name);
-    events_.push_back(
-        {ownedNames_.back().c_str(), cat, ts, dur, noLine, tid, 'X'});
-}
-
-void
 TraceLog::instant(const char *name, const char *cat, std::uint32_t tid,
                   std::uint64_t ts)
 {

@@ -26,7 +26,6 @@
 #define MORPH_COMMON_TRACE_LOG_HH
 
 #include <cstdint>
-#include <deque>
 #include <ostream>
 #include <string>
 #include <vector>
@@ -57,17 +56,6 @@ class TraceLog
     void complete(const char *name, const char *cat, std::uint32_t tid,
                   std::uint64_t ts, std::uint64_t dur,
                   std::uint64_t arg_line = noLine);
-
-    /**
-     * Duration event whose name is copied into an internal pool
-     * (for dynamically built names, e.g. the morphprof tree merge).
-     * Pooled names survive moves of the log but not copies; append
-     * owned-name events only on a log that will no longer be copied
-     * (in practice: at export time).
-     */
-    void completeOwned(const std::string &name, const char *cat,
-                       std::uint32_t tid, std::uint64_t ts,
-                       std::uint64_t dur);
 
     /** Instant event ("ph":"i", thread scope). */
     void instant(const char *name, const char *cat, std::uint32_t tid,
@@ -110,9 +98,6 @@ class TraceLog
     std::vector<Event> events_ MORPH_SHARD_LOCAL;
     std::vector<std::pair<std::uint32_t, std::string>> trackNames_
         MORPH_SHARD_LOCAL;
-    // Deque: stable element addresses for the Event::name pointers
-    // handed out by completeOwned (and preserved across moves).
-    std::deque<std::string> ownedNames_ MORPH_SHARD_LOCAL;
     std::uint64_t dropped_ MORPH_SHARD_LOCAL = 0;
 };
 

@@ -8,78 +8,73 @@
 namespace morph
 {
 
+namespace
+{
+
+template <typename Format, auto... Args>
+std::unique_ptr<CounterFormat>
+makeFormat()
+{
+    return std::make_unique<Format>(Args...);
+}
+
+/** One counter kind: its display name, arity and codec. */
+struct CounterKindRow
+{
+    CounterKind kind;
+    const char *name;
+    unsigned arity;
+    std::unique_ptr<CounterFormat> (*make)();
+};
+
+const CounterKindRow counterKinds[] = {
+    {CounterKind::SC8, "SC-8", 8, &makeFormat<SplitCounterFormat, 8u>},
+    {CounterKind::SC16, "SC-16", 16,
+     &makeFormat<SplitCounterFormat, 16u>},
+    {CounterKind::SC32, "SC-32", 32,
+     &makeFormat<SplitCounterFormat, 32u>},
+    {CounterKind::SC64, "SC-64", 64,
+     &makeFormat<SplitCounterFormat, 64u>},
+    {CounterKind::SC128, "SC-128", 128,
+     &makeFormat<SplitCounterFormat, 128u>},
+    {CounterKind::MorphZccOnly, "MorphCtr-128-ZCC", 128,
+     &makeFormat<MorphableCounterFormat, false>},
+    {CounterKind::Morph, "MorphCtr-128", 128,
+     &makeFormat<MorphableCounterFormat, true>},
+    {CounterKind::MorphSingleBase, "MorphCtr-128-SB", 128,
+     &makeFormat<MorphableCounterFormat, true, false>},
+    {CounterKind::SC64Rebased, "SC-64+R", 64,
+     &makeFormat<RebasedSplitCounterFormat, 64u>},
+};
+
+const CounterKindRow &
+rowOf(CounterKind kind)
+{
+    for (const CounterKindRow &row : counterKinds) {
+        if (row.kind == kind)
+            return row;
+    }
+    panic("unknown counter kind %d", int(kind));
+}
+
+} // namespace
+
 std::unique_ptr<CounterFormat>
 makeCounterFormat(CounterKind kind)
 {
-    switch (kind) {
-      case CounterKind::SC8:
-        return std::make_unique<SplitCounterFormat>(8);
-      case CounterKind::SC16:
-        return std::make_unique<SplitCounterFormat>(16);
-      case CounterKind::SC32:
-        return std::make_unique<SplitCounterFormat>(32);
-      case CounterKind::SC64:
-        return std::make_unique<SplitCounterFormat>(64);
-      case CounterKind::SC128:
-        return std::make_unique<SplitCounterFormat>(128);
-      case CounterKind::MorphZccOnly:
-        return std::make_unique<MorphableCounterFormat>(false);
-      case CounterKind::Morph:
-        return std::make_unique<MorphableCounterFormat>(true);
-      case CounterKind::MorphSingleBase:
-        return std::make_unique<MorphableCounterFormat>(true, false);
-      case CounterKind::SC64Rebased:
-        return std::make_unique<RebasedSplitCounterFormat>(64);
-    }
-    panic("unknown counter kind %d", int(kind));
+    return rowOf(kind).make();
 }
 
 unsigned
 counterArity(CounterKind kind)
 {
-    switch (kind) {
-      case CounterKind::SC8:
-        return 8;
-      case CounterKind::SC16:
-        return 16;
-      case CounterKind::SC32:
-        return 32;
-      case CounterKind::SC64:
-      case CounterKind::SC64Rebased:
-        return 64;
-      case CounterKind::SC128:
-      case CounterKind::MorphZccOnly:
-      case CounterKind::Morph:
-      case CounterKind::MorphSingleBase:
-        return 128;
-    }
-    panic("unknown counter kind %d", int(kind));
+    return rowOf(kind).arity;
 }
 
 std::string
 counterKindName(CounterKind kind)
 {
-    switch (kind) {
-      case CounterKind::SC8:
-        return "SC-8";
-      case CounterKind::SC16:
-        return "SC-16";
-      case CounterKind::SC32:
-        return "SC-32";
-      case CounterKind::SC64:
-        return "SC-64";
-      case CounterKind::SC128:
-        return "SC-128";
-      case CounterKind::MorphZccOnly:
-        return "MorphCtr-128-ZCC";
-      case CounterKind::Morph:
-        return "MorphCtr-128";
-      case CounterKind::MorphSingleBase:
-        return "MorphCtr-128-SB";
-      case CounterKind::SC64Rebased:
-        return "SC-64+R";
-    }
-    panic("unknown counter kind %d", int(kind));
+    return rowOf(kind).name;
 }
 
 } // namespace morph

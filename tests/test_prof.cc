@@ -253,8 +253,8 @@ TEST_F(ProfTest, PoolTelemetryTasksSumToSessionCount)
             EXPECT_EQ(stats[i].worker, unsigned(i));
             tasks += stats[i].tasks;
         }
-        // Work stealing may move tasks between workers but can never
-        // lose or duplicate one.
+        // Which worker claims which task varies from run to run, but
+        // the shared cursor hands out every index exactly once.
         EXPECT_EQ(tasks, 257u) << threads << " threads";
     }
 }
@@ -351,49 +351,6 @@ TEST_F(ProfTest, CollapsedStacksCarryExclusiveWeights)
                       "70\n"),
         std::string::npos)
         << os.str();
-}
-
-TEST_F(ProfTest, SpeedscopeExportIsValidAndBalanced)
-{
-    profSetClockForTest(&fakeClock);
-    fakeNow = 0;
-    profEnable();
-    {
-        MORPH_PROF_SCOPE("testprof.speed_root");
-        fakeNow += 40;
-        {
-            MORPH_PROF_SCOPE("testprof.speed_leaf");
-            fakeNow += 60;
-        }
-    }
-    const ProfReport report = profReport();
-    std::ostringstream os;
-    report.writeSpeedscope(os);
-    JsonValue doc;
-    ASSERT_TRUE(jsonParse(os.str(), doc)) << os.str();
-
-    const JsonValue *frames = doc.find("shared")->find("frames");
-    ASSERT_NE(frames, nullptr);
-    EXPECT_EQ(frames->size(), 2u);
-    ASSERT_EQ(doc.find("profiles")->size(), 1u);
-    const JsonValue &profile = doc.find("profiles")->elements()[0];
-    EXPECT_EQ(profile.find("type")->asString(), "sampled");
-    EXPECT_EQ(profile.find("unit")->asString(), "nanoseconds");
-    // One sample per scope with nonzero exclusive time, every stack
-    // index within the frame table, weights summing to endValue.
-    const JsonValue *samples = profile.find("samples");
-    const JsonValue *weights = profile.find("weights");
-    ASSERT_EQ(samples->size(), weights->size());
-    double total = 0;
-    for (const JsonValue &weight : weights->elements())
-        total += weight.asNumber();
-    EXPECT_EQ(total, profile.find("endValue")->asNumber());
-    for (const JsonValue &stack : samples->elements()) {
-        for (const JsonValue &frame : stack.elements()) {
-            EXPECT_GE(frame.asNumber(), 0.0);
-            EXPECT_LT(frame.asNumber(), double(frames->size()));
-        }
-    }
 }
 
 TEST_F(ProfTest, ApplyEnvRespectsPrecedence)

@@ -9,11 +9,14 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <set>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/run_pool.hh"
@@ -26,16 +29,22 @@ namespace
 
 TEST(RunPool, RunsEveryIndexExactlyOnce)
 {
-    RunPool pool(4);
-    EXPECT_EQ(pool.threads(), 4u);
-
-    constexpr std::size_t count = 1000;
-    std::vector<std::atomic<int>> hits(count);
-    for (auto &h : hits)
-        h = 0;
-    pool.forEach(count, [&](std::size_t i) { ++hits[i]; });
-    for (std::size_t i = 0; i < count; ++i)
-        EXPECT_EQ(hits[i].load(), 1) << "index " << i;
+    // Sizes that share a factor with count / threads exercise the
+    // claim order's stride search as well as the plain case.
+    const std::pair<unsigned, std::size_t> shapes[] = {
+        {4, 1000}, {3, 84}, {2, 64}, {1, 7}, {8, 5}, {3, 1}};
+    for (const auto &[threads, count] : shapes) {
+        RunPool pool(threads);
+        EXPECT_EQ(pool.threads(), threads);
+        std::vector<std::atomic<int>> hits(count);
+        for (auto &h : hits)
+            h = 0;
+        pool.forEach(count, [&](std::size_t i) { ++hits[i]; });
+        for (std::size_t i = 0; i < count; ++i) {
+            EXPECT_EQ(hits[i].load(), 1)
+                << threads << " threads, index " << i << " of " << count;
+        }
+    }
 }
 
 TEST(RunPool, EmptySessionIsANoop)
@@ -70,8 +79,9 @@ TEST(RunPool, UnbalancedLoadStillCoversAllTasks)
     std::vector<std::atomic<int>> hits(count);
     for (auto &h : hits)
         h = 0;
-    // The first shard's block gets almost all the work; stealing must
-    // spread it without losing or duplicating a task.
+    // The first quarter of the indices carries almost all the work;
+    // the shared cursor must spread it over the workers without
+    // losing or duplicating a task.
     pool.forEach(count, [&](std::size_t i) {
         volatile std::uint64_t spin = 0;
         const std::uint64_t rounds = i < count / 4 ? 200000 : 10;
@@ -81,6 +91,30 @@ TEST(RunPool, UnbalancedLoadStillCoversAllTasks)
     });
     for (std::size_t i = 0; i < count; ++i)
         EXPECT_EQ(hits[i].load(), 1) << "index " << i;
+}
+
+TEST(RunPool, BlockedTaskNeverHoldsBackTheOthers)
+{
+    RunPool pool(4);
+    constexpr std::size_t count = 64;
+    std::atomic<std::size_t> others{0};
+    bool sawAll = false;
+    pool.forEach(count, [&](std::size_t i) {
+        if (i != 0) {
+            ++others;
+            return;
+        }
+        // Task 0 blocks its worker until every other task has run:
+        // the remaining workers must claim all of them meanwhile.
+        const auto deadline =
+            std::chrono::steady_clock::now() + std::chrono::seconds(10);
+        while (others.load() != count - 1 &&
+               std::chrono::steady_clock::now() < deadline)
+            std::this_thread::yield();
+        sawAll = others.load() == count - 1;
+    });
+    EXPECT_TRUE(sawAll);
+    EXPECT_EQ(others.load(), count - 1);
 }
 
 TEST(RunPool, RethrowsLowestIndexedFailure)

@@ -23,7 +23,7 @@
  * identical code produces identical numbers — the tolerance exists
  * for intentional model changes, which must update the baseline.
  * Matrix cells are independent simulations, so --jobs N (default:
- * hardware concurrency) runs them on a work-stealing pool; cells are
+ * hardware concurrency) runs them on a RunPool; cells are
  * collected in matrix order, so the written JSON is byte-identical
  * at every --jobs level (pinned by the morphbench_jobs_determinism
  * tier-1 test).
@@ -468,8 +468,8 @@ usage()
         "                      (default 0.05)\n"
         "  --kernel-min-ratio F  fail a kernel below F x baseline\n"
         "                      (default: baseline's kernel_gate)\n"
-        "  --prof-out FILE     write a morphprof self-profile (JSON,\n"
-        "                      FILE.collapsed, FILE.speedscope.json);\n"
+        "  --prof-out FILE     write a morphprof self-profile (JSON\n"
+        "                      and FILE.collapsed);\n"
         "                      MORPH_PROF=1 for a stderr summary\n");
 }
 

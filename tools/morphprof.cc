@@ -170,28 +170,21 @@ printProfile(const std::string &path, double min_coverage)
         const JsonValue *workers = pool.find("workers");
         if (!workers)
             continue;
-        double tasks = 0, steals = 0;
+        double tasks = 0;
         for (const JsonValue &w : workers->elements()) {
             const JsonValue *t = w.find("tasks");
-            const JsonValue *s = w.find("steals");
             tasks += t ? t->asNumber() : 0.0;
-            steals += s ? s->asNumber() : 0.0;
         }
-        std::printf("pool %s: %zu workers, %.0f tasks, %.0f steals\n",
+        std::printf("pool %s: %zu workers, %.0f tasks\n",
                     label ? label->asString().c_str() : "?",
-                    workers->elements().size(), tasks, steals);
+                    workers->elements().size(), tasks);
         for (const JsonValue &w : workers->elements()) {
             const JsonValue *idx = w.find("worker");
             const JsonValue *t = w.find("tasks");
-            const JsonValue *s = w.find("steals");
-            const JsonValue *f = w.find("steal_fails");
             const JsonValue *idle = w.find("idle_ns");
-            std::printf("  worker %.0f: tasks %.0f, steals %.0f,"
-                        " steal_fails %.0f, idle %.3f ms\n",
+            std::printf("  worker %.0f: tasks %.0f, idle %.3f ms\n",
                         idx ? idx->asNumber() : 0.0,
                         t ? t->asNumber() : 0.0,
-                        s ? s->asNumber() : 0.0,
-                        f ? f->asNumber() : 0.0,
                         idle ? idle->asNumber() / 1e6 : 0.0);
         }
     }

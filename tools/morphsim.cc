@@ -95,8 +95,8 @@ usage()
         "                      request lifecycles\n"
         "  --trace-sample N    trace 1-in-N data accesses\n"
         "                      (default 64; 1 = every access)\n"
-        "  --prof-out FILE     write a morphprof self-profile (JSON,\n"
-        "                      FILE.collapsed, FILE.speedscope.json);\n"
+        "  --prof-out FILE     write a morphprof self-profile (JSON\n"
+        "                      and FILE.collapsed);\n"
         "                      MORPH_PROF=1 for a stderr summary\n"
         "  --sweep LIST        run the workload against a comma-\n"
         "                      separated config list (or 'all') as\n"
@@ -255,21 +255,18 @@ runSweep(const std::vector<std::string> &configs, const RunConfig &base,
 
 /**
  * Finalize self-profiling: merge and freeze the profile, stamp run
- * metadata, optionally merge it into the Chrome trace (before the
- * driver writes it), export the --prof-out file set and print the
- * stderr summary. Returns false on an export I/O failure.
+ * metadata, export the --prof-out file set and print the stderr
+ * summary. Returns false on an export I/O failure.
  */
 bool
 finishProfile(const std::string &prof_out, bool prof_stderr,
               const std::string &workload_key,
-              const std::string &config_name, TraceLog *trace)
+              const std::string &config_name)
 {
     ProfReport report = profReport();
     report.meta.set("tool", "morphsim");
     report.meta.set("workload", workload_key);
     report.meta.set("config", config_name);
-    if (trace != nullptr)
-        report.mergeIntoTrace(*trace);
     return profExport(report, prof_out, prof_stderr, "morphsim");
 }
 
@@ -369,7 +366,7 @@ main(int argc, char **argv)
                      stats_json_path, stats_csv_path, jobs);
         if (profiling &&
             !finishProfile(prof_out_path, prof_stderr, workload_key,
-                           sweep_list, nullptr))
+                           sweep_list))
             return code == 0 ? exitRuntime : code;
         return code;
     }
@@ -409,9 +406,7 @@ main(int argc, char **argv)
     }
     if (profiling &&
         !finishProfile(prof_out_path, prof_stderr, workload_key,
-                       config.configName,
-                       trace_out_path.empty() ? nullptr
-                                              : &scope.trace()))
+                       config.configName))
         return exitRuntime;
     if (!trace_out_path.empty()) {
         if (!scope.writeTrace(trace_out_path)) {

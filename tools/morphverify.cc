@@ -710,8 +710,8 @@ usage()
         "                  status are independent of N\n"
         "  --quiet         suppress per-model summaries\n"
         "  --list          print model names and exit\n"
-        "  --prof-out FILE write a morphprof self-profile (JSON,\n"
-        "                  FILE.collapsed, FILE.speedscope.json);\n"
+        "  --prof-out FILE write a morphprof self-profile (JSON\n"
+        "                  and FILE.collapsed);\n"
         "                  MORPH_PROF=1 for a stderr summary\n"
         "Exhaustively explores the counter-format transition relation\n"
         "from deterministic seeds and checks monotonicity,\n"
