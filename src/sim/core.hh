@@ -9,7 +9,9 @@
  * `robSize` instructions past the oldest incomplete read; until then
  * the core stalls for that read (in-order retirement through a
  * `robSize`-entry ROB, 192 by default). Write-backs are posted and
- * never block.
+ * never block. The core does not read its trace itself: SimSystem pops
+ * each entry from the core's ring of the trace feed (trace_feed.hh)
+ * and hands it to beginEntry().
  */
 
 #ifndef MORPH_SIM_CORE_HH
@@ -36,16 +38,15 @@ struct CoreConfig
 class Core
 {
   public:
-    Core(unsigned id, TraceSource &trace, const CoreConfig &config)
-        : id_(id), trace_(&trace), config_(config)
+    Core(unsigned id, const CoreConfig &config)
+        : id_(id), config_(config)
     {}
 
-    /** Fetch the next trace entry and account its instruction gap;
-     *  the caller issues the access and reports back. */
-    TraceEntry
-    beginEntry()
+    /** Account the instruction gap of @p entry, this core's next
+     *  trace entry; the caller issues the access and reports back. */
+    void
+    beginEntry(const TraceEntry &entry)
     {
-        const TraceEntry entry = trace_->next();
         // The gap instructions retire at full width. (In 64 bits: a
         // trace file's gap may be 2^32 - 1.)
         const std::uint64_t gap = entry.gap;
@@ -55,7 +56,6 @@ class Core
         // instructions of the oldest incomplete read.
         if (instructions_ > config_.robSize)
             retireUpTo(instructions_ - config_.robSize);
-        return entry;
     }
 
     /**
@@ -142,7 +142,6 @@ class Core
     }
 
     unsigned id_;
-    TraceSource *trace_;
     CoreConfig config_;
 
     Cycle clock_ = 0;

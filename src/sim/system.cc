@@ -11,7 +11,7 @@ namespace morph
 
 SimSystem::SimSystem(const SystemConfig &config,
                      std::vector<std::unique_ptr<TraceSource>> traces)
-    : config_(config), traces_(std::move(traces)),
+    : config_(config), traces_(std::move(traces)), feed_(traces_),
       secmem_(config.secmem), dram_(config.dram)
 {
     if (traces_.size() != config_.numCores)
@@ -19,7 +19,7 @@ SimSystem::SimSystem(const SystemConfig &config,
               config_.numCores);
     cores_.reserve(config_.numCores);
     for (unsigned i = 0; i < config_.numCores; ++i)
-        cores_.emplace_back(i, *traces_[i], config_.core);
+        cores_.emplace_back(i, config_.core);
     scratch_.reserve(512);
 }
 
@@ -27,7 +27,8 @@ void
 SimSystem::step(Core &core)
 {
     MORPH_PROF_SCOPE("sim.step");
-    const TraceEntry entry = core.beginEntry();
+    const TraceEntry entry = feed_.pop(core.id());
+    core.beginEntry(entry);
 
     scratch_.clear();
     secmem_.onDataAccess(entry.line, entry.type, scratch_);
@@ -102,6 +103,7 @@ void
 SimSystem::run(std::uint64_t accesses_per_core)
 {
     MORPH_PROF_SCOPE("sim.run");
+    feed_.start();
     std::vector<std::uint64_t> targets(cores_.size());
     for (std::size_t i = 0; i < cores_.size(); ++i)
         targets[i] = cores_[i].accesses() + accesses_per_core;

@@ -7,7 +7,10 @@
  * cores is modelled. Every data access expands through the
  * SecureMemoryModel into its metadata/overflow accesses, all of which
  * are scheduled on the DRAM system; reads complete for the core when
- * their critical accesses (data + counter-fetch walk) finish.
+ * their critical accesses (data + counter-fetch walk) finish. Each
+ * core's trace entries come from the system's trace feed, generated
+ * ahead on the feed's producer thread (trace_feed.hh), which the
+ * first run() starts and the destructor joins.
  */
 
 #ifndef MORPH_SIM_SYSTEM_HH
@@ -20,6 +23,7 @@
 #include "secmem/secure_memory_model.hh"
 #include "sim/core.hh"
 #include "sim/morphscope.hh"
+#include "sim/trace_feed.hh"
 
 namespace morph
 {
@@ -50,7 +54,8 @@ class SimSystem
               std::vector<std::unique_ptr<TraceSource>> traces);
 
     /** Run until every core has performed @p accesses_per_core
-     *  accesses beyond its current position. */
+     *  accesses beyond its current position. The first call starts
+     *  the trace feed. */
     void run(std::uint64_t accesses_per_core);
 
     /** End warm-up: zero statistics, snapshot per-core baselines. */
@@ -100,6 +105,7 @@ class SimSystem
 
     SystemConfig config_;
     std::vector<std::unique_ptr<TraceSource>> traces_;
+    TraceFeed feed_; ///< borrows traces_: declared after it, dies first
     std::vector<Core> cores_;
     SecureMemoryModel secmem_;
     DramSystem dram_;

@@ -49,8 +49,9 @@ TEST(CoreModel, GapsAdvanceClock)
             return {40, AccessType::Write, 0};
         }
     } trace;
-    Core core(0, trace, CoreConfig{});
-    const TraceEntry entry = core.beginEntry();
+    Core core(0, CoreConfig{});
+    const TraceEntry entry = trace.next();
+    core.beginEntry(entry);
     EXPECT_EQ(core.clock(), 10u); // 40 instructions at 4-wide
     EXPECT_EQ(core.instructions(), 41u);
     core.completeEntry(entry, 0);
@@ -67,15 +68,16 @@ TEST(CoreModel, RobLimitsRunahead)
             return {0, AccessType::Read, 0};
         }
     } trace;
-    Core core(0, trace, CoreConfig{.robSize = 4, .retireWidth = 4});
+    Core core(0, CoreConfig{.robSize = 4, .retireWidth = 4});
     // Issue reads completing at cycle 1000; with a 4-entry window the
     // 5th read must wait for the 1st.
     for (int i = 0; i < 4; ++i) {
-        const TraceEntry entry = core.beginEntry();
+        const TraceEntry entry = trace.next();
+        core.beginEntry(entry);
         core.completeEntry(entry, 1000);
     }
     EXPECT_LT(core.clock(), 1000u);
-    core.beginEntry();
+    core.beginEntry(trace.next());
     EXPECT_GE(core.clock(), 1000u);
 }
 
@@ -89,9 +91,10 @@ TEST(CoreModel, WritesNeverBlock)
             return {0, AccessType::Write, 0};
         }
     } trace;
-    Core core(0, trace, CoreConfig{.robSize = 4, .retireWidth = 4});
+    Core core(0, CoreConfig{.robSize = 4, .retireWidth = 4});
     for (int i = 0; i < 100; ++i) {
-        const TraceEntry entry = core.beginEntry();
+        const TraceEntry entry = trace.next();
+        core.beginEntry(entry);
         core.completeEntry(entry, 1u << 30);
     }
     EXPECT_LT(core.clock(), 100u);
@@ -107,8 +110,9 @@ TEST(CoreModel, DrainWaitsForOutstanding)
             return {0, AccessType::Read, 0};
         }
     } trace;
-    Core core(0, trace, CoreConfig{});
-    const TraceEntry entry = core.beginEntry();
+    Core core(0, CoreConfig{});
+    const TraceEntry entry = trace.next();
+    core.beginEntry(entry);
     core.completeEntry(entry, 777);
     core.drain();
     EXPECT_GE(core.clock(), 777u);
@@ -126,8 +130,8 @@ TEST(CoreModel, LargestGapDoesNotWrap)
             return {~std::uint32_t(0), AccessType::Read, 0};
         }
     } trace;
-    Core core(0, trace, CoreConfig{});
-    core.beginEntry();
+    Core core(0, CoreConfig{});
+    core.beginEntry(trace.next());
     EXPECT_EQ(core.instructions(), std::uint64_t(1) << 32);
     EXPECT_EQ(core.clock(), std::uint64_t(1) << 30); // ceil((2^32-1)/4)
 }
@@ -153,7 +157,7 @@ TEST(CoreModel, RingMatchesUnboundedQueue)
     for (const unsigned rob : {0u, 1u, 2u, 3u, 17u, 64u, 192u, 1000u}) {
         RandomTrace trace, replay;
         const CoreConfig config{.robSize = rob, .retireWidth = 4};
-        Core core(0, trace, config);
+        Core core(0, config);
         std::deque<std::pair<std::uint64_t, Cycle>> queue;
         Cycle clock = 0;
         std::uint64_t instructions = 0;
@@ -165,7 +169,8 @@ TEST(CoreModel, RingMatchesUnboundedQueue)
         };
         Rng latency(rob + 1);
         for (int i = 0; i < 20000; ++i) {
-            const TraceEntry entry = core.beginEntry();
+            const TraceEntry entry = trace.next();
+            core.beginEntry(entry);
             const TraceEntry expected = replay.next();
             clock += (expected.gap + 3) / 4;
             instructions += expected.gap + 1;
