@@ -7,25 +7,6 @@ namespace morph
 {
 namespace check_detail
 {
-namespace
-{
-
-/** Innermost registered cacheline context for the current thread. */
-thread_local LineContext *topContext = nullptr;
-
-} // namespace
-
-LineContext::LineContext(const char *label, const CachelineData &line)
-    : label_(label), line_(&line), prev_(topContext)
-{
-    topContext = this;
-}
-
-LineContext::~LineContext()
-{
-    topContext = prev_;
-}
-
 std::string
 hexDump(const CachelineData &line)
 {

@@ -39,15 +39,26 @@ namespace morph
 namespace check_detail
 {
 
+class LineContext;
+
+/** Innermost registered cacheline context for the current thread. */
+inline thread_local LineContext *topContext = nullptr;
+
 /**
  * One entry in the thread-local stack of cacheline images to dump when
  * a check fails. Instantiate via MORPH_CHECK_CONTEXT, never directly.
+ * Registration is two inline thread-local stores: it sits on the ZCC
+ * insert, which runs on most streaming writes.
  */
 class LineContext
 {
   public:
-    LineContext(const char *label, const CachelineData &line);
-    ~LineContext();
+    LineContext(const char *label, const CachelineData &line)
+        : label_(label), line_(&line), prev_(topContext)
+    {
+        topContext = this;
+    }
+    ~LineContext() { topContext = prev_; }
     LineContext(const LineContext &) = delete;
     LineContext &operator=(const LineContext &) = delete;
 

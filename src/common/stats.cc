@@ -1,7 +1,6 @@
 #include "common/stats.hh"
 
 #include <algorithm>
-#include <bit>
 
 #include "common/check.hh"
 
@@ -89,18 +88,6 @@ Histogram::reset()
 ExpHistogram::ExpHistogram(unsigned buckets) : buckets_(buckets, 0)
 {
     MORPH_CHECK(buckets >= 2);
-}
-
-void
-ExpHistogram::record(std::uint64_t sample, std::uint64_t weight)
-{
-    // Bucket i >= 1 holds [2^(i-1), 2^i): the sample's bit width.
-    const std::size_t idx =
-        std::min<std::size_t>(std::bit_width(sample), buckets_.size() - 1);
-    buckets_[idx] += weight;
-    count_ += weight;
-    max_ = std::max(max_, sample);
-    sum_ += double(sample) * double(weight);
 }
 
 std::uint64_t

@@ -247,7 +247,10 @@ setMinor(CachelineData &line, unsigned idx, std::uint64_t value)
 
 /**
  * Make child @p idx non-zero with value 1, re-packing counters to the
- * (possibly smaller) width for the new population.
+ * (possibly smaller) width for the new population. When the stored
+ * Ctr-Sz already is that width, the slots from the new rank up shift
+ * one slot higher in place; only a width change re-encodes every slot.
+ * Either way the payload above the live slots ends up zero.
  *
  * @retval false if some existing counter does not fit the new width —
  *         the line is left unmodified and the caller must reset

@@ -10,6 +10,7 @@ CounterTreeState::CounterTreeState(std::uint64_t mem_bytes,
     const auto &levels = geom_.levels();
     formats_.reserve(levels.size());
     store_.resize(levels.size());
+    memo_.resize(levels.size());
     for (const auto &info : levels)
         formats_.push_back(makeCounterFormat(info.kind));
 }

@@ -81,7 +81,13 @@ class CounterTreeState
     {
         MORPH_CHECK_LT(level, store_.size());
         MORPH_CHECK_LT(index, geom_.levels()[level].entries);
-        return store_[level].find(index);
+        Memo &memo = memo_[level];
+        if (memo.index == index)
+            return memo.image;
+        CachelineData *image = store_[level].find(index);
+        if (image)
+            memo = {index, image};
+        return image;
     }
 
     /** Store a format.init() image for an entry find() did not
@@ -91,6 +97,7 @@ class CounterTreeState
     {
         CachelineData &image = store_[level][index];
         formats_[level]->init(image);
+        memo_[level] = {index, &image};
         return image;
     }
 
@@ -150,6 +157,19 @@ class CounterTreeState
     TreeGeometry geom_;
     std::vector<std::unique_ptr<CounterFormat>> formats_;
     std::vector<SparseStore<CachelineData>> store_;
+
+    /**
+     * Per level, the last entry find() returned or materialize()
+     * stored: a streaming write bumps one entry per level many times
+     * in a row. SparseStore values never move and are never erased,
+     * so a memo cannot go stale. The index starts past every entry.
+     */
+    struct Memo
+    {
+        std::uint64_t index = ~std::uint64_t(0);
+        CachelineData *image = nullptr;
+    };
+    std::vector<Memo> memo_;
 };
 
 } // namespace morph

@@ -67,8 +67,11 @@ class Core
     completeEntry(const TraceEntry &entry, Cycle done)
     {
         ++accesses_;
-        // Writes are posted: the write queue absorbs them.
-        if (entry.type != AccessType::Read)
+        // Writes are posted: the write queue absorbs them. A read done
+        // by now takes no ROB slot: the clock never falls, so retiring
+        // it could not raise the clock, and positions only grow, so it
+        // holds back no later read. Untimed reads all end here.
+        if (entry.type != AccessType::Read || done <= clock_)
             return;
         if (count_ == ring_.size())
             grow();
@@ -159,8 +162,9 @@ class Core
     };
 
     /**
-     * Incomplete reads, oldest first: count_ slots from head_ of a
-     * power-of-two ring, allocated on the first read. Each entry
+     * Reads still incomplete when issued, oldest first: count_ slots
+     * from head_ of a power-of-two ring, allocated on the first such
+     * read (an untimed run never allocates it). Each entry
      * advances instructions_ by at least 1, so after beginEntry
      * retires every read at or below instructions_ - robSize, the
      * survivors hold distinct positions in the last robSize - 1

@@ -9,8 +9,10 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <set>
 #include <string>
+#include <vector>
 
 #include "common/rng.hh"
 #include "integrity/counter_tree_state.hh"
@@ -67,6 +69,57 @@ TEST(CounterTreeState, OverflowRangeIsClippedToExistingChildren)
     FAIL() << "no overflow in 10000 writes to one line";
 }
 
+TEST(CounterTreeState, FindMemoMatchesTheStore)
+{
+    // find() remembers the last entry per level. Interleave finds,
+    // materializations and bumps across every level: half of them on
+    // the level's previous index, the rest on a pool that keeps
+    // growing, so absent entries keep turning up. Hold every answer
+    // against the entries the store itself holds.
+    CounterTreeState state(64 * MiB, TreeConfig::morph());
+    const unsigned levels = unsigned(state.geometry().levels().size());
+    std::map<std::pair<unsigned, std::uint64_t>, CachelineData *> stored;
+    std::vector<std::uint64_t> last(levels, 0);
+    Rng rng(31);
+    for (int op = 0; op < 20000; ++op) {
+        const unsigned level = unsigned(rng.below(levels));
+        const LevelInfo &info = state.geometry().levels()[level];
+        const std::uint64_t index =
+            rng.below(2) == 0
+                ? last[level]
+                : rng.below(std::min<std::uint64_t>(info.entries,
+                                                    2 + op / 64));
+        last[level] = index;
+        const auto key = std::make_pair(level, index);
+        switch (rng.below(3)) {
+        case 0: {
+            const auto it = stored.find(key);
+            ASSERT_EQ(state.find(level, index),
+                      it == stored.end() ? nullptr : it->second)
+                << "op " << op << " level " << level << " index " << index;
+            break;
+        }
+        case 1:
+            if (!stored.count(key))
+                stored[key] = &state.materialize(level, index);
+            break;
+        default: {
+            const std::uint64_t child = index << info.arityLog2;
+            if (child >= state.childCount(level))
+                break;
+            const CounterTreeState::Bump bump = state.bump(level, child);
+            if (!stored.count(key))
+                stored[key] = bump.image;
+            ASSERT_EQ(bump.image, stored[key]) << "op " << op;
+            break;
+        }
+        }
+    }
+    for (unsigned level = 0; level < levels; ++level)
+        for (const auto &entry : state.images(level))
+            EXPECT_EQ(stored.at({level, entry.key}), &entry.value);
+}
+
 // ---------------------------------------------------------------------
 // Out-of-range entries panic in every user.
 // ---------------------------------------------------------------------
@@ -77,6 +130,20 @@ TEST(CounterTreeDeathTest, ModelCounterOfOutOfRangeLinePanics)
     config.memBytes = 4 * MiB;
     SecureMemoryModel model(config);
     EXPECT_DEATH(model.counterOf(model.geometry().dataLines() * 1000),
+                 "MORPH_CHECK failed");
+}
+
+TEST(CounterTreeDeathTest, FindOutOfRangePanicsWhileMemoHoldsNeighbour)
+{
+    // The range checks run before the per-level memo: an index one
+    // past the last entry panics though the memo holds the last one.
+    CounterTreeState state(4 * MiB, TreeConfig::morph());
+    const std::uint64_t entries = state.geometry().levels()[0].entries;
+    state.materialize(0, entries - 1);
+    ASSERT_NE(state.find(0, entries - 1), nullptr);
+    EXPECT_DEATH(state.find(0, entries), "MORPH_CHECK failed");
+    EXPECT_DEATH(state.find(unsigned(state.geometry().levels().size()),
+                            entries - 1),
                  "MORPH_CHECK failed");
 }
 
