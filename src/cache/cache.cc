@@ -26,13 +26,14 @@ std::optional<Eviction>
 Cache::insert(LineAddr line, bool dirty, InsertPosition position)
 {
     MORPH_CHECK(line != ~LineAddr(0));
-    if (const std::size_t hit = find(line); hit != npos) {
-        lastUse_[hit] = ++useClock_;
-        dirty_[hit] |= std::uint8_t(dirty);
+    const Lookup slot = peek(line);
+    if (slot.hit) {
+        lastUse_[slot.way] = ++useClock_;
+        dirty_[slot.way] |= std::uint8_t(dirty);
         return std::nullopt;
     }
 
-    return fill(line, dirty, position).evicted;
+    return fill(line, dirty, position, slot.way).evicted;
 }
 
 void
@@ -50,12 +51,12 @@ Cache::demote(std::size_t base, Way victim)
 std::optional<Eviction>
 Cache::invalidate(LineAddr line)
 {
-    const std::size_t way = find(line);
-    if (way == npos)
+    const Lookup slot = peek(line);
+    if (!slot.hit)
         return std::nullopt;
-    const Eviction ev{line, dirty_[way] != 0};
-    tags_[way] = 0;
-    dirty_[way] = 0;
+    const Eviction ev{line, dirty_[slot.way] != 0};
+    tags_[slot.way] = 0;
+    dirty_[slot.way] = 0;
     return ev;
 }
 

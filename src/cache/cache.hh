@@ -14,7 +14,8 @@
  *
  * Storage is set-major structure-of-arrays: a set's tags sit in one
  * contiguous run (8 ways = one host cacheline), with the LRU stamps and
- * dirty flags in parallel arrays, so a lookup touches only the tags.
+ * dirty flags in parallel arrays. A lookup reads the set's tags and,
+ * to pick a victim as it goes, its stamps.
  * A tag is line + 1; 0 marks an invalid way. With a power-of-two set
  * count the set index is a mask, otherwise a modulo.
  */
@@ -68,8 +69,9 @@ struct CacheStats
  * Line ~0 is not cacheable: its tag would be the invalid marker.
  *
  * The lookup and fill paths are defined here so they inline into the
- * secure-memory controller's tree walk: a miss there probes the set
- * once, then fill()s the line without scanning the set again.
+ * secure-memory controller's tree walk: a miss there scans the set
+ * once, in lookup(), which also picks the victim, and fill() writes
+ * the line straight into that way.
  */
 class Cache
 {
@@ -78,6 +80,14 @@ class Cache
     using Way = std::size_t;
     /** No way: the line is absent. */
     static constexpr Way npos = ~Way(0);
+
+    /** Outcome of a lookup: the way holding the line on a hit, else
+     *  the victim a fill of the line would take. */
+    struct Lookup
+    {
+        Way way;
+        bool hit;
+    };
 
     /** Outcome of fill(): where the line went, what it displaced. */
     struct Fill
@@ -94,23 +104,24 @@ class Cache
     Cache(std::size_t size_bytes, unsigned ways);
 
     /**
-     * Look up @p line; updates LRU and statistics like access().
+     * Look up @p line in one scan of its set. A hit updates LRU and
+     * statistics; a miss counts one and returns the victim for
+     * fill().
      *
      * @param write if true and the line hits, mark it dirty
-     * @return the way holding the line, or npos on a miss
      */
-    Way
-    probe(LineAddr line, bool write = false)
+    Lookup
+    lookup(LineAddr line, bool write = false)
     {
-        const Way way = find(line);
-        if (way != npos) {
-            lastUse_[way] = ++useClock_;
-            dirty_[way] |= std::uint8_t(write);
+        const Lookup slot = peek(line);
+        if (slot.hit) {
+            lastUse_[slot.way] = ++useClock_;
+            dirty_[slot.way] |= std::uint8_t(write);
             ++stats_.hits;
-            return way;
+        } else {
+            ++stats_.misses;
         }
-        ++stats_.misses;
-        return npos;
+        return slot;
     }
 
     /**
@@ -122,44 +133,57 @@ class Cache
      */
     bool access(LineAddr line, bool write = false)
     {
-        return probe(line, write) != npos;
+        return lookup(line, write).hit;
+    }
+
+    /** lookup() without updating replacement state or statistics. */
+    Lookup
+    peek(LineAddr line) const
+    {
+        // Line ~0 would map to tag 0, the invalid marker.
+        MORPH_DCHECK(line != ~LineAddr(0));
+        const std::size_t base = setBase(line);
+        const std::uint64_t tag = line + 1;
+        // Victim key: 0 for an invalid way, else its last use + 1; the
+        // first way with the lowest key wins. The minimum is tracked
+        // branch-free, as the comparison is data-dependent and would
+        // mispredict.
+        Way victim = base;
+        std::uint64_t lowest = ~std::uint64_t(0);
+        for (Way w = base; w < base + ways_; ++w) {
+            if (tags_[w] == tag)
+                return {w, true};
+            const std::uint64_t key = tags_[w] != 0 ? lastUse_[w] + 1 : 0;
+            const bool lower = key < lowest;
+            victim = lower ? w : victim;
+            lowest = lower ? key : lowest;
+        }
+        return {victim, false};
     }
 
     /** Probe without updating replacement state or statistics. */
-    bool contains(LineAddr line) const { return find(line) != npos; }
+    bool contains(LineAddr line) const { return peek(line).hit; }
 
     /**
-     * Insert @p line, which must be absent (checked in debug builds):
-     * the victim is picked without a lookup.
+     * Insert @p line, which must be absent (checked in debug builds).
      *
      * @param position stack position for the new line; Lru implements
      *        type-aware demotion (metadata classes with little reuse
      *        can be inserted as the next victim)
+     * @param victim the way a missed lookup() or peek() of @p line
+     *        returned, with the set unchanged since; npos scans the
+     *        set for it
      * @return the line's way, and the victim line if a valid line had
      *         to be evicted
      */
     Fill
     fill(LineAddr line, bool dirty,
-         InsertPosition position = InsertPosition::Mru)
+         InsertPosition position = InsertPosition::Mru, Way victim = npos)
     {
         MORPH_CHECK(line != ~LineAddr(0));
-        MORPH_DCHECK(find(line) == npos);
-
-        // Victim: the first invalid way, else the first least-recently
-        // used one. The minimum is tracked branch-free, as the stamp
-        // comparison is data-dependent and would mispredict.
-        const std::size_t base = setBase(line);
-        Way victim = base;
-        std::uint64_t oldest = lastUse_[base];
-        for (Way w = base; w < base + ways_; ++w) {
-            if (tags_[w] == 0) {
-                victim = w;
-                break;
-            }
-            const bool older = lastUse_[w] < oldest;
-            victim = older ? w : victim;
-            oldest = older ? lastUse_[w] : oldest;
-        }
+        if (victim == npos)
+            victim = peek(line).way;
+        MORPH_DCHECK(!peek(line).hit && peek(line).way == victim);
 
         Fill result{victim, std::nullopt};
         if (tags_[victim] != 0) {
@@ -175,7 +199,7 @@ class Cache
         if (position == InsertPosition::Mru)
             lastUse_[victim] = ++useClock_;
         else
-            demote(base, victim);
+            demote(setBase(line), victim);
         return result;
     }
 
@@ -192,17 +216,19 @@ class Cache
 
     /**
      * Mark a (present) line dirty; returns false if absent. @p hint is
-     * the way a probe() or fill() returned for @p line: it is used when
-     * it still holds the line, else the set is searched.
+     * the way a lookup() or fill() returned for @p line: it is used
+     * when it still holds the line, else the set is searched.
      */
     bool
     markDirty(LineAddr line, Way hint = npos)
     {
-        const Way way = hint != npos && tags_[hint] == line + 1
-                            ? hint
-                            : find(line);
-        if (way == npos)
-            return false;
+        Way way = hint;
+        if (hint == npos || tags_[hint] != line + 1) {
+            const Lookup slot = peek(line);
+            if (!slot.hit)
+                return false;
+            way = slot.way;
+        }
         dirty_[way] = 1;
         return true;
     }
@@ -242,21 +268,6 @@ class Cache
 
     /** Place @p victim below every other valid way of its set. */
     void demote(std::size_t base, Way victim);
-
-    /** Way holding @p line, or npos. */
-    Way
-    find(LineAddr line) const
-    {
-        // Line ~0 would map to tag 0, the invalid marker.
-        MORPH_DCHECK(line != ~LineAddr(0));
-        const std::size_t base = setBase(line);
-        const std::uint64_t tag = line + 1;
-        const std::uint64_t *tags = &tags_[base];
-        for (unsigned w = 0; w < ways_; ++w)
-            if (tags[w] == tag)
-                return base + w;
-        return npos;
-    }
 
     std::size_t numSets_;
     unsigned ways_;

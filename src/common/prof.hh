@@ -6,8 +6,8 @@
  * morphprof observes the *simulator*. Code marks phases with RAII
  * scopes:
  *
- *   void SimSystem::step(Core &core) {
- *       MORPH_PROF_SCOPE("sim.step");
+ *   void SimSystem::run(std::uint64_t accesses_per_core) {
+ *       MORPH_PROF_SCOPE("sim.run");
  *       ...
  *   }
  *
@@ -19,10 +19,13 @@
  * time, keyed by thread name, with exclusive time derived as
  * inclusive minus the children's inclusive.
  *
- * The layer is always compiled and off by default: a disabled scope
- * costs one relaxed atomic load and a branch, and profiling never
- * feeds back into simulation state, so outputs with profiling off are
- * byte-identical to outputs with profiling on (pinned by the
+ * The layer is always compiled and off by default. A disabled scope
+ * still costs its site's guard check, a relaxed atomic load, a branch
+ * and a register-save frame in its function, so no scope sits on the
+ * per-access path: the timed step decides once per SimSystem::run()
+ * whether it records its scopes (docs/OBSERVABILITY.md). Profiling
+ * never feeds back into simulation state, so outputs with profiling
+ * off are byte-identical to outputs with profiling on (pinned by the
  * morphsim_prof_noninterference tier-1 test).
  *
  * Scope names follow the morphscope naming contract — [a-z0-9_.]+ and
@@ -97,8 +100,8 @@ profEnabled()
     return profEnabledFlag.load(std::memory_order_relaxed);
 }
 
-/** RAII phase timer; inert (one load + branch) while profiling is
- *  off or after the profile is frozen. */
+/** RAII phase timer; inert while profiling is off or after the
+ *  profile is frozen. */
 class ProfScope
 {
   public:

@@ -17,9 +17,9 @@
  * maps directly onto these classes.
  *
  * The per-request path is defined here and forced inline (GCC's
- * heuristics keep it out of line otherwise), so one DramSystem::access
- * compiles to one function body; set-up, refresh and the write queue
- * live in dram_system.cc.
+ * heuristics keep it out of line otherwise), so DramSystem::access,
+ * itself inline, compiles into its caller as one body; set-up, refresh
+ * and the write queue live in dram_system.cc.
  */
 
 #ifndef MORPH_DRAM_CHANNEL_HH

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/check.hh"
-#include "common/prof.hh"
 #include "common/stat_registry.hh"
 
 namespace morph
@@ -85,17 +84,6 @@ DramSystem::DramSystem(const DramConfig &config)
     channels_.reserve(config_.channels);
     for (unsigned c = 0; c < config_.channels; ++c)
         channels_.emplace_back(config_);
-}
-
-Cycle
-DramSystem::access(LineAddr line, AccessType type, Cycle when,
-                   DramAccessTiming *timing)
-{
-    MORPH_PROF_SCOPE("dram.access");
-    const DramCoord coord = decoder_.decode(line);
-    if (timing)
-        timing->channel = coord.channel;
-    return channels_[coord.channel].access(coord, type, when, timing);
 }
 
 ChannelActivity

@@ -29,8 +29,15 @@ class DramSystem
      *               index, queue/burst/complete cycles)
      * @return completion CPU cycle (data burst fully transferred)
      */
-    Cycle access(LineAddr line, AccessType type, Cycle when,
-                 DramAccessTiming *timing = nullptr);
+    Cycle
+    access(LineAddr line, AccessType type, Cycle when,
+           DramAccessTiming *timing = nullptr)
+    {
+        const DramCoord coord = decoder_.decode(line);
+        if (timing)
+            timing->channel = coord.channel;
+        return channels_[coord.channel].access(coord, type, when, timing);
+    }
 
     /** Aggregate activity over all channels. */
     ChannelActivity totalActivity() const;

@@ -39,19 +39,22 @@ class MetadataCache
     using Way = Cache::Way;
     static constexpr Way npos = Cache::npos;
 
-    /** @copydoc Cache::probe */
-    Way
-    probe(LineAddr line, bool write = false)
+    /** @copydoc Cache::lookup */
+    Cache::Lookup
+    lookup(LineAddr line, bool write = false)
     {
-        return cache_.probe(line, write);
+        return cache_.lookup(line, write);
     }
+
+    /** @copydoc Cache::peek */
+    Cache::Lookup peek(LineAddr line) const { return cache_.peek(line); }
 
     /** @copydoc Cache::fill */
     Cache::Fill
     fill(LineAddr line, bool dirty,
-         InsertPosition position = InsertPosition::Mru)
+         InsertPosition position = InsertPosition::Mru, Way victim = npos)
     {
-        return cache_.fill(line, dirty, position);
+        return cache_.fill(line, dirty, position, victim);
     }
 
     /** @copydoc Cache::markDirty */
@@ -60,9 +63,6 @@ class MetadataCache
     {
         return cache_.markDirty(line, hint);
     }
-
-    /** @copydoc Cache::contains */
-    bool contains(LineAddr line) const { return cache_.contains(line); }
 
     /** @copydoc Cache::flush */
     void flush() { cache_.flush(); }

@@ -33,6 +33,7 @@
 #define MORPH_SECMEM_SECURE_MEMORY_MODEL_HH
 
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "integrity/counter_tree_state.hh"
@@ -144,13 +145,40 @@ class SecureMemoryModel
     const PersistDomain *persistDomain() const { return persist_.get(); }
 
   private:
-    MetadataCache::Way ensureCached(unsigned level, std::uint64_t index,
-                                    std::vector<MemAccess> &out,
-                                    bool critical);
-    MetadataCache::Way insertMetadata(LineAddr line, bool dirty,
-                                      std::vector<MemAccess> &out);
-    void handleDirtyWriteback(unsigned level, std::uint64_t index,
-                              std::vector<MemAccess> &out);
+    /**
+     * A tree walk: the counter fetch of a data access, or the parent
+     * fetch of a dirty write-back. It starts at its entry's level and
+     * climbs until a level hits or the root is reached; then, if
+     * `bump`, it bumps the counter of `child` at its entry level.
+     */
+    struct Walk
+    {
+        /** Where the walk resumes at `level`. */
+        enum class Step : std::uint8_t
+        {
+            Probe,    ///< look the entry up; on a miss read and fill it
+            Prefetch, ///< after a level-0 fill: the next-entry prefetch
+            Ascend,   ///< move to the parent entry
+        };
+
+        unsigned level;      ///< level of `index`
+        std::uint64_t index; ///< entry index within `level`
+        bool critical;       ///< its reads gate the requesting load
+        Step step = Step::Probe;
+        unsigned entryLevel; ///< level the walk started at
+        MetadataCache::Way entryWay = MetadataCache::npos; ///< its way
+        bool bump = false;   ///< bump `child` at entryLevel when done
+        std::uint64_t child = 0;
+    };
+
+    void runWalk(Walk walk, std::vector<MemAccess> &out);
+    std::optional<Walk> climb(Walk &walk, std::vector<MemAccess> &out);
+    std::optional<Walk> insertMetadata(LineAddr line, bool dirty,
+                                       MetadataCache::Way victim,
+                                       std::vector<MemAccess> &out);
+    std::optional<Walk> handleDirtyWriteback(unsigned level,
+                                             std::uint64_t index,
+                                             std::vector<MemAccess> &out);
     void bumpCounter(unsigned level, std::uint64_t child,
                      std::vector<MemAccess> &out, MetadataCache::Way way);
     LineAddr macLineOf(LineAddr data_line) const;
@@ -161,6 +189,7 @@ class SecureMemoryModel
     TrafficStats stats_;
     std::unique_ptr<PersistDomain> persist_;
     LineAddr macBaseLine_ = 0;
+    std::vector<Walk> walks_; ///< walks paused by a write-back
 };
 
 } // namespace morph

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <string>
+#include <type_traits>
 
 #include "common/log.hh"
 #include "common/prof.hh"
@@ -23,15 +24,55 @@ SimSystem::SimSystem(const SystemConfig &config,
     scratch_.reserve(512);
 }
 
+namespace
+{
+
+// The step's profiler sites. run() reads the profiler's switch once:
+// step<true> records them, step<false> builds no scope at all.
+const ProfSite stepSite("sim.step");
+const ProfSite dataAccessSite("secmem.data_access");
+const ProfSite dramAccessSite("dram.access");
+
+/** ProfScope's stand-in in an unprofiled step: builds nothing. */
+struct NoScope
+{
+    explicit NoScope(const ProfSite &) {}
+};
+
+template <bool Profiled>
+using StepScope = std::conditional_t<Profiled, ProfScope, NoScope>;
+
+/** Call @p fn, timed as @p site when @p Profiled. */
+template <bool Profiled, typename Fn>
+decltype(auto)
+timed(const ProfSite &site, Fn &&fn)
+{
+    const StepScope<Profiled> scope(site);
+    return fn();
+}
+
+/** True if @p a runs before @p b: earlier clock, ties to lower id. */
+bool
+precedes(const Core &a, const Core &b)
+{
+    return a.clock() < b.clock() ||
+           (a.clock() == b.clock() && a.id() < b.id());
+}
+
+} // namespace
+
+template <bool Profiled>
 void
 SimSystem::step(Core &core)
 {
-    MORPH_PROF_SCOPE("sim.step");
+    const StepScope<Profiled> scope(stepSite);
     const TraceEntry entry = feed_.pop(core.id());
     core.beginEntry(entry);
 
     scratch_.clear();
-    secmem_.onDataAccess(entry.line, entry.type, scratch_);
+    timed<Profiled>(dataAccessSite, [&] {
+        secmem_.onDataAccess(entry.line, entry.type, scratch_);
+    });
 
     const bool traced = takeTraceSample();
     const Cycle start = core.clock();
@@ -39,9 +80,11 @@ SimSystem::step(Core &core)
     if (config_.timing) {
         for (const MemAccess &access : scratch_) {
             DramAccessTiming timing;
-            const Cycle finish =
-                dram_.access(access.line, access.type, core.clock(),
-                             traced ? &timing : nullptr);
+            const Cycle finish = timed<Profiled>(dramAccessSite, [&] {
+                return dram_.access(access.line, access.type,
+                                    core.clock(),
+                                    traced ? &timing : nullptr);
+            });
             if (access.critical)
                 done = std::max(done, finish);
             if (traced)
@@ -107,28 +150,50 @@ SimSystem::run(std::uint64_t accesses_per_core)
     std::vector<std::uint64_t> targets(cores_.size());
     for (std::size_t i = 0; i < cores_.size(); ++i)
         targets[i] = cores_[i].accesses() + accesses_per_core;
+    if (profEnabled())
+        runCores<true>(targets);
+    else
+        runCores<false>(targets);
+}
 
+template <bool Profiled>
+void
+SimSystem::runCores(const std::vector<std::uint64_t> &targets)
+{
     if (!config_.timing) {
         // Traffic-only mode: DRAM untouched, core order immaterial.
         for (std::size_t i = 0; i < cores_.size(); ++i)
             while (cores_[i].accesses() < targets[i])
-                step(cores_[i]);
+                step<Profiled>(cores_[i]);
         return;
     }
 
-    // Time-ordered interleaving: always advance the core whose local
-    // clock is furthest behind.
+    // Time-ordered interleaving (see the tie rule in system.hh). One
+    // scan finds the next core and the runner-up, the earliest of the
+    // others. Only the next core's clock moves while it steps, so it
+    // keeps the lead, and keeps stepping, until it falls behind the
+    // runner-up or reaches its target.
     while (true) {
         Core *next = nullptr;
+        const Core *runner_up = nullptr;
         for (std::size_t i = 0; i < cores_.size(); ++i) {
-            if (cores_[i].accesses() >= targets[i])
+            Core &core = cores_[i];
+            if (core.accesses() >= targets[i])
                 continue;
-            if (!next || cores_[i].clock() < next->clock())
-                next = &cores_[i];
+            if (!next || core.clock() < next->clock()) {
+                runner_up = next;
+                next = &core;
+            } else if (!runner_up || core.clock() < runner_up->clock()) {
+                runner_up = &core;
+            }
         }
         if (!next)
             break;
-        step(*next);
+        const std::uint64_t target = targets[next->id()];
+        do
+            step<Profiled>(*next);
+        while (next->accesses() < target &&
+               (!runner_up || precedes(*next, *runner_up)));
     }
     for (auto &core : cores_)
         core.drain();

@@ -2,9 +2,12 @@
  * @file
  * The simulated system: cores + secure memory controller + DRAM.
  *
- * Cores are interleaved in local-time order (the earliest core runs
- * its next trace entry first), so bank and bus contention between
- * cores is modelled. Every data access expands through the
+ * Cores are interleaved in local-time order, so bank and bus
+ * contention between cores is modelled. Tie rule: the live core with
+ * the earliest local clock runs its next trace entry first, and of
+ * cores with equal clocks the lowest-numbered one does; a core whose
+ * run() target is met no longer runs. In traffic-only mode (no
+ * timing) each core runs its whole share in turn, core 0 first. Every data access expands through the
  * SecureMemoryModel into its metadata/overflow accesses, all of which
  * are scheduled on the DRAM system; reads complete for the core when
  * their critical accesses (data + counter-fetch walk) finish. Each
@@ -55,7 +58,9 @@ class SimSystem
 
     /** Run until every core has performed @p accesses_per_core
      *  accesses beyond its current position. The first call starts
-     *  the trace feed. */
+     *  the trace feed. Whether the steps record their profiler scopes
+     *  (sim.step, with secmem.data_access and dram.access in it) is
+     *  decided once, when the call starts. */
     void run(std::uint64_t accesses_per_core);
 
     /** End warm-up: zero statistics, snapshot per-core baselines. */
@@ -93,6 +98,9 @@ class SimSystem
     const Core &core(unsigned i) const { return cores_[i]; }
 
   private:
+    template <bool Profiled>
+    void runCores(const std::vector<std::uint64_t> &targets);
+    template <bool Profiled>
     void step(Core &core);
     bool takeTraceSample();
     void traceDramAccess(const Core &core, const MemAccess &access,

@@ -169,10 +169,14 @@ TEST(CacheDeath, RejectsBadGeometry)
 TEST(Cache, FillAfterMissPlacesLineAtReturnedWay)
 {
     Cache cache(256, 4); // one set
-    EXPECT_EQ(cache.probe(7), Cache::npos);
+    const Cache::Lookup miss = cache.lookup(7);
+    EXPECT_FALSE(miss.hit);
     const Cache::Fill fill = cache.fill(7, false);
     EXPECT_FALSE(fill.evicted);
-    EXPECT_EQ(cache.probe(7), fill.way);
+    EXPECT_EQ(fill.way, miss.way);
+    const Cache::Lookup hit = cache.lookup(7);
+    EXPECT_TRUE(hit.hit);
+    EXPECT_EQ(hit.way, fill.way);
     EXPECT_TRUE(cache.markDirty(7, fill.way));
     EXPECT_EQ(cache.invalidate(7)->dirty, true);
     // A stale way falls back to a lookup: absent stays absent.
@@ -184,7 +188,16 @@ TEST(CacheDeathTest, FillRejectsPresentLine)
 {
     Cache cache(4096, 4);
     cache.insert(5, false);
-    EXPECT_DEATH(cache.fill(5, false), "find\\(line\\) == npos");
+    EXPECT_DEATH(cache.fill(5, false), "!peek\\(line\\)\\.hit");
+}
+
+TEST(CacheDeathTest, FillRejectsStaleVictim)
+{
+    Cache cache(256, 4); // one set
+    const Cache::Lookup miss = cache.lookup(7);
+    cache.insert(9, false); // takes the victim lookup() picked
+    EXPECT_DEATH(cache.fill(7, false, InsertPosition::Mru, miss.way),
+                 "peek\\(line\\)\\.way == victim");
 }
 #endif
 
@@ -349,7 +362,7 @@ runDifferential(std::size_t size_bytes, unsigned ways, std::uint64_t seed)
     // About three lines per way keeps sets under eviction pressure.
     const std::uint64_t pool = 3 * cache.numSets() * ways;
 
-    // The last way probe() or fill() returned, and its line: marking
+    // The last way lookup() or fill() returned, and its line: marking
     // through it later exercises both a live and a stale hint.
     LineAddr hinted_line = 0;
     Cache::Way hinted_way = Cache::npos;
@@ -367,13 +380,16 @@ runDifferential(std::size_t size_bytes, unsigned ways, std::uint64_t seed)
             ASSERT_EQ(cache.access(line, dirty),
                       oracle.access(line, dirty)) << "op " << op;
         } else if (kind < 45) {
-            // The controller's walk: one probe, a fill on a miss, and
+            // The controller's walk: one lookup, a fill on a miss (into
+            // the victim the lookup picked, or one fill() picks), and
             // (sometimes) an immediate dirty mark through the result.
-            Cache::Way way = cache.probe(line, dirty);
-            ASSERT_EQ(way != Cache::npos, oracle.access(line, dirty))
-                << "op " << op;
-            if (way == Cache::npos && rng.chance(0.8)) {
-                const Cache::Fill fill = cache.fill(line, dirty, position);
+            const Cache::Lookup slot = cache.lookup(line, dirty);
+            ASSERT_EQ(slot.hit, oracle.access(line, dirty)) << "op " << op;
+            Cache::Way way = slot.hit ? slot.way : Cache::npos;
+            if (!slot.hit && rng.chance(0.8)) {
+                const Cache::Fill fill =
+                    cache.fill(line, dirty, position,
+                               rng.chance(0.5) ? slot.way : Cache::npos);
                 expectSameEviction(fill.evicted,
                                    oracle.insert(line, dirty, position),
                                    op);

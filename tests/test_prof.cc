@@ -3,21 +3,24 @@
  * Unit tests for the morphprof self-profiling layer (common/prof):
  * scope nesting and exclusive-time accounting under a fake clock,
  * cross-thread merging by thread name, RunPool worker telemetry,
- * freeze-after-report semantics, the scope-name contract, and the
- * shape of every exporter.
+ * freeze-after-report semantics, the scope-name contract, the shape of
+ * every exporter, and the scopes a profiled simulation records.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "common/json.hh"
+#include "common/rng.hh"
 #include "common/prof.hh"
 #include "common/run_pool.hh"
+#include "sim/system.hh"
 
 namespace morph
 {
@@ -351,6 +354,95 @@ TEST_F(ProfTest, CollapsedStacksCarryExclusiveWeights)
                       "70\n"),
         std::string::npos)
         << os.str();
+}
+
+/** A seeded read/write stream over 2^18 lines: enough counter entries
+ *  to miss in a 16 KB metadata cache. */
+class ProfTrace : public TraceSource
+{
+  public:
+    explicit ProfTrace(std::uint64_t seed) : rng_(seed) {}
+
+    TraceEntry
+    next() override
+    {
+        const AccessType type =
+            rng_.chance(0.3) ? AccessType::Write : AccessType::Read;
+        return {std::uint32_t(rng_.below(8)), type, rng_.below(1u << 18)};
+    }
+
+  private:
+    Rng rng_;
+};
+
+std::unique_ptr<SimSystem>
+profSystem(bool timing)
+{
+    SystemConfig config;
+    config.timing = timing;
+    config.secmem.memBytes = 1ull << 30;
+    config.secmem.tree = TreeConfig::morph();
+    config.secmem.metadataCacheBytes = 16 * 1024;
+    std::vector<std::unique_ptr<TraceSource>> traces;
+    for (unsigned c = 0; c < config.numCores; ++c)
+        traces.push_back(std::make_unique<ProfTrace>(c + 1));
+    return std::make_unique<SimSystem>(config, std::move(traces));
+}
+
+TEST_F(ProfTest, ProfiledRunRecordsEveryStep)
+{
+    // Warm up unprofiled: a run decides once whether it is profiled.
+    const std::unique_ptr<SimSystem> system = profSystem(true);
+    system->run(500);
+    system->startMeasurement();
+    profEnable();
+    system->run(2000);
+    const ProfReport report = profReport();
+
+    const ProfEntry *run = findEntry(report, "sim.run");
+    const ProfEntry *step = findEntry(report, "sim.run;sim.step");
+    const ProfEntry *data =
+        findEntry(report, "sim.run;sim.step;secmem.data_access");
+    const ProfEntry *dram = findEntry(report, "sim.run;sim.step;dram.access");
+    ASSERT_NE(run, nullptr);
+    ASSERT_NE(step, nullptr);
+    ASSERT_NE(data, nullptr);
+    ASSERT_NE(dram, nullptr);
+    EXPECT_EQ(run->calls, 1u);
+    EXPECT_EQ(step->calls, 4u * 2000);
+    EXPECT_EQ(data->calls,
+              system->secmem().stats().accesses(Traffic::Data));
+    const ChannelActivity activity = system->dram().totalActivity();
+    EXPECT_EQ(dram->calls, activity.reads + activity.writes);
+    EXPECT_GT(dram->calls, data->calls); // the walk's requests count too
+    // The step and its two layers are the whole tree: nothing nests
+    // under them.
+    EXPECT_EQ(report.entries.size(), 4u);
+}
+
+TEST_F(ProfTest, ProfiledTrafficOnlyRunHasNoDramScope)
+{
+    const std::unique_ptr<SimSystem> system = profSystem(false);
+    profEnable();
+    system->run(1000);
+    const ProfReport report = profReport();
+    const ProfEntry *step = findEntry(report, "sim.run;sim.step");
+    const ProfEntry *data =
+        findEntry(report, "sim.run;sim.step;secmem.data_access");
+    ASSERT_NE(step, nullptr);
+    ASSERT_NE(data, nullptr);
+    EXPECT_EQ(step->calls, 4u * 1000);
+    EXPECT_EQ(data->calls, 4u * 1000);
+    EXPECT_EQ(findEntry(report, "sim.run;sim.step;dram.access"), nullptr);
+}
+
+TEST_F(ProfTest, UnprofiledRunRecordsNothing)
+{
+    const std::unique_ptr<SimSystem> system = profSystem(true);
+    system->run(1000);
+    profEnable();
+    const ProfReport report = profReport();
+    EXPECT_TRUE(report.entries.empty());
 }
 
 TEST_F(ProfTest, ApplyEnvRespectsPrecedence)

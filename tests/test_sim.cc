@@ -6,15 +6,19 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <cstdlib>
 #include <deque>
+#include <memory>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "common/rng.hh"
 #include "sim/core.hh"
 #include "sim/simulator.hh"
+#include "sim/system.hh"
 
 namespace morph
 {
@@ -196,6 +200,143 @@ TEST(CoreModel, RingMatchesUnboundedQueue)
             << "rob " << rob << " finished " << finished;
     }
 }
+
+// SimSystem's core schedule (the tie rule in sim/system.hh): timed
+// runs on traces full of ties, pinned per core and by a traffic/DRAM
+// digest. Gap-0 entries and identical per-core traces put cores on
+// equal clocks again and again, so a changed tie-break or a skipped
+// rescan of the cores moves some core's cycles or the DRAM's order of
+// service. A moved pin is a change to simulated behaviour.
+
+/** A seeded stream over @p lines lines; @p zero_gaps of the entries
+ *  have gap 0, the rest a gap below 16. */
+class TieTrace : public TraceSource
+{
+  public:
+    TieTrace(std::uint64_t seed, std::uint64_t lines, double zero_gaps)
+        : rng_(seed), lines_(lines), zeroGaps_(zero_gaps)
+    {}
+
+    TraceEntry
+    next() override
+    {
+        const std::uint32_t gap =
+            rng_.chance(zeroGaps_) ? 0 : std::uint32_t(rng_.below(16));
+        const AccessType type =
+            rng_.chance(0.3) ? AccessType::Write : AccessType::Read;
+        return {gap, type, rng_.below(lines_)};
+    }
+
+  private:
+    Rng rng_;
+    std::uint64_t lines_;
+    double zeroGaps_;
+};
+
+struct SchedulePin
+{
+    const char *name;
+    bool identicalTraces; ///< every core replays seed 1's stream
+    double zeroGaps;
+    std::array<Cycle, 4> cycles;
+    std::array<std::uint64_t, 4> instructions;
+    std::uint64_t digest;
+};
+
+void
+PrintTo(const SchedulePin &pin, std::ostream *os)
+{
+    *os << pin.name;
+}
+
+/** Warm up, measure, then run on: three run() calls, each starting
+ *  from the cores' clocks where the last one left them. */
+std::unique_ptr<SimSystem>
+runSchedule(const SchedulePin &pin)
+{
+    SystemConfig config;
+    config.secmem.memBytes = 1ull << 30;
+    config.secmem.tree = TreeConfig::morph();
+    config.secmem.metadataCacheBytes = 16 * 1024;
+    std::vector<std::unique_ptr<TraceSource>> traces;
+    for (unsigned c = 0; c < config.numCores; ++c)
+        traces.push_back(std::make_unique<TieTrace>(
+            pin.identicalTraces ? 1 : c + 1, 1u << 16, pin.zeroGaps));
+    auto system = std::make_unique<SimSystem>(config, std::move(traces));
+    system->run(3000);
+    system->startMeasurement();
+    system->run(5000);
+    system->run(2000);
+    system->finishRun();
+    return system;
+}
+
+std::uint64_t
+scheduleDigest(const SimSystem &system)
+{
+    std::uint64_t digest = 0xcbf29ce484222325ull;
+    const auto mix = [&digest](std::uint64_t value) {
+        for (unsigned byte = 0; byte < 8; ++byte) {
+            digest ^= (value >> (8 * byte)) & 0xff;
+            digest *= 0x100000001b3ull;
+        }
+    };
+    const TrafficStats &t = system.secmem().stats();
+    for (unsigned c = 0; c < numTrafficCategories; ++c) {
+        mix(t.reads[c]);
+        mix(t.writes[c]);
+    }
+    for (unsigned ch = 0; ch < system.dram().config().channels; ++ch) {
+        const ChannelActivity &a = system.dram().activity(ch);
+        for (const std::uint64_t v :
+             {a.reads, a.writes, a.activates, a.rowHits, a.rowClosed,
+              a.rowConflicts, a.busBusyCycles})
+            mix(v);
+    }
+    return digest;
+}
+
+// Recorded before the schedule scanned the cores once per burst.
+constexpr SchedulePin schedulePins[] = {
+    {"IdenticalTraces", true, 0.7,
+     {673984, 674348, 673352, 673192},
+     {22714, 22714, 22714, 22714},
+     0x0d767801b1b4438full},
+    {"AllGapsZero", false, 1.0,
+     {994700, 993344, 992872, 991952},
+     {7000, 7000, 7000, 7000},
+     0x9f4490ced5b244f6ull},
+    {"IdenticalAllGapsZero", true, 1.0,
+     {737464, 736252, 735620, 735252},
+     {7000, 7000, 7000, 7000},
+     0x0b268e5c6a13ffd9ull},
+};
+
+class SimSchedule : public ::testing::TestWithParam<SchedulePin>
+{
+};
+
+TEST_P(SimSchedule, CoresAndTrafficMatchPin)
+{
+    const SchedulePin &pin = GetParam();
+    const std::unique_ptr<SimSystem> system = runSchedule(pin);
+    for (unsigned c = 0; c < 4; ++c) {
+        EXPECT_EQ(system->core(c).measuredCycles(), pin.cycles[c])
+            << "core " << c;
+        EXPECT_EQ(system->core(c).measuredInstructions(),
+                  pin.instructions[c])
+            << "core " << c;
+        EXPECT_EQ(system->core(c).measuredAccesses(), 7000u)
+            << "core " << c;
+    }
+    EXPECT_EQ(scheduleDigest(*system), pin.digest);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Ties, SimSchedule, ::testing::ValuesIn(schedulePins),
+    [](const ::testing::TestParamInfo<SchedulePin> &info) {
+        return std::string(info.param.name);
+    });
 
 TEST(Simulation, DeterministicAcrossRuns)
 {
