@@ -9,8 +9,8 @@
  *   - tools/morphbench --kernels emits ops-per-second per kernel into
  *     the benchmark JSON, and --compare gates them one-directionally
  *     (slower than min_ratio x baseline fails; faster never does).
- *   - bench/micro_codec registers each kernel as a google-benchmark
- *     case (kernel/<name>) for interactive profiling.
+ *   - benchmark/morphperf times them for the counters.* and crypto.*
+ *     per-layer metrics of the host-throughput benchmark.
  *
  * Every kernel executes a fixed `batch` of operations per run() call
  * so the std::function indirection is amortized to noise; ops-per-sec

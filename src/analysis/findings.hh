@@ -1,11 +1,7 @@
 /**
  * @file
- * Shared input/output types for the src/analysis batch analyzers
- * (morphflow's secret-flow/determinism engine and morphrace's
- * concurrency engine): one input file, one finding, one batch result.
- * Keeping them in one header pins the two tools to identical finding
- * semantics — same waiver behavior, same JSON artifact shape, same
- * exit-code contract (0 clean, 1 findings, 2 usage/IO error).
+ * Input/output types of morphflow's batch analysis (src/analysis):
+ * one input file, one finding, one batch result.
  */
 
 #ifndef MORPH_ANALYSIS_FINDINGS_HH
@@ -24,7 +20,7 @@ struct SourceText
     std::string text;
     /** morphflow: apply the nondet-call / nondet-iter rules here. */
     bool determinismScope = false;
-    /** morphrace: apply the race-naked-static rule here
+    /** morphflow: apply the race-naked-static rule here
      *  (src/{common,sim,secmem} and explicit file arguments). */
     bool staticScope = false;
 };

@@ -2,10 +2,12 @@
 
 #include <algorithm>
 #include <array>
+#include <cctype>
 #include <map>
 #include <set>
+#include <string>
+#include <vector>
 
-#include "analysis/batch.hh"
 #include "analysis/lexer.hh"
 #include "analysis/source_model.hh"
 
@@ -105,10 +107,93 @@ struct LocalState
     std::vector<AnnotatedLocal> locals;
 };
 
-class Analyzer : public BatchAnalyzer
+/** A mutex key held at some brace depth inside a worker lambda. */
+struct HeldLock
+{
+    std::string key;
+    int depth = 0;
+};
+
+std::string
+lowered(const std::string &s)
+{
+    std::string out = s;
+    std::transform(out.begin(), out.end(), out.begin(), [](char c) {
+        return static_cast<char>(
+            std::tolower(static_cast<unsigned char>(c)));
+    });
+    return out;
+}
+
+bool
+mentionsAtomic(const std::string &typeText)
+{
+    return typeText.find("atomic") != std::string::npos;
+}
+
+bool
+mentionsMutex(const std::string &typeText)
+{
+    return typeText.find("Mutex") != std::string::npos ||
+           typeText.find("mutex") != std::string::npos;
+}
+
+/** RAII guard types whose construction acquires its mutex argument. */
+const std::set<std::string> raiiGuards = {
+    "lock_guard", "scoped_lock", "unique_lock",
+    "shared_lock", "LockGuard",  "UniqueLock",
+};
+
+/** Index just past a `<...>` template-argument group starting at
+ *  @p open, or @p open itself if the angles never close. */
+std::size_t
+skipAngleGroup(const std::vector<Token> &t, std::size_t open)
+{
+    int depth = 0;
+    for (std::size_t i = open; i < t.size(); ++i) {
+        if (t[i].kind != Tok::Punct)
+            continue;
+        if (t[i].text == "<")
+            ++depth;
+        else if (t[i].text == ">")
+            --depth;
+        else if (t[i].text == ">>")
+            depth -= 2;
+        else if (t[i].text == ";" || t[i].text == "{")
+            return open;
+        if (depth <= 0)
+            return i + 1;
+    }
+    return open;
+}
+
+/** One analyzed file: raw text metadata, token stream, model. */
+struct FileUnit
+{
+    SourceText meta;
+    const LexedSource *lexed = nullptr;
+    SourceModel model;
+};
+
+class Analyzer
 {
   public:
-    using BatchAnalyzer::BatchAnalyzer;
+    /** Lex and model @p sources; a null @p cache uses a private one,
+     *  which also de-duplicates same-path batch entries. */
+    Analyzer(const std::vector<SourceText> &sources, LexCache *cache)
+    {
+        // std::map entries are address-stable, so units may keep
+        // pointers into either cache.
+        LexCache &lexed = cache ? *cache : ownLex_;
+        units_.reserve(sources.size());
+        for (const SourceText &src : sources) {
+            FileUnit unit;
+            unit.meta = src;
+            unit.lexed = &lexed.get(src.path, src.path, src.text);
+            unit.model = buildModel(*unit.lexed);
+            units_.push_back(std::move(unit));
+        }
+    }
 
     AnalysisResult
     run()
@@ -120,6 +205,9 @@ class Analyzer : public BatchAnalyzer
             memberWipeRule(unit);
             if (unit.meta.determinismScope)
                 determinismRules(unit);
+            workerEscapeRule(unit);
+            if (unit.meta.staticScope)
+                nakedStaticRule(unit);
         }
         return takeResult();
     }
@@ -193,6 +281,21 @@ class Analyzer : public BatchAnalyzer
                            t[i + 2].text == "wipe") {
                     wipedNames_.insert(t[i].text);
                 }
+            }
+        }
+        // Names a worker lambda may mutate without a finding, and the
+        // mutexes it may lock, batch-wide by name.
+        for (const FileUnit &unit : units_) {
+            for (const VarDecl &v : unit.model.varDecls) {
+                for (const Annotation &a : v.annotations) {
+                    if (a.macro == "MORPH_GUARDED_BY" ||
+                        a.macro == "MORPH_SHARD_LOCAL")
+                        workerSafeNames_.insert(v.name);
+                }
+                if (mentionsAtomic(v.typeText))
+                    workerSafeNames_.insert(v.name);
+                if (mentionsMutex(v.typeText))
+                    mutexVars_.insert(v.name);
             }
         }
     }
@@ -733,6 +836,506 @@ class Analyzer : public BatchAnalyzer
         }
     }
 
+    // ---- race-worker-escape ----------------------------------------
+    static void
+    popScope(std::vector<HeldLock> &held, int depth)
+    {
+        while (!held.empty() && held.back().depth > depth)
+            held.pop_back();
+    }
+
+    static void
+    release(std::vector<HeldLock> &held, const std::string &key)
+    {
+        for (std::size_t i = held.size(); i-- > 0;) {
+            if (held[i].key == key) {
+                held.erase(held.begin() +
+                           static_cast<std::ptrdiff_t>(i));
+                return;
+            }
+        }
+    }
+
+    /** Mutex keys named by a guard-constructor argument list
+     *  `(open..close)`: the terminal identifier of each top-level
+     *  argument (all of them for std::scoped_lock, the first one for
+     *  single-mutex guards). */
+    static std::vector<std::string>
+    guardArgKeys(const std::vector<Token> &t, std::size_t open,
+                 std::size_t close, bool allArgs)
+    {
+        std::vector<std::string> keys;
+        std::string last;
+        int depth = 0;
+        for (std::size_t i = open + 1; i < close && i < t.size(); ++i) {
+            if (t[i].kind == Tok::Punct) {
+                const std::string &p = t[i].text;
+                if (p == "(" || p == "[" || p == "{")
+                    ++depth;
+                else if (p == ")" || p == "]" || p == "}")
+                    --depth;
+                else if (p == "," && depth == 0) {
+                    if (!last.empty())
+                        keys.push_back(last);
+                    last.clear();
+                    if (!allArgs)
+                        break;
+                }
+                continue;
+            }
+            if (t[i].kind == Tok::Ident && t[i].text != "std")
+                last = t[i].text;
+        }
+        if (!last.empty())
+            keys.push_back(last);
+        if (!allArgs && keys.size() > 1)
+            keys.resize(1);
+        return keys;
+    }
+
+    /** If the tokens at @p i spell a RAII guard declaration
+     *  (`LockGuard g(mu)`, `std::unique_lock<std::mutex> g(mu)`, ...),
+     *  acquire its keys, remember the guard variable, and return the
+     *  index of the closing ')'. Returns 0 when @p i is no guard. */
+    static std::size_t
+    guardDeclAt(const FileUnit &unit, std::size_t i, std::size_t end,
+                std::vector<HeldLock> &held,
+                std::map<std::string, std::vector<std::string>> &guards,
+                int depth)
+    {
+        const auto &t = unit.lexed->tokens;
+        if (raiiGuards.count(t[i].text) == 0)
+            return 0;
+        std::size_t j = i + 1;
+        if (j < end && t[j].kind == Tok::Punct && t[j].text == "<")
+            j = skipAngleGroup(t, j);
+        if (j >= end || t[j].kind != Tok::Ident || j + 1 >= end ||
+            t[j + 1].text != "(")
+            return 0;
+        const std::size_t close = matchGroup(t, j + 1);
+        if (close >= t.size())
+            return 0;
+        const bool allArgs = t[i].text == "scoped_lock";
+        const std::vector<std::string> keys =
+            guardArgKeys(t, j + 1, close, allArgs);
+        if (keys.empty())
+            return 0;
+        for (const std::string &key : keys)
+            held.push_back({key, depth});
+        guards[t[j].text] = keys;
+        return close;
+    }
+
+    /** If the tokens at @p i spell `base.lock()` / `base.unlock()` on
+     *  a known mutex or guard variable, update @p held and return the
+     *  index of the '(' (the caller continues after it). Returns 0
+     *  otherwise. */
+    std::size_t
+    explicitLockAt(const FileUnit &unit, std::size_t i, std::size_t end,
+                   std::vector<HeldLock> &held,
+                   const std::map<std::string,
+                                  std::vector<std::string>> &guards,
+                   int depth) const
+    {
+        const auto &t = unit.lexed->tokens;
+        const std::string &s = t[i].text;
+        if (s != "lock" && s != "unlock")
+            return 0;
+        if (i < 2 || i + 1 >= end || t[i + 1].text != "(")
+            return 0;
+        if (t[i - 1].text != "." && t[i - 1].text != "->")
+            return 0;
+        if (t[i - 2].kind != Tok::Ident)
+            return 0;
+        const std::string &base = t[i - 2].text;
+        std::vector<std::string> keys;
+        const auto g = guards.find(base);
+        if (g != guards.end())
+            keys = g->second;
+        else if (mutexVars_.count(base) != 0)
+            keys.push_back(base);
+        if (keys.empty())
+            return 0;
+        for (const std::string &key : keys) {
+            if (s == "lock")
+                held.push_back({key, depth});
+            else
+                release(held, key);
+        }
+        return i + 1;
+    }
+
+    void
+    workerEscapeRule(const FileUnit &unit)
+    {
+        const auto &t = unit.lexed->tokens;
+        // Lambdas bound to variables in this file: name -> '[' index.
+        std::map<std::string, std::size_t> lambdaVars;
+        for (std::size_t i = 0; i + 2 < t.size(); ++i)
+            if (t[i].kind == Tok::Ident && t[i + 1].text == "=" &&
+                t[i + 2].text == "[")
+                lambdaVars.emplace(t[i].text, i + 2);
+        for (std::size_t i = 2; i + 1 < t.size(); ++i) {
+            if (t[i].kind != Tok::Ident || t[i].text != "forEach")
+                continue;
+            if (t[i - 1].text != "." && t[i - 1].text != "->")
+                continue;
+            if (t[i - 2].kind != Tok::Ident || t[i + 1].text != "(")
+                continue;
+            const std::string recv = lowered(t[i - 2].text);
+            if (recv.find("pool") == std::string::npos &&
+                recv.find("engine") == std::string::npos)
+                continue;
+            const std::size_t close = matchGroup(t, i + 1);
+            if (close >= t.size())
+                continue;
+            // Walk the top-level arguments for worker bodies.
+            int depth = 0;
+            for (std::size_t j = i + 2; j < close; ++j) {
+                if (t[j].kind == Tok::Punct) {
+                    const std::string &p = t[j].text;
+                    if (p == "(" || p == "{")
+                        ++depth;
+                    else if (p == ")" || p == "}")
+                        --depth;
+                    else if (p == "[" && depth == 0) {
+                        scanWorkerLambda(unit, j);
+                        j = matchGroup(t, j);
+                        depth = 0;
+                    }
+                    continue;
+                }
+                if (depth == 0 && t[j].kind == Tok::Ident) {
+                    const auto lam = lambdaVars.find(t[j].text);
+                    if (lam != lambdaVars.end())
+                        scanWorkerLambda(unit, lam->second);
+                }
+            }
+        }
+    }
+
+    /** Analyze one worker lambda whose capture list opens at
+     *  @p openBracket. Lock state is tracked fresh: locks held where
+     *  the lambda is *defined* are not held when a worker *runs* it. */
+    void
+    scanWorkerLambda(const FileUnit &unit, std::size_t openBracket)
+    {
+        const auto &t = unit.lexed->tokens;
+        const std::size_t captureEnd = matchGroup(t, openBracket);
+        if (captureEnd >= t.size())
+            return;
+        std::set<std::string> locals;
+        std::size_t j = captureEnd + 1;
+        if (j < t.size() && t[j].text == "(") {
+            const std::size_t parmClose = matchGroup(t, j);
+            if (parmClose >= t.size())
+                return;
+            collectParams(t, j, parmClose, locals);
+            j = parmClose + 1;
+        }
+        while (j < t.size() && t[j].text != "{") {
+            if (t[j].text == ";")
+                return; // declaration-ish, no body
+            ++j;
+        }
+        if (j >= t.size())
+            return;
+        const std::size_t bodyBegin = j;
+        const std::size_t bodyEnd = matchGroup(t, bodyBegin);
+        if (bodyEnd >= t.size())
+            return;
+        std::vector<HeldLock> held;
+        std::map<std::string, std::vector<std::string>> guards;
+        int depth = 1;
+        for (std::size_t i = bodyBegin + 1; i < bodyEnd; ++i) {
+            const Token &tok = t[i];
+            if (tok.kind == Tok::Punct) {
+                if (tok.text == "{") {
+                    ++depth;
+                } else if (tok.text == "}") {
+                    --depth;
+                    popScope(held, depth);
+                } else if (tok.text == "=" || isCompoundAssign(tok)) {
+                    checkMutation(unit, i, tok.text == "=", locals,
+                                  held);
+                } else if (tok.text == "++" || tok.text == "--") {
+                    checkIncrement(unit, i, bodyEnd, locals, held);
+                }
+                continue;
+            }
+            if (tok.kind != Tok::Ident)
+                continue;
+            if (const std::size_t close =
+                    guardDeclAt(unit, i, bodyEnd, held, guards, depth)) {
+                i = close;
+                continue;
+            }
+            if (const std::size_t open = explicitLockAt(
+                    unit, i, bodyEnd, held, guards, depth)) {
+                i = open;
+                continue;
+            }
+            if (tok.text == "for" && i + 1 < bodyEnd &&
+                t[i + 1].text == "(")
+                collectForLoopVar(t, i + 1, bodyEnd, locals);
+        }
+    }
+
+    static bool
+    isCompoundAssign(const Token &tok)
+    {
+        static const std::set<std::string> ops = {
+            "+=", "-=", "*=", "/=",  "%=",
+            "&=", "|=", "^=", "<<=", ">>=",
+        };
+        return tok.kind == Tok::Punct && ops.count(tok.text) != 0;
+    }
+
+    /** Declared parameter names of a lambda: the last identifier of
+     *  each top-level comma segment of `(open..close)`. */
+    static void
+    collectParams(const std::vector<Token> &t, std::size_t open,
+                  std::size_t close, std::set<std::string> &out)
+    {
+        std::string last;
+        int depth = 0;
+        for (std::size_t i = open + 1; i < close; ++i) {
+            if (t[i].kind == Tok::Punct) {
+                const std::string &p = t[i].text;
+                if (p == "(" || p == "[" || p == "{" || p == "<")
+                    ++depth;
+                else if (p == ")" || p == "]" || p == "}" || p == ">")
+                    --depth;
+                else if (p == "," && depth == 0) {
+                    if (!last.empty())
+                        out.insert(last);
+                    last.clear();
+                }
+                continue;
+            }
+            if (t[i].kind == Tok::Ident)
+                last = t[i].text;
+        }
+        if (!last.empty())
+            out.insert(last);
+    }
+
+    /** The loop variable of `for (...)` with the '(' at @p open:
+     *  the identifier before the first top-level '=' (classic form)
+     *  or before the ':' (range form). */
+    static void
+    collectForLoopVar(const std::vector<Token> &t, std::size_t open,
+                      std::size_t end, std::set<std::string> &out)
+    {
+        std::string last;
+        int depth = 1;
+        for (std::size_t i = open + 1; i < end; ++i) {
+            if (t[i].kind == Tok::Punct) {
+                const std::string &p = t[i].text;
+                if (p == "(")
+                    ++depth;
+                else if (p == ")") {
+                    if (--depth == 0)
+                        break;
+                } else if (depth == 1 &&
+                           (p == "=" || p == ":" || p == ";")) {
+                    break;
+                }
+                continue;
+            }
+            if (t[i].kind == Tok::Ident)
+                last = t[i].text;
+        }
+        if (!last.empty())
+            out.insert(last);
+    }
+
+    /** Walk left from the token before an assignment operator at
+     *  @p opIdx to the base identifier of the target expression
+     *  (`shard.count` -> "shard"), noting subscripts on the way.
+     *  Returns "" when the target is not a plain member chain. */
+    static std::string
+    assignTargetBase(const std::vector<Token> &t, std::size_t opIdx,
+                     bool &subscripted, std::size_t &baseIdx)
+    {
+        subscripted = false;
+        std::size_t j = opIdx;
+        while (j > 0) {
+            --j;
+            if (t[j].kind == Tok::Punct && t[j].text == "]") {
+                subscripted = true;
+                int depth = 1;
+                while (j > 0 && depth > 0) {
+                    --j;
+                    if (t[j].text == "]")
+                        ++depth;
+                    else if (t[j].text == "[")
+                        --depth;
+                }
+                if (depth != 0)
+                    return "";
+                continue; // token before the '[' is next
+            }
+            if (t[j].kind == Tok::Ident) {
+                if (j >= 2 && (t[j - 1].text == "." ||
+                               t[j - 1].text == "->")) {
+                    --j; // keep walking the member chain
+                    continue;
+                }
+                baseIdx = j;
+                return t[j].text;
+            }
+            return "";
+        }
+        return "";
+    }
+
+    /** True when the identifier at @p idx is being *declared* (type
+     *  tokens precede it), so `auto sum = 0;` is a local, not a
+     *  mutation of outer state. */
+    static bool
+    looksLikeDecl(const std::vector<Token> &t, std::size_t idx)
+    {
+        if (idx == 0)
+            return false;
+        const Token &prev = t[idx - 1];
+        if (prev.kind == Tok::Ident)
+            return prev.text != "return" && prev.text != "co_return" &&
+                   prev.text != "else" && prev.text != "delete";
+        return prev.kind == Tok::Punct &&
+               (prev.text == "*" || prev.text == "&" ||
+                prev.text == "&&" || prev.text == ">");
+    }
+
+    void
+    checkMutation(const FileUnit &unit, std::size_t opIdx,
+                  bool plainAssign, std::set<std::string> &locals,
+                  const std::vector<HeldLock> &held)
+    {
+        const auto &t = unit.lexed->tokens;
+        bool subscripted = false;
+        std::size_t baseIdx = 0;
+        const std::string base =
+            assignTargetBase(t, opIdx, subscripted, baseIdx);
+        if (base.empty())
+            return;
+        // A declaration initializer introduces a worker-local name.
+        if (plainAssign && baseIdx + 1 == opIdx &&
+            looksLikeDecl(t, baseIdx)) {
+            locals.insert(base);
+            return;
+        }
+        reportEscape(unit, t[opIdx].line, base, subscripted, locals,
+                     held);
+    }
+
+    void
+    checkIncrement(const FileUnit &unit, std::size_t opIdx,
+                   std::size_t end, const std::set<std::string> &locals,
+                   const std::vector<HeldLock> &held)
+    {
+        const auto &t = unit.lexed->tokens;
+        bool subscripted = false;
+        std::size_t baseIdx = 0;
+        std::string base;
+        if (opIdx > 0 && (t[opIdx - 1].kind == Tok::Ident ||
+                          t[opIdx - 1].text == "]")) {
+            // post-increment: walk the chain left of the operator
+            base = assignTargetBase(t, opIdx, subscripted, baseIdx);
+        } else if (opIdx + 1 < end && t[opIdx + 1].kind == Tok::Ident) {
+            // pre-increment: the base is the first chain identifier
+            base = t[opIdx + 1].text;
+        }
+        if (base.empty())
+            return;
+        reportEscape(unit, t[opIdx].line, base, subscripted, locals,
+                     held);
+    }
+
+    void
+    reportEscape(const FileUnit &unit, unsigned line,
+                 const std::string &base, bool subscripted,
+                 const std::set<std::string> &locals,
+                 const std::vector<HeldLock> &held)
+    {
+        if (subscripted)
+            return; // index-addressed store, the sanctioned pattern
+        if (locals.count(base) != 0)
+            return; // worker-local state
+        if (!held.empty())
+            return; // mutation under a lock the worker itself takes
+        if (workerSafeNames_.count(base) != 0)
+            return; // guarded, shard-local, or atomic state
+        report(unit, "race-worker-escape", line, base,
+               "worker lambda mutates captured '" + base +
+                   "' without a lock, atomic type, or "
+                   "MORPH_SHARD_LOCAL annotation");
+    }
+
+    // ---- race-naked-static ----------------------------------------------
+
+    void
+    nakedStaticRule(const FileUnit &unit)
+    {
+        const SourceModel &m = unit.model;
+        for (const VarDecl &v : m.varDecls) {
+            const bool fileScope = v.klass.empty();
+            if (!fileScope && !v.isStatic)
+                continue; // instance members are per-object state
+            if (v.isConst || v.isThreadLocal)
+                continue;
+            if (mentionsAtomic(v.typeText) || mentionsMutex(v.typeText))
+                continue;
+            bool annotated = false;
+            for (const Annotation &a : v.annotations)
+                if (a.macro == "MORPH_GUARDED_BY" ||
+                    a.macro == "MORPH_SHARD_LOCAL" ||
+                    a.macro == "MORPH_MAIN_THREAD")
+                    annotated = true;
+            if (annotated)
+                continue;
+            report(unit, "race-naked-static", v.line, v.name,
+                   "mutable " +
+                       std::string(fileScope ? "namespace-scope"
+                                             : "static member") +
+                       " '" + v.name +
+                       "' has no MORPH_GUARDED_BY / MORPH_SHARD_LOCAL "
+                       "/ MORPH_MAIN_THREAD annotation");
+        }
+        // Function-local statics.
+        const auto &t = unit.lexed->tokens;
+        for (const FunctionDef &f : m.functions) {
+            for (std::size_t i = f.bodyBegin + 1; i < f.bodyEnd; ++i) {
+                if (t[i].kind != Tok::Ident || t[i].text != "static")
+                    continue;
+                std::size_t stop = i + 1;
+                bool safe = false;
+                std::string name;
+                while (stop < f.bodyEnd && t[stop].text != ";" &&
+                       t[stop].text != "=" && t[stop].text != "{") {
+                    if (t[stop].kind == Tok::Ident) {
+                        const std::string &w = t[stop].text;
+                        if (w == "const" || w == "constexpr" ||
+                            w == "thread_local" ||
+                            w.find("atomic") != std::string::npos ||
+                            w == "once_flag")
+                            safe = true;
+                        else
+                            name = w;
+                    }
+                    ++stop;
+                }
+                if (!safe && !name.empty())
+                    report(unit, "race-naked-static", t[i].line, name,
+                           "mutable function-local static '" + name +
+                               "' has no concurrency annotation "
+                               "(use std::atomic, const, or guard "
+                               "it)");
+                i = stop;
+            }
+        }
+    }
+
     // ---- determinism rules -------------------------------------------
 
     void
@@ -817,6 +1420,54 @@ class Analyzer : public BatchAnalyzer
         }
     }
 
+    // ---- finding collection --------------------------------------------
+
+    /** Record a finding, unless this exact one was already recorded. */
+    void
+    report(const FileUnit &unit, const std::string &rule, unsigned line,
+           const std::string &symbol, const std::string &message)
+    {
+        const std::string key = unit.meta.path + ":" +
+                                std::to_string(line) + ":" + rule + ":" +
+                                symbol;
+        if (!reported_.insert(key).second)
+            return;
+        Finding f;
+        f.rule = rule;
+        f.file = unit.meta.path;
+        f.symbol = symbol;
+        f.message = message;
+        f.line = line;
+        f.waived = unit.model.waived(rule, line);
+        (f.waived ? result_.waived : result_.findings)
+            .push_back(std::move(f));
+    }
+
+    /** The result sorted by file, line, rule and symbol; call once,
+     *  after every rule has run. */
+    AnalysisResult
+    takeResult()
+    {
+        const auto order = [](const Finding &a, const Finding &b) {
+            if (a.file != b.file)
+                return a.file < b.file;
+            if (a.line != b.line)
+                return a.line < b.line;
+            if (a.rule != b.rule)
+                return a.rule < b.rule;
+            return a.symbol < b.symbol;
+        };
+        std::sort(result_.findings.begin(), result_.findings.end(), order);
+        std::sort(result_.waived.begin(), result_.waived.end(), order);
+        return std::move(result_);
+    }
+
+    // Declared first: units_ point into its entries.
+    LexCache ownLex_;
+    std::vector<FileUnit> units_;
+    std::set<std::string> reported_;
+    AnalysisResult result_;
+
     std::set<std::string> globalSecretNames_;
     std::set<std::string> secretReturnFns_;
     std::set<std::string> declassifiers_;
@@ -825,6 +1476,11 @@ class Analyzer : public BatchAnalyzer
     std::set<std::string> unorderedAll_;
     std::set<std::string> wipedNames_;
     std::map<std::string, std::set<std::size_t>> secretParams_;
+    /** Names declared MORPH_GUARDED_BY, MORPH_SHARD_LOCAL or atomic:
+     *  a worker lambda may mutate them. */
+    std::set<std::string> workerSafeNames_;
+    /** Names declared with a mutex type: `name.lock()` acquires. */
+    std::set<std::string> mutexVars_;
 };
 
 } // namespace

@@ -1,6 +1,7 @@
 /**
  * @file
- * Interprocedural secret-flow and determinism analysis for morphflow.
+ * Interprocedural secret-flow, determinism and worker-isolation
+ * analysis for morphflow.
  *
  * The analyzer consumes a batch of source files, builds the per-file
  * structural model (source_model.hh), and runs a name-based taint
@@ -17,10 +18,20 @@
  *  - secret-member-wipe annotated member/global with no wipe anywhere
  *  - nondet-call       rand()/time()/std::random_device and friends
  *  - nondet-iter       range-for over an unordered container
+ *  - race-worker-escape non-atomic, unlocked mutation of captured
+ *                       outer state inside a RunPool / SweepEngine
+ *                       worker lambda
+ *  - race-naked-static  mutable static (or namespace-scope) variable
+ *                       with no MORPH_GUARDED_BY / MORPH_SHARD_LOCAL /
+ *                       MORPH_MAIN_THREAD annotation
  *
  * The determinism family only runs on files whose `determinismScope`
- * flag is set (src/sim, src/secmem, bench/, tools/, and any file named
- * explicitly on the morphflow command line).
+ * flag is set (src/sim, src/secmem, bench/, tools/), and
+ * race-naked-static only on files whose `staticScope` flag is set
+ * (src/common, src/sim, src/secmem); any file named explicitly on the
+ * morphflow command line gets both. Clang's -Wthread-safety checks
+ * the GUARDED_BY / REQUIRES / EXCLUDES contracts themselves
+ * (docs/CONCURRENCY.md).
  */
 
 #ifndef MORPH_ANALYSIS_FLOW_ANALYZER_HH

@@ -1,16 +1,15 @@
 /**
  * @file
- * Token-stream cache for the batch analyzers.
+ * Token-stream cache for morphflow's batch analysis.
  *
- * A morphflow + morphrace CI lane (and the ctest fixtures) feed the
- * same headers through the lexer repeatedly: every analyzer
- * construction used to re-lex its whole batch from scratch. LexCache
- * memoizes LexedSource by a caller-chosen key — the canonical file
- * path — so a file lexes exactly once per process no matter how many
- * analyses (or duplicate batch entries: a fixture named twice, a
- * header reached by both the compile-db walk and an explicit
- * argument) consume it. Entries live in a std::map, so references
- * returned by get() stay valid for the cache's lifetime.
+ * LexCache memoizes LexedSource by a caller-chosen key — the
+ * canonical file path — so a file lexes exactly once per process no
+ * matter how many analyses (or duplicate batch entries: a fixture
+ * named twice, a header reached by both the compile-db walk and an
+ * explicit argument) consume it. morphflow pre-warms one before the
+ * analysis so its lex and analyze times are reported apart. Entries
+ * live in a std::map, so references returned by get() stay valid for
+ * the cache's lifetime.
  */
 
 #ifndef MORPH_ANALYSIS_LEX_CACHE_HH

@@ -219,7 +219,13 @@ class ModelBuilder
                 continue;
             }
             if (t[j].kind == Tok::Ident && isAnnotationName(s)) {
-                j = collectAnnotation(j, def.annotations) + 1;
+                ++j;
+                if (j < t.size() && t[j].text == "(") {
+                    j = matchGroup(t, j);
+                    if (j >= t.size())
+                        return false;
+                    ++j;
+                }
                 continue;
             }
             if (s == "noexcept" || s == "throw") {
@@ -555,11 +561,11 @@ class ModelBuilder
         return stmt < at && toks()[stmt].text == kw;
     }
 
-    /** Classify one declaration statement: function declaration
-     *  (record its annotations) or variable declaration (record a
-     *  VarDecl). Statements the shape cannot be trusted on are
-     *  dropped — the concurrency rules only consume declarations
-     *  whose annotations or storage class single them out. */
+    /** Classify one declaration statement: a variable declaration
+     *  records a VarDecl, a function declaration nothing. Statements
+     *  the shape cannot be trusted on are dropped — the race-* rules
+     *  only consume declarations whose annotations or storage class
+     *  single them out. */
     void
     classifyStatement(std::size_t begin, std::size_t end,
                       const std::string &klass)
@@ -628,18 +634,8 @@ class ModelBuilder
             }
         }
 
-        if (paren != none && paren < assign) {
-            // Function declaration: only its annotations matter.
-            if (anns.empty())
-                return;
-            FunctionAnnotations fa;
-            fa.name = declaratorName(t, begin, paren);
-            fa.line = t[begin].line;
-            fa.annotations = std::move(anns);
-            if (!fa.name.empty())
-                model_.fnAnnotations.push_back(std::move(fa));
-            return;
-        }
+        if (paren != none && paren < assign)
+            return; // function declaration
 
         VarDecl v;
         v.klass = klass;

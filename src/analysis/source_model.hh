@@ -1,12 +1,13 @@
 /**
  * @file
- * Per-file structural model for the morphflow and morphrace
- * analyzers: function definitions with their parameter lists, body
- * token ranges and MORPH_* annotations; class/struct definitions
- * (including nested ones) with their data-member declarations; and
- * the declaration scans the rules need (MORPH_SECRET-annotated names,
- * names declared with unordered-container types, GUARDED_BY /
- * SHARD_LOCAL / MAIN_THREAD concurrency annotations).
+ * Per-file structural model for the morphflow analyzer: function
+ * definitions with their parameter lists and body token ranges;
+ * class/struct definitions (including nested ones) with their
+ * data-member declarations; and the declaration scans the rules need
+ * (MORPH_SECRET-annotated names, names declared with
+ * unordered-container types, and the GUARDED_BY / SHARD_LOCAL /
+ * MAIN_THREAD annotations and storage class of members and statics
+ * that race-worker-escape and race-naked-static read).
  *
  * Function extraction is a brace/paren matcher, not a parser: a
  * definition is an identifier (or `operator` followed by its symbol)
@@ -54,7 +55,6 @@ struct FunctionDef
     std::string qualName;        ///< as written, e.g. "Aes128::encrypt"
     bool secretReturn = false;   ///< MORPH_SECRET in the return type
     std::vector<Param> params;
-    std::vector<Annotation> annotations; ///< between params and body
     std::size_t headerBegin = 0; ///< token index of the name
     std::size_t bodyBegin = 0;   ///< token index of the opening '{'
     std::size_t bodyEnd = 0;     ///< token index of the closing '}'
@@ -86,14 +86,6 @@ struct VarDecl
     std::vector<Annotation> annotations;
 };
 
-/** MORPH_* annotations on a function declaration (no body). */
-struct FunctionAnnotations
-{
-    std::string name; ///< unqualified function name
-    unsigned line = 0;
-    std::vector<Annotation> annotations;
-};
-
 /** A declaration outside any function body carrying MORPH_SECRET. */
 struct SecretDecl
 {
@@ -109,7 +101,6 @@ struct SourceModel
     std::vector<FunctionDef> functions;
     std::vector<ClassDef> classes;       ///< incl. nested, in order
     std::vector<VarDecl> varDecls;       ///< members + flagged globals
-    std::vector<FunctionAnnotations> fnAnnotations; ///< decl-site
     std::vector<SecretDecl> secretDecls; ///< members/globals/statics
     /** Names declared (anywhere in the file) with a type mentioning
      *  std::unordered_map / std::unordered_set. */

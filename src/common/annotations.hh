@@ -1,18 +1,16 @@
 /**
  * @file
- * Source-contract annotations consumed by the morphflow and morphrace
- * static analyzers (and, for the concurrency vocabulary, by clang's
- * native -Wthread-safety analysis).
+ * Source-contract annotations consumed by the morphflow static
+ * analyzer and, for the concurrency vocabulary, by clang's native
+ * -Wthread-safety analysis.
  *
  * Under GCC every macro expands to nothing; the annotations exist so
- * that the `src/analysis`-based tools can see, in the token stream,
- * which declarations carry secret material, which state is guarded by
- * which mutex, and where the sanctioned declassification points are.
- * Under clang the concurrency macros additionally expand to the
- * thread-safety attributes, so the same single annotation source is
- * checked by two independent engines: morphrace (token-level,
- * batch-wide, runs everywhere) and clang TSA (AST-level, per-TU,
- * runs in the clang CI lane).
+ * that morphflow (src/analysis) can see, in the token stream, which
+ * declarations carry secret material, which state is guarded or
+ * shard-local, and where the sanctioned declassification points are.
+ * Under clang the concurrency macros expand to the thread-safety
+ * attributes, and clang TSA (AST-level, per-TU, run in the clang CI
+ * lane) checks the guarded-state contracts.
  *
  * Secret-flow vocabulary (morphflow):
  *
@@ -31,22 +29,23 @@
  *    as public values and its argument expressions are not scanned as
  *    part of an enclosing branch condition.
  *
- * Concurrency vocabulary (morphrace; see docs/CONCURRENCY.md):
+ * Concurrency vocabulary (clang TSA and morphflow; see
+ * docs/CONCURRENCY.md):
  *
  *  - `MORPH_CAPABILITY(name)` on a class declares it a lockable
  *    capability (morph::Mutex in common/mutex.hh is the one in-tree).
  *  - `MORPH_GUARDED_BY(mu)` on a member or global: every access must
- *    happen inside a region holding `mu` (rule race-unguarded).
+ *    happen inside a region holding `mu`.
  *  - `MORPH_REQUIRES(mu)` on a function: callers must already hold
- *    `mu` (rule race-requires).
+ *    `mu`.
  *  - `MORPH_EXCLUDES(mu)` on a function: callers must NOT hold `mu` —
- *    the function acquires it itself (rule race-exclude).
+ *    the function acquires it itself.
  *  - `MORPH_ACQUIRE(mu)` / `MORPH_RELEASE(mu)` /
  *    `MORPH_TRY_ACQUIRE(ok, mu)` on lock-wrapper methods.
  *  - `MORPH_SCOPED_CAPABILITY` on RAII guard classes.
  *  - `MORPH_SHARD_LOCAL` on state owned by exactly one sweep shard /
  *    pool worker at a time (per-run StatRegistry, TraceLog,
- *    PadAuditor...): lock-free by ownership, not by luck. morphrace
+ *    PadAuditor...): lock-free by ownership, not by luck. morphflow
  *    exempts it from race-worker-escape and race-naked-static.
  *  - `MORPH_MAIN_THREAD` on setup-only state mutated exclusively
  *    before worker threads exist (or after they drain); concurrent
@@ -54,17 +53,16 @@
  *
  * Waivers (for findings that are understood and accepted):
  *
- *  - `// morphflow: allow(<rule>): <reason>` (or `morphrace:` for the
- *    race-* rules) on the same line as the finding, or on the line
- *    directly above it, waives that rule for that line.
+ *  - `// morphflow: allow(<rule>): <reason>` on the same line as the
+ *    finding, or on the line directly above it, waives that rule for
+ *    that line.
  *  - `allow-file(<rule>): <reason>` anywhere in a file waives the
  *    rule for the whole file (used for the table-based AES S-box
  *    lookups, which are index-secret by construction).
  *
- * Rules (see tools/morphflow.cc and tools/morphrace.cc):
+ * Rules (see tools/morphflow.cc):
  *   secret-branch, secret-subscript, secret-log, secret-wipe,
- *   secret-member-wipe, nondet-call, nondet-iter;
- *   race-unguarded, race-requires, race-exclude, race-lock-order,
+ *   secret-member-wipe, nondet-call, nondet-iter,
  *   race-worker-escape, race-naked-static.
  */
 
@@ -78,8 +76,8 @@
 #define MORPH_DECLASSIFY(expr) (expr)
 
 // Concurrency annotations. Clang's -Wthread-safety checks them at
-// compile time; GCC compiles them away and morphrace remains the only
-// checker. Keep the two expansions in lockstep with docs/CONCURRENCY.md.
+// compile time; GCC compiles them away. Keep the two expansions in
+// lockstep with docs/CONCURRENCY.md.
 #if defined(__clang__) && !defined(MORPH_NO_THREAD_SAFETY_ATTRIBUTES)
 #define MORPH_TSA_(x) __attribute__((x))
 #else
@@ -116,11 +114,11 @@
     MORPH_TSA_(no_thread_safety_analysis)
 
 /** State owned by exactly one sweep shard / pool worker at a time:
- *  lock-free by ownership. morphrace-only; clang has no equivalent. */
+ *  lock-free by ownership. morphflow-only; clang has no equivalent. */
 #define MORPH_SHARD_LOCAL
 
 /** Setup-only state: mutated exclusively while no worker threads run;
- *  frozen-value readers may be concurrent. morphrace-only. */
+ *  frozen-value readers may be concurrent. morphflow-only. */
 #define MORPH_MAIN_THREAD
 
 #endif // MORPH_COMMON_ANNOTATIONS_HH

@@ -70,7 +70,7 @@ registry()
 {
     // C++11 guarantees race-free one-time construction; every
     // mutable member is guarded by the contained lock (annotated).
-    // morphrace: allow(race-naked-static): guarded members, see above
+    // morphflow: allow(race-naked-static): guarded members, see above
     static Registry reg;
     return reg;
 }

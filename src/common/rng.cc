@@ -39,7 +39,7 @@ zipfRegistry()
 {
     // C++11 guarantees race-free one-time construction; the map is
     // guarded by the contained lock (annotated).
-    // morphrace: allow(race-naked-static): guarded members, see above
+    // morphflow: allow(race-naked-static): guarded members, see above
     static ZipfRegistry registry;
     return registry;
 }

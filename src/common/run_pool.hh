@@ -34,10 +34,11 @@
  * The pool is not reentrant: one forEach() session at a time, driven
  * from one thread. Tasks must not call back into the same pool.
  *
- * Locking discipline (machine-checked by morphrace and, under clang,
- * by -Wthread-safety — see docs/CONCURRENCY.md): all session state,
- * the cursor included, is guarded by the one lock_, and no other lock
- * is ever taken while it is held.
+ * Locking discipline (checked by -Wthread-safety under clang and by
+ * morph::Mutex's lock-nesting check at run time — see
+ * docs/CONCURRENCY.md): all session state, the cursor included, is
+ * guarded by the one lock_, and no other lock is ever taken while it
+ * is held.
  */
 
 #ifndef MORPH_COMMON_RUN_POOL_HH

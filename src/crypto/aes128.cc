@@ -200,7 +200,7 @@ Aes128::dispatched()
 {
     // Resolved exactly once per process (thread-safe magic-static
     // init); const thereafter, so there is no mutable dispatch state
-    // for morphrace's race-naked-static rule to object to. The env
+    // for morphflow's race-naked-static rule to object to. The env
     // override is read at latch time only — flipping it later in the
     // same process has no effect (docs/PERFORMANCE.md).
     static const AesImpl resolved = [] {

@@ -1,8 +1,10 @@
 /**
  * @file
  * Unit tests for the morphflow analysis library (src/analysis): the
- * tokenizer, the per-file structural model, and the interprocedural
- * secret-flow / determinism rules the morphflow tool enforces.
+ * tokenizer, the per-file structural model, the interprocedural
+ * secret-flow / determinism rules, the worker-isolation rules
+ * (race-worker-escape, race-naked-static; suite RaceAnalyzer) and the
+ * lex cache.
  */
 
 #include <gtest/gtest.h>
@@ -12,6 +14,7 @@
 #include <vector>
 
 #include "analysis/flow_analyzer.hh"
+#include "analysis/lex_cache.hh"
 #include "analysis/lexer.hh"
 #include "analysis/source_model.hh"
 
@@ -27,6 +30,19 @@ analyzeOne(const std::string &text, bool determinism_scope = true)
     sources[0].path = "test.cc";
     sources[0].text = text;
     sources[0].determinismScope = determinism_scope;
+    return analyzeSources(sources);
+}
+
+/** One file in the race-naked-static scope (src/{common,sim,secmem}
+ *  or an explicit morphflow argument) unless @p static_scope is
+ *  false. */
+AnalysisResult
+analyzeRaceRules(const std::string &text, bool static_scope = true)
+{
+    std::vector<SourceText> sources(1);
+    sources[0].path = "test.cc";
+    sources[0].text = text;
+    sources[0].staticScope = static_scope;
     return analyzeSources(sources);
 }
 
@@ -385,6 +401,139 @@ TEST(FlowRules, FindingsAreSortedAndDeduplicated)
         EXPECT_FALSE(a.line == b.line && a.rule == b.rule &&
                      a.symbol == b.symbol);
     }
+}
+
+// ---- race-worker-escape ---------------------------------------------
+
+TEST(RaceAnalyzer, WorkerMutationOfCapturedStateFires)
+{
+    const AnalysisResult r = analyzeRaceRules(
+        "void tally(RunPool &pool, std::size_t n) {\n"
+        "    double sum = 0.0;\n"
+        "    pool.forEach(n, [&](std::size_t i) { sum += i; });\n"
+        "}\n");
+    EXPECT_TRUE(hasRule(r.findings, "race-worker-escape"));
+}
+
+TEST(RaceAnalyzer, IndexAddressedStoreIsClean)
+{
+    const AnalysisResult r = analyzeRaceRules(
+        "void fill(RunPool &pool, std::size_t n,\n"
+        "          std::vector<double> &out) {\n"
+        "    pool.forEach(n, [&](std::size_t i) { out[i] = 1.0; });\n"
+        "}\n");
+    EXPECT_TRUE(r.findings.empty());
+}
+
+TEST(RaceAnalyzer, MutationUnderWorkerOwnLockIsClean)
+{
+    const AnalysisResult r = analyzeRaceRules(
+        "void tally(RunPool &pool, std::size_t n, Mutex &mu) {\n"
+        "    double sum = 0.0;\n"
+        "    pool.forEach(n, [&](std::size_t i) {\n"
+        "        LockGuard g(mu);\n"
+        "        sum += i;\n"
+        "    });\n"
+        "}\n");
+    EXPECT_TRUE(r.findings.empty());
+}
+
+TEST(RaceAnalyzer, WorkerLocalsAreClean)
+{
+    const AnalysisResult r = analyzeRaceRules(
+        "void walk(RunPool &pool, std::size_t n) {\n"
+        "    pool.forEach(n, [&](std::size_t i) {\n"
+        "        double acc = 0.0;\n"
+        "        for (std::size_t j = 0; j < i; ++j)\n"
+        "            acc += j;\n"
+        "    });\n"
+        "}\n");
+    EXPECT_TRUE(r.findings.empty());
+}
+
+TEST(RaceAnalyzer, LambdaBoundToAVariableIsScanned)
+{
+    const AnalysisResult r = analyzeRaceRules(
+        "void tally(RunPool &pool, std::size_t n) {\n"
+        "    unsigned done = 0;\n"
+        "    auto task = [&](std::size_t i) { ++done; };\n"
+        "    pool.forEach(n, task);\n"
+        "}\n");
+    EXPECT_TRUE(hasRule(r.findings, "race-worker-escape"));
+}
+
+// ---- race-naked-static ----------------------------------------------
+
+TEST(RaceAnalyzer, NakedStaticFires)
+{
+    const AnalysisResult r =
+        analyzeRaceRules("static unsigned g_hits = 0;\n");
+    EXPECT_TRUE(hasRule(r.findings, "race-naked-static"));
+}
+
+TEST(RaceAnalyzer, AnnotatedAndImmutableStaticsAreClean)
+{
+    const AnalysisResult r = analyzeRaceRules(
+        "static const unsigned kTableSize = 64;\n"
+        "static std::atomic<unsigned> g_refs{0};\n"
+        "thread_local unsigned t_depth = 0;\n"
+        "static unsigned g_polls MORPH_GUARDED_BY(g_mu) = 0;\n"
+        "static Mutex g_mu;\n");
+    EXPECT_TRUE(r.findings.empty());
+}
+
+TEST(RaceAnalyzer, FunctionLocalStaticFires)
+{
+    const AnalysisResult r = analyzeRaceRules(
+        "unsigned next() { static unsigned c = 0; return ++c; }\n");
+    EXPECT_TRUE(hasRule(r.findings, "race-naked-static"));
+}
+
+TEST(RaceAnalyzer, StaticScopeFlagGatesTheRule)
+{
+    const AnalysisResult r =
+        analyzeRaceRules("static unsigned g_hits = 0;\n",
+                         /*static_scope=*/false);
+    EXPECT_TRUE(r.findings.empty());
+}
+
+TEST(RaceAnalyzer, WaiverSuppressesButReports)
+{
+    const AnalysisResult r = analyzeRaceRules(
+        "// morphflow: allow(race-naked-static): test fixture\n"
+        "static unsigned g_hits = 0;\n");
+    EXPECT_TRUE(r.findings.empty());
+    ASSERT_EQ(r.waived.size(), 1u);
+    EXPECT_EQ(r.waived[0].rule, "race-naked-static");
+}
+
+// ---- lex cache ------------------------------------------------------
+
+TEST(LexCacheTest, SecondAnalysisHitsTheCache)
+{
+    std::vector<SourceText> sources(1);
+    sources[0].path = "cached.cc";
+    sources[0].text = "static unsigned g_hits = 0;\n";
+    sources[0].staticScope = true;
+    LexCache cache;
+    analyzeSources(sources, &cache);
+    EXPECT_EQ(cache.entries(), 1u);
+    EXPECT_EQ(cache.hits(), 0u);
+    analyzeSources(sources, &cache);
+    EXPECT_EQ(cache.entries(), 1u);
+    EXPECT_EQ(cache.hits(), 1u);
+}
+
+TEST(LexCacheTest, DuplicateBatchEntriesLexOnce)
+{
+    std::vector<SourceText> sources(2);
+    sources[0].path = "dup.cc";
+    sources[0].text = "int x = 1;\n";
+    sources[1] = sources[0];
+    LexCache cache;
+    analyzeSources(sources, &cache);
+    EXPECT_EQ(cache.entries(), 1u);
+    EXPECT_EQ(cache.hits(), 1u);
 }
 
 } // namespace

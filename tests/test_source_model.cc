@@ -1,9 +1,9 @@
 /**
  * @file
  * Unit tests for the structural source model (src/analysis): the
- * parser-shape edge cases both analyzers lean on — raw strings,
+ * parser-shape edge cases morphflow leans on — raw strings,
  * multi-line macro invocations, nested classes, operator overloads —
- * plus the member / annotation extraction morphrace is built from.
+ * plus the member / annotation extraction its race-* rules read.
  */
 
 #include <gtest/gtest.h>
@@ -90,23 +90,6 @@ TEST(SourceModel, MultiLineAnnotationInvocation)
     ASSERT_EQ(v->annotations[0].args.size(), 1u);
     EXPECT_EQ(v->annotations[0].args[0], "mu_");
     EXPECT_EQ(v->annotations[0].line, 3u);
-}
-
-TEST(SourceModel, MultiLineFunctionAnnotation)
-{
-    const LexedSource src =
-        lex("t.cc", "class C {\n"
-                    "    void flush()\n"
-                    "        MORPH_REQUIRES(lock_,\n"
-                    "                       other_);\n"
-                    "};\n");
-    const SourceModel m = modelOf(src);
-    ASSERT_EQ(m.fnAnnotations.size(), 1u);
-    EXPECT_EQ(m.fnAnnotations[0].name, "flush");
-    ASSERT_EQ(m.fnAnnotations[0].annotations.size(), 1u);
-    ASSERT_EQ(m.fnAnnotations[0].annotations[0].args.size(), 2u);
-    EXPECT_EQ(m.fnAnnotations[0].annotations[0].args[0], "lock_");
-    EXPECT_EQ(m.fnAnnotations[0].annotations[0].args[1], "other_");
 }
 
 // ---- nested classes --------------------------------------------------
@@ -222,21 +205,6 @@ TEST(SourceModel, FileScopeRecordsOnlyInterestingDecls)
     ASSERT_NE(t, nullptr);
     EXPECT_TRUE(t->isThreadLocal);
     EXPECT_NE(findVar(m, "g_init"), nullptr);
-}
-
-TEST(SourceModel, DefinitionSiteAnnotations)
-{
-    const LexedSource src =
-        lex("t.cc", "void drainAll() MORPH_EXCLUDES(lock_)\n"
-                    "{\n"
-                    "}\n");
-    const SourceModel m = modelOf(src);
-    const FunctionDef *f = findFn(m, "drainAll");
-    ASSERT_NE(f, nullptr);
-    ASSERT_EQ(f->annotations.size(), 1u);
-    EXPECT_EQ(f->annotations[0].macro, "MORPH_EXCLUDES");
-    ASSERT_EQ(f->annotations[0].args.size(), 1u);
-    EXPECT_EQ(f->annotations[0].args[0], "lock_");
 }
 
 } // namespace
