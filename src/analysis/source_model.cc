@@ -142,7 +142,6 @@ class ModelBuilder
         if (!matchFunctionShape(i, i + 1, def))
             return false;
         def.name = toks()[i].text;
-        def.qualName = qualifiedName(i);
         return true;
     }
 
@@ -191,14 +190,13 @@ class ModelBuilder
         if (!matchFunctionShape(i, open, def))
             return false;
         def.name = "operator" + op;
-        def.qualName = qualifiedPrefix(i) + def.name;
         return true;
     }
 
     /** Shape the common tail of a function definition: parameter
      *  group at @p open, qualifiers / annotations / init list, body.
      *  @p name_idx is the token the definition is anchored on (the
-     *  name, or `operator`). Fills everything but name/qualName. */
+     *  name, or `operator`). Fills everything but the name. */
     bool
     matchFunctionShape(std::size_t name_idx, std::size_t open,
                        FunctionDef &def)
@@ -301,76 +299,20 @@ class ModelBuilder
         return false;
     }
 
-    std::string
-    qualifiedName(std::size_t i) const
-    {
-        return qualifiedPrefix(i) + toks()[i].text;
-    }
-
-    /** The `Outer::` qualification chain written before token @p i
-     *  ("" when unqualified). */
-    std::string
-    qualifiedPrefix(std::size_t i) const
-    {
-        const auto &t = toks();
-        std::string prefix;
-        while (i >= 2 && t[i - 1].text == "::" &&
-               t[i - 2].kind == Tok::Ident) {
-            prefix = t[i - 2].text + "::" + prefix;
-            i -= 2;
-        }
-        return prefix;
-    }
-
     /** Record the MORPH_* annotation at @p i into @p out; returns the
      *  last token index consumed (macro name, or its closing ')'). */
     std::size_t
     collectAnnotation(std::size_t i, std::vector<Annotation> &out)
     {
         const auto &t = toks();
-        Annotation ann;
-        ann.macro = t[i].text;
-        ann.line = t[i].line;
+        out.push_back({t[i].text});
         std::size_t last = i;
         if (i + 1 < t.size() && t[i + 1].text == "(") {
             const std::size_t close = matchGroup(t, i + 1);
-            if (close < t.size()) {
-                splitArgs(i + 2, close, ann.args);
+            if (close < t.size())
                 last = close;
-            }
         }
-        out.push_back(std::move(ann));
         return last;
-    }
-
-    /** Split [begin, end) on top-level commas; each argument's token
-     *  texts are joined with single spaces. */
-    void
-    splitArgs(std::size_t begin, std::size_t end,
-              std::vector<std::string> &args) const
-    {
-        const auto &t = toks();
-        std::string cur;
-        int depth = 0;
-        for (std::size_t j = begin; j < end; ++j) {
-            const std::string &s = t[j].text;
-            if (s == "(" || s == "[" || s == "{" || s == "<")
-                ++depth;
-            else if (s == ")" || s == "]" || s == "}" ||
-                     (s == ">" && depth > 0))
-                --depth;
-            if (s == "," && depth == 0) {
-                if (!cur.empty())
-                    args.push_back(cur);
-                cur.clear();
-                continue;
-            }
-            if (!cur.empty())
-                cur += ' ';
-            cur += s;
-        }
-        if (!cur.empty())
-            args.push_back(cur);
     }
 
     /** Index of the '>' closing the '<' at @p open (angle depth,

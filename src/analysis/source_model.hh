@@ -43,16 +43,13 @@ struct Param
 /** One MORPH_* annotation attached to a declaration. */
 struct Annotation
 {
-    std::string macro;             ///< e.g. "MORPH_GUARDED_BY"
-    std::vector<std::string> args; ///< raw text per argument
-    unsigned line = 0;
+    std::string macro; ///< e.g. "MORPH_GUARDED_BY"
 };
 
 /** One function definition found in a source file. */
 struct FunctionDef
 {
     std::string name;            ///< unqualified name (last component)
-    std::string qualName;        ///< as written, e.g. "Aes128::encrypt"
     bool secretReturn = false;   ///< MORPH_SECRET in the return type
     std::vector<Param> params;
     std::size_t headerBegin = 0; ///< token index of the name

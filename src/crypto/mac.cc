@@ -1,10 +1,6 @@
 #include "crypto/mac.hh"
 
-#include <algorithm>
 #include <cstring>
-
-#include "common/check.hh"
-#include "common/prof.hh"
 
 namespace morph
 {
@@ -24,25 +20,20 @@ serialize(LineAddr line, std::uint64_t counter,
     std::memcpy(buf + 16, payload.data(), lineBytes);
 }
 
-std::uint64_t
-truncate(std::uint64_t tag, unsigned tag_bits)
-{
-    MORPH_CHECK(tag_bits >= 1 && tag_bits <= 64);
-    return tag_bits == 64 ? tag : (tag & ((1ull << tag_bits) - 1));
-}
-
 } // namespace
 
-MacEngine::MacEngine(MORPH_SECRET const SipKey &key) : key_(key) {}
+MacEngine::MacEngine(MORPH_SECRET const SipKey &key)
+    : key_(key), impl_(siphashDispatched())
+{
+}
 
 std::uint64_t
 MacEngine::compute(LineAddr line, std::uint64_t counter,
                    const CachelineData &payload, unsigned tag_bits) const
 {
-    MORPH_PROF_SCOPE("crypto.mac");
     std::uint8_t buf[messageBytes];
     serialize(line, counter, payload, buf);
-    return truncate(siphash24(buf, sizeof(buf), key_.raw()), tag_bits);
+    return siphash24(buf, sizeof(buf), key_.raw()) & tagMask(tag_bits);
 }
 
 std::uint64_t
@@ -55,38 +46,37 @@ MacEngine::compute(const MacMessage &msg) const
     return compute(msg.line, msg.counter, payload, msg.tagBits);
 }
 
-void
-MacEngine::computeBatch(const MacMessage *msgs, std::size_t n,
-                        std::uint64_t *tags, SipImpl impl) const
-{
-    MORPH_PROF_SCOPE("crypto.mac_batch");
-    static_assert(messageBytes == sipLineBytes);
-    for (std::size_t first = 0; first < n; first += 4) {
-        const std::size_t lanes = std::min<std::size_t>(4, n - first);
-        SipLines4 pass;
-        for (std::size_t lane = 0; lane < 4; ++lane) {
-            const MacMessage &m = msgs[first + std::min(lane, lanes - 1)];
-            pass.line[lane] = m.line;
-            pass.counter[lane] = m.counter;
-            pass.payload[lane] = m.payload->data();
-            pass.lastMask[lane] = m.zeroMacWord ? 0 : ~0ull;
-        }
-        std::uint64_t out[4];
-        siphash24x4(pass, key_.raw(), out, impl);
-        for (std::size_t lane = 0; lane < lanes; ++lane)
-            tags[first + lane] =
-                truncate(out[lane], msgs[first + lane].tagBits);
-    }
-}
-
 bool
 MacEngine::equal(std::uint64_t a, std::uint64_t b, unsigned tag_bits)
 {
-    MORPH_CHECK(tag_bits >= 1 && tag_bits <= 64);
-    const std::uint64_t mask =
-        tag_bits == 64 ? ~0ull : ((1ull << tag_bits) - 1);
+    const std::uint64_t mask = tagMask(tag_bits);
     // Constant-time compare; the pass/fail bit is deliberately public.
     return MORPH_DECLASSIFY(ctEqual64(a & mask, b & mask));
+}
+
+void
+MacPacker::hash()
+{
+    static_assert(messageBytes == sipLineBytes);
+    for (unsigned lane = lanes_; lane < 4; ++lane) {
+        pass_.line[lane] = pass_.line[lanes_ - 1];
+        pass_.counter[lane] = pass_.counter[lanes_ - 1];
+        pass_.payload[lane] = pass_.payload[lanes_ - 1];
+        pass_.lastMask[lane] = pass_.lastMask[lanes_ - 1];
+    }
+    std::uint64_t tags[4];
+    siphash24x4(pass_, engine_.key_.raw(), tags, impl_);
+    for (unsigned lane = 0; lane < lanes_; ++lane) {
+        const std::uint64_t tag = tags[lane] & tagMask_[lane];
+        if (out_[lane]) {
+            std::memcpy(out_[lane], &tag, 8);
+        } else {
+            std::uint64_t stored;
+            std::memcpy(&stored, pass_.payload[lane] + macByte, 8);
+            mismatch_ |= stored ^ tag;
+        }
+    }
+    lanes_ = 0;
 }
 
 } // namespace morph

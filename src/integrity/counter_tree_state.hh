@@ -5,7 +5,7 @@
  * IntegrityTree, SecureMemoryModel and SecureMemory's Merkle scheme.
  * A user with a birth hook (a MAC, a Merkle publish) does "find, else
  * materialize, then finish" itself before bumping, and may hand the
- * entry to bump() to skip a second lookup.
+ * location and entry to bump() to skip a second lookup.
  */
 
 #ifndef MORPH_INTEGRITY_COUNTER_TREE_STATE_HH
@@ -123,15 +123,15 @@ class CounterTreeState
     Bump
     bump(unsigned level, std::uint64_t child)
     {
-        return bump(level, child, entry(level, locate(level, child).index));
+        const Location loc = locate(level, child);
+        return bump(level, loc, entry(level, loc.index));
     }
 
-    /** Increment the counter of @p child at @p level in @p image, the
-     *  entry the caller found or materialized. */
+    /** Increment the counter at @p loc (from locate()) of @p level in
+     *  @p image, the entry the caller found or materialized there. */
     Bump
-    bump(unsigned level, std::uint64_t child, CachelineData &image)
+    bump(unsigned level, Location loc, CachelineData &image)
     {
-        const Location loc = locate(level, child);
         Bump out{loc.index, loc.slot, &image,
                  formats_[level]->increment(image, loc.slot)};
         if (out.result.overflow) {

@@ -9,7 +9,8 @@ namespace morph
 IntegrityTree::IntegrityTree(std::uint64_t mem_bytes,
                              const TreeConfig &config,
                              const SipKey &mac_key)
-    : state_(mem_bytes, config), macEngine_(mac_key)
+    : state_(mem_bytes, config), macEngine_(mac_key),
+      bumpLanes_(macEngine_)
 {
     overflows_.assign(geometry().levels().size(), 0);
 }
@@ -29,29 +30,20 @@ IntegrityTree::entryAt(unsigned level, std::uint64_t index)
     return image;
 }
 
-MacMessage
-IntegrityTree::entryMessage(unsigned level, std::uint64_t index,
-                            const CachelineData &image,
-                            std::uint64_t parent_counter) const
+std::uint64_t
+IntegrityTree::entryMac(unsigned level, std::uint64_t index,
+                        const CachelineData &image)
 {
     // MAC covers the entry contents (MAC field zeroed), bound to the
     // entry's physical line address and its parent counter.
     static_assert(CounterFormat::macOffset == 8 * (lineBytes - 8),
                   "the MAC field is the entry's last word");
-    return {geometry().lineOfEntry(level, index), parent_counter, &image,
-            64, true};
-}
-
-std::uint64_t
-IntegrityTree::entryMac(unsigned level, std::uint64_t index,
-                        const CachelineData &image)
-{
     const CounterTreeState::Location parent =
         state_.locate(level + 1, index);
     const std::uint64_t parent_counter = state_.format(level + 1).read(
         entryAt(level + 1, parent.index), parent.slot);
-    return macEngine_.compute(
-        entryMessage(level, index, image, parent_counter));
+    return macEngine_.compute({geometry().lineOfEntry(level, index),
+                               parent_counter, &image, 64, true});
 }
 
 void
@@ -95,39 +87,46 @@ IntegrityTree::bumpCounter(LineAddr data_line)
 IntegrityTree::BumpResult
 IntegrityTree::beginBump(LineAddr data_line)
 {
-    MORPH_CHECK(lanes_.empty()); // the previous bump was finished
+    MORPH_CHECK(!bumping_); // the previous bump was finished
+    bumping_ = true;
     BumpResult out;
     // Bump leaf to root: the counter of @p child at each level, the
     // bumped entry itself being the child at the next level up. Each
-    // entry is born (MAC included) before it is bumped. Every MAC the
-    // bumps invalidate is queued as a lane whose parent counter is read
-    // once the whole path is final.
+    // entry is born (MAC included) before it is bumped. Once a level
+    // is bumped, the counters of its children are final, so every MAC
+    // the bump invalidated there is packed at once.
+    const unsigned root = geometry().rootLevel();
     std::uint64_t child = data_line;
     CachelineData *below = nullptr; // the entry bumped one level down
     for (unsigned level = 0;; ++level) {
-        const CounterTreeState::Bump bump = state_.bump(
-            level, child,
-            entryAt(level, state_.locate(level, child).index));
+        const CounterTreeState::Location loc = state_.locate(level, child);
+        const CounterTreeState::Bump bump =
+            state_.bump(level, loc, entryAt(level, loc.index));
         overflows_[level] += bump.result.overflow;
         if (level == 0) {
             out = leafResult(state_, bump);
-            dataMsg_ = {data_line, out.newCounter, nullptr, 64};
+            bumpLine_ = data_line;
+            bumpCounter_ = out.newCounter;
         } else {
             out.rebases += bump.result.rebase;
             out.treeOverflows += bump.result.overflow;
+            const CounterFormat &format = state_.format(level);
             // Every materialized child in the reset range changed its
-            // protecting counter; the bumped child is queued below.
+            // protecting counter; the bumped child is packed below.
             for (std::uint64_t c = bump.childBegin; c < bump.childEnd;
                  ++c) {
                 CachelineData *image = state_.find(level - 1, c);
                 if (image && c != child)
-                    lanes_.push_back({level - 1, c, image, bump.image,
-                                      geometry().childSlot(level, c)});
+                    bumpLanes_.seal(
+                        geometry().lineOfEntry(level - 1, c),
+                        format.read(*bump.image,
+                                    geometry().childSlot(level, c)),
+                        *image);
             }
-            lanes_.push_back(
-                {level - 1, child, below, bump.image, bump.slot});
+            bumpLanes_.seal(geometry().lineOfEntry(level - 1, child),
+                            format.read(*bump.image, bump.slot), *below);
         }
-        if (level == geometry().rootLevel())
+        if (level == root)
             return out; // root updates are on-chip register writes
         child = bump.index;
         below = bump.image;
@@ -137,64 +136,45 @@ IntegrityTree::beginBump(LineAddr data_line)
 void
 IntegrityTree::finishBump(DataLane *data)
 {
-    runLanes(data);
-    for (std::size_t i = 0; i < lanes_.size(); ++i)
-        CounterFormat::setMac(*lanes_[i].image, tags_[i]);
-    lanes_.clear();
+    MORPH_CHECK(bumping_);
+    if (data) {
+        data->counter = bumpCounter_;
+        bumpLanes_.data({bumpLine_, bumpCounter_, data->payload,
+                         data->tagBits},
+                        data->tag);
+    }
+    bumpLanes_.finish();
+    bumping_ = false;
 }
 
 bool
 IntegrityTree::verify(LineAddr data_line, DataLane *data)
 {
     MORPH_PROF_SCOPE("tree.verify");
-    MORPH_CHECK(lanes_.empty()); // no bump is half done
+    MORPH_CHECK(!bumping_); // no bump is half done
+    MacPacker lanes(macEngine_);
     // One lookup per level, leaf to root; each entry found is the
     // parent of the one below.
     std::uint64_t index = state_.locate(0, data_line).index;
     CachelineData *image = &entryAt(0, index);
-    if (data)
-        dataMsg_ = {data_line,
-                    state_.format(0).read(
-                        *image, geometry().childSlot(0, data_line)),
-                    nullptr, 64};
-    for (unsigned level = 0; level < geometry().rootLevel(); ++level) {
+    if (data) {
+        data->counter = state_.format(0).read(
+            *image, geometry().childSlot(0, data_line));
+        lanes.data({data_line, data->counter, data->payload, data->tagBits},
+                   data->tag);
+    }
+    const unsigned root = geometry().rootLevel();
+    for (unsigned level = 0; level < root; ++level) {
         const std::uint64_t parent = geometry().parentIndex(level + 1, index);
         CachelineData *above = &entryAt(level + 1, parent);
-        lanes_.push_back({level, index, image, above,
-                          geometry().childSlot(level + 1, index)});
+        lanes.check(geometry().lineOfEntry(level, index),
+                    state_.format(level + 1).read(
+                        *above, geometry().childSlot(level + 1, index)),
+                    *image);
         index = parent;
         image = above;
     }
-    runLanes(data);
-
-    bool ok = true;
-    for (std::size_t i = 0; i < lanes_.size() && ok; ++i)
-        ok = MacEngine::equal(CounterFormat::mac(*lanes_[i].image),
-                              tags_[i]);
-    lanes_.clear();
-    return ok;
-}
-
-void
-IntegrityTree::runLanes(DataLane *data)
-{
-    const std::size_t entries = lanes_.size();
-    msgs_.resize(entries + (data ? 1 : 0));
-    for (std::size_t i = 0; i < entries; ++i) {
-        const EntryLane &lane = lanes_[i];
-        msgs_[i] = entryMessage(
-            lane.level, lane.index, *lane.image,
-            state_.format(lane.level + 1).read(*lane.parent, lane.slot));
-    }
-    if (data) {
-        data->counter = dataMsg_.counter;
-        msgs_[entries] = {dataMsg_.line, dataMsg_.counter, data->payload,
-                          data->tagBits};
-    }
-    tags_.resize(msgs_.size());
-    macEngine_.computeBatch(msgs_.data(), msgs_.size(), tags_.data());
-    if (data)
-        data->tag = tags_[entries];
+    return lanes.finish();
 }
 
 bool

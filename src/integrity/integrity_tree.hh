@@ -17,12 +17,13 @@
  * here every mutation propagates to the root immediately, which is
  * functionally equivalent and maximally conservative.
  *
- * The MACs of one operation are computed together once its counters
- * are final, four lanes per SipHash pass (MacEngine::computeBatch),
- * each entry read in place with its MAC field taken as zero:
- * verify() MACs every level of the path, and a bump MACs the path and
- * the overflow-reset children it invalidated. A caller may add its
- * data-line MAC to either batch as one more lane (DataLane).
+ * The MACs of one operation are packed four lanes per SipHash pass
+ * (MacPacker) as the walk finds each entry, each entry read in place
+ * with its MAC field taken as zero: verify() checks every level of the
+ * path, and a bump reseals the path and the overflow-reset children it
+ * invalidated, each lane packed once its entry and parent counter are
+ * final. A caller may add its data-line MAC to either as one more lane
+ * (DataLane), in the last pass.
  */
 
 #ifndef MORPH_INTEGRITY_INTEGRITY_TREE_HH
@@ -60,9 +61,10 @@ class IntegrityTree
         unsigned rebases = 0;
     };
 
-    /** A data-line MAC computed in the tree's batch, as one more lane.
-     *  The caller sets payload and tagBits; the tree sets counter (the
-     *  line's encryption counter, read from the path) and tag. */
+    /** A data-line MAC computed in the tree's passes, as one more
+     *  lane. The caller sets payload and tagBits (1..64); the tree sets
+     *  counter (the line's encryption counter, read from the path) and
+     *  tag. */
     struct DataLane
     {
         const CachelineData *payload = nullptr;
@@ -80,6 +82,10 @@ class IntegrityTree
                   const SipKey &mac_key);
     ~IntegrityTree();
 
+    // The bump's packer refers to macEngine_.
+    IntegrityTree(const IntegrityTree &) = delete;
+    IntegrityTree &operator=(const IntegrityTree &) = delete;
+
     /** Current effective encryption counter of @p data_line. */
     std::uint64_t counterOf(LineAddr data_line);
 
@@ -92,24 +98,24 @@ class IntegrityTree
 
     /**
      * The counter half of bumpCounter: every counter on the path is
-     * final on return, but the MACs the bump invalidated are stale
-     * until finishBump(). Nothing but finishBump() may MAC or verify
-     * in between.
+     * final on return, but the MACs of the bump's last partial pass
+     * are stale until finishBump(). Nothing but finishBump() may MAC
+     * or verify in between.
      */
     BumpResult beginBump(LineAddr data_line);
 
     /**
-     * Recompute the MACs the last beginBump() invalidated, in batches
-     * of four, with @p data (if given) as one more lane: the MAC of
-     * the bumped line under its new counter.
+     * Reseal the MACs the last beginBump() left pending, with @p data
+     * (if given) as one more lane: the MAC of the bumped line under its
+     * new counter.
      */
     void finishBump(DataLane *data = nullptr);
 
     /**
      * Verify the MAC chain protecting @p data_line's encryption
      * counter, from its level-0 entry to the root, looking each entry
-     * up once and MACing all levels in batches of four. With @p data,
-     * also MAC the line itself in the same batch.
+     * up once and MACing the levels four per pass. With @p data, also
+     * MAC the line itself in the same passes.
      *
      * @retval true if every MAC on the path matches (@p data's tag is
      *         the caller's to compare)
@@ -148,44 +154,22 @@ class IntegrityTree
     const MacEngine &macEngine() const { return macEngine_; }
 
   private:
-    /** An entry whose MAC a batch computes, with the entry and slot
-     *  of its parent counter (read when the batch runs). */
-    struct EntryLane
-    {
-        unsigned level;
-        std::uint64_t index;
-        CachelineData *image;
-        const CachelineData *parent;
-        unsigned slot;
-    };
-
     CachelineData &entryAt(unsigned level, std::uint64_t index);
-    /** The MAC message of entry (@p level, @p index) under
-     *  @p parent_counter: @p image in place, its MAC field read as
-     *  zero. */
-    MacMessage entryMessage(unsigned level, std::uint64_t index,
-                            const CachelineData &image,
-                            std::uint64_t parent_counter) const;
     std::uint64_t entryMac(unsigned level, std::uint64_t index,
                            const CachelineData &image);
     void resealEntry(unsigned level, std::uint64_t index,
                      CachelineData &image);
 
-    /** MAC every lane of lanes_, then @p data for the line and counter
-     *  of dataMsg_, in batches of four; tags_[i] is lane i's tag. */
-    void runLanes(DataLane *data);
-
     CounterTreeState state_;
     MacEngine macEngine_;
     std::vector<std::uint64_t> overflows_; // per level
 
-    // Scratch of one batch, kept to reuse its capacity. Between
-    // beginBump() and finishBump(), lanes_ holds the pending reseals
-    // and dataMsg_ the bumped line and its new counter.
-    std::vector<EntryLane> lanes_;
-    std::vector<MacMessage> msgs_;
-    std::vector<std::uint64_t> tags_;
-    MacMessage dataMsg_;
+    // Between beginBump() and finishBump(): the reseals of the bump's
+    // partial pass, and the bumped line and its new counter.
+    MacPacker bumpLanes_;
+    bool bumping_ = false;
+    LineAddr bumpLine_ = 0;
+    std::uint64_t bumpCounter_ = 0;
 };
 
 } // namespace morph

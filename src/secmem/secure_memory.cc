@@ -137,25 +137,38 @@ SecureMemory::find(LineAddr line)
     return &page->lines[slot];
 }
 
+CachelineData
+SecureMemory::zeroLine(LineAddr line, std::uint64_t counter)
+{
+    CachelineData ciphertext{};
+    otp_.xorPad(ciphertext, line, counter);
+    return ciphertext;
+}
+
 SecureMemory::StoredLine &
-SecureMemory::materialize(LineAddr line)
+SecureMemory::storeFirstImage(LineAddr line, std::uint64_t counter,
+                              const StoredLine &record)
 {
     Page &page = store_[line >> Page::lineLog2];
     const unsigned slot = slotOf(line);
-    StoredLine &stored = page.lines[slot];
-    if (page.present >> slot & 1)
-        return stored;
+    auditEncrypt(line, counter);
+    page.present |= 1ull << slot;
+    return page.lines[slot] = record;
+}
+
+SecureMemory::StoredLine &
+SecureMemory::materialize(LineAddr line)
+{
+    if (StoredLine *stored = find(line))
+        return *stored;
 
     // First touch: the line logically holds zeros, encrypted under
     // its current counter (0 for virgin lines; possibly higher if an
     // overflow reset swept this child before its first use).
     const std::uint64_t counter = counterOf(line);
-    CachelineData ciphertext{};
-    auditEncrypt(line, counter);
-    otp_.xorPad(ciphertext, line, counter);
-    stored = {ciphertext, dataMac(line, counter, ciphertext)};
-    page.present |= 1ull << slot;
-    return stored;
+    const CachelineData ciphertext = zeroLine(line, counter);
+    return storeFirstImage(line, counter,
+                           {ciphertext, dataMac(line, counter, ciphertext)});
 }
 
 void
@@ -164,8 +177,7 @@ SecureMemory::reencryptSiblings(LineAddr line,
                                 const CachelineData &before)
 {
     const CounterTreeState &state = tree_.state();
-    siblingMsgs_.clear();
-    siblingMacs_.clear();
+    MacPacker macs(tree_.macEngine());
     for (const LineAddr child : reencrypt) {
         if (child == line)
             continue; // rewritten by the caller with fresh plaintext
@@ -180,15 +192,10 @@ SecureMemory::reencryptSiblings(LineAddr line,
         const std::uint64_t fresh = counterOf(child);
         auditEncrypt(child, fresh);
         otp_.xorPad(data, child, fresh);
-        siblingMsgs_.push_back({child, fresh, &data, config_.macBits});
-        siblingMacs_.push_back(&stored->mac);
+        macs.data({child, fresh, &data, config_.macBits}, stored->mac);
         ++stats_.reencryptedLines;
     }
-    siblingTags_.resize(siblingMsgs_.size());
-    tree_.macEngine().computeBatch(siblingMsgs_.data(), siblingMsgs_.size(),
-                                   siblingTags_.data());
-    for (std::size_t i = 0; i < siblingTags_.size(); ++i)
-        *siblingMacs_[i] = siblingTags_[i];
+    macs.finish();
 }
 
 void
@@ -236,24 +243,32 @@ SecureMemory::readLine(LineAddr line, Verdict &verdict)
 
     // Freshness: the counter protecting this line must verify against
     // the tree all the way to the on-chip root. Under the counter tree
-    // a stored line's data MAC is computed in the tree's batch; a line
-    // never written is materialized only after its counter verified.
+    // the line's data MAC is computed in the tree's passes: a stored
+    // line's over its ciphertext, and a line never written over its
+    // zero line under the counter on its path, which is stored only
+    // once that counter verified.
     StoredLine *stored = find(line);
     if (stored)
         prefetchRecord<0>(stored, sizeof(*stored)); // loads during the walk
-    const bool batched = !merkle_ && stored;
-    IntegrityTree::DataLane data{batched ? &stored->ciphertext : nullptr,
-                                 config_.macBits};
-    if (!verifyFreshness(line, batched ? &data : nullptr)) {
+    std::optional<CachelineData> zero;
+    IntegrityTree::DataLane data{nullptr, config_.macBits};
+    if (!merkle_) {
+        if (!stored)
+            zero = zeroLine(line, counterOf(line));
+        data.payload = stored ? &stored->ciphertext : &*zero;
+    }
+    if (!verifyFreshness(line, merkle_ ? nullptr : &data)) {
         verdict = Verdict::TreeMacMismatch;
         ++stats_.integrityFailures;
         return std::nullopt;
     }
-    if (!batched) {
+    if (merkle_) {
         if (!stored)
             stored = &materialize(line);
         data.counter = counterOf(line);
         data.tag = dataMac(line, data.counter, stored->ciphertext);
+    } else if (!stored) {
+        stored = &storeFirstImage(line, data.counter, {*zero, data.tag});
     }
 
     if (!MacEngine::equal(stored->mac, data.tag, config_.macBits)) {

@@ -191,13 +191,21 @@ class SecureMemory
 
     /** The record of @p line if it is stored, else nullptr. */
     StoredLine *find(LineAddr line);
+    /** The record of @p line, stored on first touch as zeros. */
     StoredLine &materialize(LineAddr line);
+    /** The ciphertext of a line never written: zeros under
+     *  @p counter. */
+    CachelineData zeroLine(LineAddr line, std::uint64_t counter);
+    /** Store @p record as the first image of @p line, never written,
+     *  encrypted under @p counter. */
+    StoredLine &storeFirstImage(LineAddr line, std::uint64_t counter,
+                                const StoredLine &record);
     std::uint64_t dataMac(LineAddr line, std::uint64_t counter,
                           const CachelineData &ciphertext) const;
 
     /** Re-encrypt every stored sibling of @p line in @p reencrypt from
      *  its counter in @p before (the level-0 entry before the bump) to
-     *  its current one; their data MACs are computed four per pass. */
+     *  its current one; their data MACs are packed four per pass. */
     void reencryptSiblings(LineAddr line,
                            const std::vector<LineAddr> &reencrypt,
                            const CachelineData &before);
@@ -215,7 +223,7 @@ class SecureMemory
 
     /** Freshness check for the counter protecting @p line. With
      *  @p data (counter-tree scheme only), also computes the line's
-     *  counter and data MAC in the tree's batch. */
+     *  counter and data MAC in the tree's passes. */
     bool verifyFreshness(LineAddr line,
                          IntegrityTree::DataLane *data = nullptr);
 
@@ -229,11 +237,6 @@ class SecureMemory
     std::optional<MacTree> merkle_;
     SparseStore<Page> store_; // keyed by line >> Page::lineLog2
     Stats stats_;
-
-    // Scratch of reencryptSiblings, kept to reuse its capacity.
-    std::vector<MacMessage> siblingMsgs_;
-    std::vector<std::uint64_t *> siblingMacs_;
-    std::vector<std::uint64_t> siblingTags_;
 
 #ifdef MORPH_AUDIT_PADS
     PadAuditor padAuditor_;

@@ -137,7 +137,6 @@ TEST(FlowModel, QualifiedNamesAndMemberSecrets)
     EXPECT_EQ(model.secretDecls[0].name, "key_");
     ASSERT_EQ(model.functions.size(), 1u);
     EXPECT_EQ(model.functions[0].name, "run");
-    EXPECT_EQ(model.functions[0].qualName, "Engine::run");
 }
 
 TEST(FlowModel, HeaderDeclarationAnnotations)
