@@ -13,23 +13,24 @@
 
 #include "bench_common.hh"
 
-int
-main()
+namespace
 {
-    using namespace morph;
-    using namespace morph::bench;
 
-    banner("Ablation", "controller options and tree structures");
+using namespace morph;
+using namespace morph::bench;
 
-    const SimOptions options = perfOptions();
-    const char *workloads[] = {"mcf", "omnetpp", "soplex", "bc-twit",
-                               "libquantum", "gcc"};
+const char *const workloads[] = {"mcf", "omnetpp", "soplex", "bc-twit",
+                                 "libquantum", "gcc"};
 
-    struct Variant
-    {
-        const char *name;
-        SecureModelConfig config;
-    };
+struct Variant
+{
+    const char *name;
+    SecureModelConfig config;
+};
+
+std::vector<Variant>
+controllerVariants()
+{
     std::vector<Variant> variants;
     variants.push_back({"SC-64 baseline",
                         modelConfig(TreeConfig::sc64())});
@@ -51,12 +52,24 @@ main()
     variants.push_back({"MorphCtr-128 + spec-verify",
                         modelConfig(TreeConfig::morph())});
     variants.back().config.speculativeVerification = true;
+    return variants;
+}
 
+std::vector<RunConfig>
+cells()
+{
+    const SimOptions options = perfOptions();
     std::vector<RunConfig> cells;
-    for (const Variant &v : variants)
+    for (const Variant &v : controllerVariants())
         for (const char *w : workloads)
             cells.push_back(cell(w, v.config, options));
-    const std::vector<SimResult> results = runSweep(cells);
+    return cells;
+}
+
+void
+view(const std::vector<SimResult> &results)
+{
+    banner("Ablation", "controller options and tree structures");
 
     std::printf("%-28s", "variant");
     for (const char *w : workloads)
@@ -64,6 +77,7 @@ main()
     std::printf(" %8s %8s\n", "gmean", "bloat");
 
     // Normalized to variants[0], the SC-64 baseline.
+    const std::vector<Variant> variants = controllerVariants();
     const std::size_t n = std::size(workloads);
     for (std::size_t v = 0; v < variants.size(); ++v) {
         std::printf("%-28s", variants[v].name);
@@ -83,5 +97,9 @@ main()
                 "but leaves the bandwidth bloat untouched;\n"
                 "MorphCtr + spec-verify compounds; BMT-8 trails every "
                 "counter tree (deep 8-ary walks).\n");
-    return 0;
 }
+
+} // namespace
+
+extern const morph::bench::Figure ablControllerOptions = {
+    "abl_controller_options", cells, view};

@@ -21,6 +21,7 @@ namespace
 {
 
 using namespace morph;
+using namespace morph::bench;
 
 /**
  * The §V pattern, swept across many counter lines so the metadata
@@ -115,13 +116,11 @@ victimIpc(const SecureModelConfig &secmem, bool with_attacker,
     return ipc;
 }
 
-} // namespace
-
-int
-main()
+// The attacker trace is no RunConfig, so this figure runs its own
+// simulations instead of listing cells.
+void
+view(const std::vector<SimResult> &)
 {
-    using namespace morph::bench;
-
     banner("Ablation (paper §V)", "denial of service via engineered "
                                   "counter overflows");
 
@@ -149,5 +148,8 @@ main()
                 "(256 accesses) — the per-event damage is larger.\n"
                 "Fairness-driven memory scheduling is the paper's "
                 "proposed containment for either design.\n");
-    return 0;
 }
+
+} // namespace
+
+extern const morph::bench::Figure ablDos = {"abl_dos", nullptr, view};

@@ -12,12 +12,34 @@
 #include "bench_common.hh"
 #include "integrity/tree_geometry.hh"
 
-int
-main()
+namespace
 {
-    using namespace morph;
-    using namespace morph::bench;
 
+using namespace morph;
+using namespace morph::bench;
+
+constexpr unsigned shifts[] = {2, 3, 4, 5};
+
+// Measured speedup on mcf-like traffic as capacity grows. The
+// footprint grows with memory so the counter working set scales.
+std::vector<RunConfig>
+cells()
+{
+    const SimOptions options = perfOptions();
+    std::vector<RunConfig> cells;
+    for (const unsigned shift : shifts) {
+        for (const TreeConfig &tree :
+             {TreeConfig::sc64(), TreeConfig::morph()}) {
+            cells.push_back(cell("mcf", modelConfig(tree), options));
+            cells.back().secmem.memBytes = 1ull << (30 + shift);
+        }
+    }
+    return cells;
+}
+
+void
+view(const std::vector<SimResult> &results)
+{
     banner("Ablation", "scaling with protected-memory capacity");
 
     std::printf("%-8s %14s %14s %14s %10s\n", "memory", "VAULT tree",
@@ -37,21 +59,8 @@ main()
                     morphg.treeLevels());
     }
 
-    // Measured speedup on mcf-like traffic as capacity grows. The
-    // footprint grows with memory so the counter working set scales.
     std::printf("\n%-8s %12s %14s %12s\n", "memory", "SC-64 IPC",
                 "Morph IPC", "speedup");
-    const SimOptions options = perfOptions();
-    constexpr unsigned shifts[] = {2, 3, 4, 5};
-    std::vector<RunConfig> cells;
-    for (const unsigned shift : shifts) {
-        for (const TreeConfig &tree :
-             {TreeConfig::sc64(), TreeConfig::morph()}) {
-            cells.push_back(cell("mcf", modelConfig(tree), options));
-            cells.back().secmem.memBytes = 1ull << (30 + shift);
-        }
-    }
-    const std::vector<SimResult> results = runSweep(cells);
     for (std::size_t s = 0; s < std::size(shifts); ++s) {
         const double sc64_ipc = results[2 * s].ipc;
         const double morph_ipc = results[2 * s + 1].ipc;
@@ -62,5 +71,9 @@ main()
 
     std::printf("\nExpected: the Morph advantage persists (and the "
                 "tree-size gap widens) as capacity scales.\n");
-    return 0;
 }
+
+} // namespace
+
+extern const morph::bench::Figure ablMemoryScale = {
+    "abl_memory_scale", cells, view};

@@ -24,6 +24,9 @@ namespace
 {
 
 using namespace morph;
+using namespace morph::bench;
+
+constexpr std::uint64_t epochs[] = {256, 4096};
 
 void
 printRow(const char *label, const SimResult &result)
@@ -41,39 +44,27 @@ printRow(const char *label, const SimResult &result)
                 (unsigned long long)result.persist.barriers);
 }
 
-} // namespace
-
-int
-main()
+std::vector<RunConfig>
+cells()
 {
-    using namespace morph;
-    using namespace morph::bench;
+    std::vector<SecureModelConfig> rows(1 + std::size(epochs),
+                                        modelConfig(TreeConfig::morph()));
+    rows[0].persist = {.enabled = true, .policy = PersistPolicy::Strict};
+    for (std::size_t e = 0; e < std::size(epochs); ++e)
+        rows[1 + e].persist = {.enabled = true,
+                               .policy = PersistPolicy::Lazy,
+                               .epochWrites = epochs[e]};
+    return workloadGrid(rows, perfOptions());
+}
 
+void
+view(const std::vector<SimResult> &results)
+{
     banner("Ablation", "NVM persist traffic: strict vs. lazy root"
                        " updates (MorphCtr-128)");
 
-    const SimOptions options = perfOptions();
-    constexpr std::uint64_t epochs[] = {256, 4096};
-
-    std::vector<PersistConfig> rows = {
-        {.enabled = true, .policy = PersistPolicy::Strict}};
-    for (std::uint64_t epoch : epochs)
-        rows.push_back({.enabled = true,
-                        .policy = PersistPolicy::Lazy,
-                        .epochWrites = epoch});
-
     const auto workloads = evaluationWorkloads();
-    std::vector<RunConfig> cells;
-    for (const std::string &name : workloads) {
-        for (const PersistConfig &row : rows) {
-            cells.push_back(
-                cell(name, modelConfig(TreeConfig::morph()), options));
-            cells.back().secmem.persist = row;
-        }
-    }
-    const std::vector<SimResult> results = runSweep(cells);
-
-    const std::size_t rows_per_workload = rows.size();
+    const std::size_t rows_per_workload = 1 + std::size(epochs);
     std::printf("%-16s %9s %9s %9s %10s %9s\n", "",
                 "prst/wr", "log/wr", "root/wr", "persists",
                 "barriers");
@@ -107,5 +98,9 @@ main()
                 (unsigned long long)epochs[std::size(epochs) - 1],
                 100.0 * (1.0 - lazy_sum[std::size(epochs) - 1] /
                                    strict_sum));
-    return 0;
 }
+
+} // namespace
+
+extern const morph::bench::Figure ablPersistOverhead = {
+    "abl_persist_overhead", cells, view};

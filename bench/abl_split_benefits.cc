@@ -18,30 +18,49 @@
 #include "bench_common.hh"
 #include "integrity/tree_geometry.hh"
 
-int
-main()
+namespace
 {
-    using namespace morph;
-    using namespace morph::bench;
 
+using namespace morph;
+using namespace morph::bench;
+
+struct Variant
+{
+    const char *name;
+    TreeConfig config;
+};
+
+const Variant variants[] = {
+    {"SC64-enc + SC64-tree",
+     {"sc/sc", CounterKind::SC64, {CounterKind::SC64}}},
+    {"Morph-enc + SC64-tree",
+     {"m/sc", CounterKind::Morph, {CounterKind::SC64}}},
+    {"SC64-enc + Morph-tree",
+     {"sc/m", CounterKind::SC64, {CounterKind::Morph}}},
+    {"Morph-enc + Morph-tree",
+     {"m/m", CounterKind::Morph, {CounterKind::Morph}}},
+};
+
+// The random-access workloads, where tree traversal dominates.
+const char *const workloads[] = {"mcf", "omnetpp", "bc-twit", "pr-web",
+                                 "soplex", "sphinx"};
+
+std::vector<RunConfig>
+cells()
+{
+    const SimOptions options = perfOptions();
+    std::vector<RunConfig> cells;
+    for (const Variant &v : variants)
+        for (const char *w : workloads)
+            cells.push_back(cell(w, modelConfig(v.config), options));
+    return cells;
+}
+
+void
+view(const std::vector<SimResult> &results)
+{
     banner("Ablation", "encryption-base halving vs tree-arity "
                        "doubling");
-
-    struct Variant
-    {
-        const char *name;
-        TreeConfig config;
-    };
-    const Variant variants[] = {
-        {"SC64-enc + SC64-tree",
-         {"sc/sc", CounterKind::SC64, {CounterKind::SC64}}},
-        {"Morph-enc + SC64-tree",
-         {"m/sc", CounterKind::Morph, {CounterKind::SC64}}},
-        {"SC64-enc + Morph-tree",
-         {"sc/m", CounterKind::SC64, {CounterKind::Morph}}},
-        {"Morph-enc + Morph-tree",
-         {"m/m", CounterKind::Morph, {CounterKind::Morph}}},
-    };
 
     // Geometry decomposition at 16 GB.
     std::printf("%-24s %14s %12s %8s\n", "variant", "enc counters",
@@ -54,22 +73,11 @@ main()
                     geom.treeLevels());
     }
 
-    // Performance decomposition on the random-access workloads where
-    // tree traversal dominates.
-    const SimOptions options = perfOptions();
-    const char *workloads[] = {"mcf", "omnetpp", "bc-twit", "pr-web",
-                               "soplex", "sphinx"};
-
+    // Performance decomposition.
     std::printf("\n%-24s", "variant");
     for (const char *w : workloads)
         std::printf(" %9s", w);
     std::printf(" %9s\n", "gmean");
-
-    std::vector<RunConfig> cells;
-    for (const Variant &v : variants)
-        for (const char *w : workloads)
-            cells.push_back(cell(w, modelConfig(v.config), options));
-    const std::vector<SimResult> results = runSweep(cells);
 
     // Normalized to variants[0], the SC-64 baseline.
     const std::size_t n = std::size(workloads);
@@ -85,5 +93,9 @@ main()
 
     std::printf("\nExpected: each half contributes a share; the full "
                 "design compounds them (paper: 2x * 2x = 4x tree).\n");
-    return 0;
 }
+
+} // namespace
+
+extern const morph::bench::Figure ablSplitBenefits = {
+    "abl_split_benefits", cells, view};

@@ -1,12 +1,14 @@
 /**
  * @file
- * Shared plumbing for the figure-reproduction harnesses.
+ * Shared plumbing for the paper's figures and ablations.
  *
- * Each bench/figNN_* binary regenerates one table or figure of the
- * paper: same rows/series, our measured values. Scales are sized so
- * the full bench sweep completes in
- * minutes on one core; MORPH_SIM_ACCESSES / MORPH_SIM_WARMUP /
- * MORPH_SIM_SCALE raise fidelity when you have the time.
+ * Each bench/figNN_* and bench/abl_* file defines one Figure: the
+ * cells (RunConfigs) its table needs and a view that prints the table
+ * from their results. The `paper` driver (bench/paper.cc) runs the
+ * distinct cells of every requested figure once and hands each view
+ * its results. Scales are sized so the full sweep completes in
+ * minutes; MORPH_SIM_ACCESSES / MORPH_SIM_WARMUP / MORPH_SIM_SCALE
+ * raise fidelity when you have the time.
  *
  * Two preset scales:
  *  - perfOptions(): timed runs for the IPC/traffic/energy figures.
@@ -29,7 +31,6 @@
 #include <vector>
 
 #include "common/log.hh"
-#include "common/run_pool.hh"
 #include "sim/run_config.hh"
 
 namespace morph
@@ -98,16 +99,6 @@ modelConfig(TreeConfig tree)
     return config;
 }
 
-/** Worker count for the figure sweeps: MORPH_BENCH_JOBS when set
- *  (an integer >= 1), else hardware concurrency. */
-inline unsigned
-envJobs()
-{
-    const std::optional<std::uint64_t> jobs =
-        strictEnv([] { return envCount("MORPH_BENCH_JOBS", 1); });
-    return jobs ? unsigned(*jobs) : RunPool::hardwareJobs();
-}
-
 /** One cell of a figure's grid: @p workload on @p secmem at
  *  @p options, named by its tree config. */
 inline RunConfig
@@ -122,17 +113,43 @@ cell(const std::string &workload, const SecureModelConfig &secmem,
     return config;
 }
 
-/** Simulate every cell on a RunPool and return the results in cell
- *  order. Each run owns its whole simulated system and seeds from its
- *  SimOptions, so figure output is byte-identical at any
- *  MORPH_BENCH_JOBS level. */
-inline std::vector<SimResult>
-runSweep(const std::vector<RunConfig> &cells)
+/** Every evaluation workload on each of @p configs at @p options,
+ *  workload-major: the grid most figures print row by row. */
+inline std::vector<RunConfig>
+workloadGrid(const std::vector<SecureModelConfig> &configs,
+             const SimOptions &options)
 {
-    SweepEngine engine(envJobs());
-    return engine.map<SimResult>(
-        cells.size(), [&](std::size_t i) { return simulate(cells[i]); });
+    std::vector<RunConfig> cells;
+    for (const std::string &name : evaluationWorkloads())
+        for (const SecureModelConfig &config : configs)
+            cells.push_back(cell(name, config, options));
+    return cells;
 }
+
+/** The grid Figs 15, 16 and 18 share: VAULT, SC-64 and MorphCtr-128
+ *  at perfOptions(). */
+inline std::vector<RunConfig>
+performanceCells()
+{
+    return workloadGrid({modelConfig(TreeConfig::vault()),
+                         modelConfig(TreeConfig::sc64()),
+                         modelConfig(TreeConfig::morph())},
+                        perfOptions());
+}
+
+/**
+ * One table or figure of the paper. `cells` lists the runs it needs
+ * (nullptr if it needs none); `view` prints the table from their
+ * results, in `cells` order. Each run owns its whole simulated
+ * system and seeds from its SimOptions, so a view's output does not
+ * depend on which other figures ran or on the worker count.
+ */
+struct Figure
+{
+    const char *name; ///< the `paper` command-line name
+    std::vector<RunConfig> (*cells)();
+    void (*view)(const std::vector<SimResult> &results);
+};
 
 /** Print the standard figure header. */
 inline void

@@ -11,46 +11,43 @@
 
 #include "bench_common.hh"
 
-int
-main()
+namespace
 {
-    using namespace morph;
-    using namespace morph::bench;
 
-    banner("Fig 5", "impact of counter arity: VAULT / SC-64 / SC-128 "
-                    "(+ non-secure bound)");
+using namespace morph;
+using namespace morph::bench;
 
+const char *const rows[] = {"Non-Secure", "VAULT", "SC-64", "SC-128"};
+
+std::vector<RunConfig>
+cells()
+{
     // SC-128's overflow catastrophe needs counter steady state, so
     // this figure runs at the overflow footprint scale but timed.
     SimOptions options = perfOptions();
     options.footprintScale = envScale(32.0);
+    SecureModelConfig insecure = modelConfig(TreeConfig::sc64());
+    insecure.secure = false;
+    return workloadGrid({insecure, modelConfig(TreeConfig::vault()),
+                         modelConfig(TreeConfig::sc64()),
+                         modelConfig(TreeConfig::sc128())},
+                        options);
+}
 
-    struct Row
-    {
-        const char *name;
-        SecureModelConfig config;
-    };
-    std::vector<Row> rows;
-    rows.push_back({"Non-Secure", modelConfig(TreeConfig::sc64())});
-    rows.back().config.secure = false;
-    rows.push_back({"VAULT", modelConfig(TreeConfig::vault())});
-    rows.push_back({"SC-64", modelConfig(TreeConfig::sc64())});
-    rows.push_back({"SC-128", modelConfig(TreeConfig::sc128())});
+void
+view(const std::vector<SimResult> &results)
+{
+    banner("Fig 5", "impact of counter arity: VAULT / SC-64 / SC-128 "
+                    "(+ non-secure bound)");
 
     const auto workloads = evaluationWorkloads();
-    std::vector<std::vector<double>> ipcs(rows.size());
-    std::vector<double> bloat(rows.size(), 0.0);
-    std::vector<double> overflow_traffic(rows.size(), 0.0);
-
-    std::vector<RunConfig> cells;
-    for (const std::string &name : workloads)
-        for (const Row &row : rows)
-            cells.push_back(cell(name, row.config, options));
-    const std::vector<SimResult> results = runSweep(cells);
+    std::vector<std::vector<double>> ipcs(std::size(rows));
+    std::vector<double> bloat(std::size(rows), 0.0);
+    std::vector<double> overflow_traffic(std::size(rows), 0.0);
 
     std::size_t next = 0;
     for (std::size_t w = 0; w < workloads.size(); ++w) {
-        for (std::size_t r = 0; r < rows.size(); ++r) {
+        for (std::size_t r = 0; r < std::size(rows); ++r) {
             const SimResult &result = results[next++];
             ipcs[r].push_back(result.ipc);
             bloat[r] += result.bloat();
@@ -69,8 +66,8 @@ main()
                 "normalized perf", "mem access/data access",
                 "overflow access/data");
     const double sc64_gmean = geomean(ipcs[2]);
-    for (std::size_t r = 0; r < rows.size(); ++r) {
-        std::printf("%-12s %18.3f %22.3f %24.3f\n", rows[r].name,
+    for (std::size_t r = 0; r < std::size(rows); ++r) {
+        std::printf("%-12s %18.3f %22.3f %24.3f\n", rows[r],
                     geomean(ipcs[r]) / sc64_gmean,
                     bloat[r] / double(workloads.size()),
                     overflow_traffic[r] / double(workloads.size()));
@@ -79,5 +76,9 @@ main()
     std::printf("\nPaper: VAULT 0.94, SC-64 1.00, SC-128 0.72 "
                 "(overflow bloat ~1 access/access);\n");
     std::printf("       non-secure is ~1.4x over SC-64.\n");
-    return 0;
 }
+
+} // namespace
+
+extern const morph::bench::Figure fig05AritySweep = {
+    "fig05_arity_sweep", cells, view};

@@ -11,12 +11,15 @@
 #include "counters/overflow_model.hh"
 #include "counters/split_counter.hh"
 
-int
-main()
+namespace
 {
-    using namespace morph;
-    using namespace morph::bench;
 
+using namespace morph;
+using namespace morph::bench;
+
+void
+view(const std::vector<SimResult> &)
+{
     banner("Fig 6", "writes/overflow vs fraction of counter cacheline "
                     "used (uniform writes)");
 
@@ -41,5 +44,9 @@ main()
                 "[paper: 8x]\n",
                 double(writesToOverflow(sc64, 64)) /
                     double(writesToOverflow(sc128, 128)));
-    return 0;
 }
+
+} // namespace
+
+extern const morph::bench::Figure fig06OverflowModel = {
+    "fig06_overflow_model", nullptr, view};

@@ -12,23 +12,28 @@
 
 #include "bench_common.hh"
 
-int
-main()
+namespace
 {
-    using namespace morph;
-    using namespace morph::bench;
 
+using namespace morph;
+using namespace morph::bench;
+
+std::vector<RunConfig>
+cells()
+{
+    return workloadGrid({modelConfig(TreeConfig::sc64())},
+                        overflowOptions());
+}
+
+void
+view(const std::vector<SimResult> &results)
+{
     banner("Fig 7", "fraction of counter-cacheline used at overflow "
                     "(SC-64, all workloads)");
 
-    const SimOptions options = overflowOptions();
-    std::vector<RunConfig> cells;
-    for (const std::string &name : evaluationWorkloads())
-        cells.push_back(cell(name, modelConfig(TreeConfig::sc64()), options));
-
     Histogram combined(0.0, 1.0 + 1e-9, 20);
     std::uint64_t workloads_with_overflows = 0;
-    for (const SimResult &result : runSweep(cells)) {
+    for (const SimResult &result : results) {
         const Histogram &h = result.traffic.usageAtOverflow;
         if (h.count() == 0)
             continue;
@@ -63,5 +68,9 @@ main()
     std::printf("(workloads with any overflow at this scale: %llu of "
                 "28)\n",
                 (unsigned long long)workloads_with_overflows);
-    return 0;
 }
+
+} // namespace
+
+extern const morph::bench::Figure fig07UsageHistogram = {
+    "fig07_usage_histogram", cells, view};

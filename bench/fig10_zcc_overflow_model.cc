@@ -12,12 +12,15 @@
 #include "counters/overflow_model.hh"
 #include "counters/split_counter.hh"
 
-int
-main()
+namespace
 {
-    using namespace morph;
-    using namespace morph::bench;
 
+using namespace morph;
+using namespace morph::bench;
+
+void
+view(const std::vector<SimResult> &)
+{
     banner("Fig 10", "writes/overflow: MorphCtr-128 (ZCC) vs SC-64");
 
     SplitCounterFormat sc64(64);
@@ -47,5 +50,9 @@ main()
                 "%llu  [paper: 67]\n",
                 (unsigned long long)adversarialWritesToOverflow(*full,
                                                                 52));
-    return 0;
 }
+
+} // namespace
+
+extern const morph::bench::Figure fig10ZccOverflowModel = {
+    "fig10_zcc_overflow_model", nullptr, view};

@@ -12,29 +12,30 @@
 
 #include "bench_common.hh"
 
-int
-main()
+namespace
 {
-    using namespace morph;
-    using namespace morph::bench;
 
+using namespace morph;
+using namespace morph::bench;
+
+std::vector<RunConfig>
+cells()
+{
+    return workloadGrid({modelConfig(TreeConfig::sc64()),
+                         modelConfig(TreeConfig::sc128()),
+                         modelConfig(TreeConfig::morphZccOnly())},
+                        overflowOptions());
+}
+
+void
+view(const std::vector<SimResult> &results)
+{
     banner("Fig 11", "overflows per million accesses: SC-64 / SC-128 "
                      "/ MorphCtr-128 (ZCC-only)");
-
-    const SimOptions options = overflowOptions();
-    const TreeConfig configs[] = {TreeConfig::sc64(),
-                                  TreeConfig::sc128(),
-                                  TreeConfig::morphZccOnly()};
 
     std::printf("%-12s %12s %12s %16s\n", "workload", "SC-64",
                 "SC-128", "MorphCtr(ZCC)");
     const auto workloads = evaluationWorkloads();
-    std::vector<RunConfig> cells;
-    for (const std::string &name : workloads)
-        for (int c = 0; c < 3; ++c)
-            cells.push_back(cell(name, modelConfig(configs[c]), options));
-    const std::vector<SimResult> results = runSweep(cells);
-
     double sums[3] = {};
     unsigned rows = 0;
     for (std::size_t w = 0; w < workloads.size(); ++w) {
@@ -57,5 +58,9 @@ main()
     std::printf("SC-64 / MorphCtr(ZCC) overflow ratio: %.1fx  [paper: "
                 "1.4x]\n",
                 sums[2] > 0 ? sums[0] / sums[2] : 0.0);
-    return 0;
 }
+
+} // namespace
+
+extern const morph::bench::Figure fig11OverflowRates = {
+    "fig11_overflow_rates", cells, view};

@@ -11,29 +11,30 @@
 
 #include "bench_common.hh"
 
-int
-main()
+namespace
 {
-    using namespace morph;
-    using namespace morph::bench;
 
+using namespace morph;
+using namespace morph::bench;
+
+std::vector<RunConfig>
+cells()
+{
+    return workloadGrid({modelConfig(TreeConfig::sc64()),
+                         modelConfig(TreeConfig::morphZccOnly()),
+                         modelConfig(TreeConfig::morph())},
+                        overflowOptions());
+}
+
+void
+view(const std::vector<SimResult> &results)
+{
     banner("Fig 14", "overflows per million accesses: SC-64 / "
                      "MorphCtr-128 ZCC-only / ZCC+Rebasing");
-
-    const SimOptions options = overflowOptions();
-    const TreeConfig configs[] = {TreeConfig::sc64(),
-                                  TreeConfig::morphZccOnly(),
-                                  TreeConfig::morph()};
 
     std::printf("%-12s %12s %16s %18s %10s\n", "workload", "SC-64",
                 "Morph(ZCC)", "Morph(ZCC+Reb)", "rebases/M");
     const auto workloads = evaluationWorkloads();
-    std::vector<RunConfig> cells;
-    for (const std::string &name : workloads)
-        for (int c = 0; c < 3; ++c)
-            cells.push_back(cell(name, modelConfig(configs[c]), options));
-    const std::vector<SimResult> results = runSweep(cells);
-
     double sums[3] = {};
     unsigned rows = 0;
     for (std::size_t w = 0; w < workloads.size(); ++w) {
@@ -66,5 +67,9 @@ main()
     std::printf("\nSC-64 / Morph(ZCC+Rebasing) overflow ratio: %.1fx  "
                 "[paper: 1.6x]\n",
                 sums[2] > 0 ? sums[0] / sums[2] : 99.9);
-    return 0;
 }
+
+} // namespace
+
+extern const morph::bench::Figure fig14RebasingRates = {
+    "fig14_rebasing_rates", cells, view};

@@ -12,28 +12,21 @@
 
 #include "bench_common.hh"
 
-int
-main()
+namespace
 {
-    using namespace morph;
-    using namespace morph::bench;
 
+using namespace morph;
+using namespace morph::bench;
+
+void
+view(const std::vector<SimResult> &results)
+{
     banner("Fig 15", "normalized performance (IPC): VAULT / SC-64 / "
                      "MorphCtr-128");
-
-    const SimOptions options = perfOptions();
 
     std::printf("%-12s %10s %10s %14s %14s\n", "workload", "VAULT",
                 "SC-64", "MorphCtr-128", "(SC-64 IPC)");
     const auto workloads = evaluationWorkloads();
-    std::vector<RunConfig> cells;
-    for (const std::string &name : workloads) {
-        cells.push_back(cell(name, modelConfig(TreeConfig::vault()), options));
-        cells.push_back(cell(name, modelConfig(TreeConfig::sc64()), options));
-        cells.push_back(cell(name, modelConfig(TreeConfig::morph()), options));
-    }
-    const std::vector<SimResult> results = runSweep(cells);
-
     std::vector<double> vault_norm, morph_norm;
     for (std::size_t w = 0; w < workloads.size(); ++w) {
         const std::string &name = workloads[w];
@@ -62,5 +55,9 @@ main()
     std::printf("MorphCtr-128 speedup over VAULT: %+.1f%%  [paper: "
                 "+13.5%% avg, up to +47.4%%]\n",
                 (m_gmean / v_gmean - 1.0) * 100);
-    return 0;
 }
+
+} // namespace
+
+extern const morph::bench::Figure fig15Performance = {
+    "fig15_performance", morph::bench::performanceCells, view};

@@ -15,6 +15,7 @@ namespace
 {
 
 using namespace morph;
+using namespace morph::bench;
 
 void
 printRow(const char *config, const SimResult &result)
@@ -32,29 +33,15 @@ printRow(const char *config, const SimResult &result)
                 result.bloat());
 }
 
-} // namespace
-
-int
-main()
+void
+view(const std::vector<SimResult> &results)
 {
-    using namespace morph;
-    using namespace morph::bench;
-
     banner("Fig 16", "memory accesses per data access, by category");
 
-    const SimOptions options = perfOptions();
     std::printf("%-14s %8s %9s %7s %7s %9s %9s\n", "", "Data",
                 "Ctr_Encr", "Ctr_1", "Ctr_2", "Ctr_3&Up", "Overflow");
 
     const auto workloads = evaluationWorkloads();
-    std::vector<RunConfig> cells;
-    for (const std::string &name : workloads) {
-        cells.push_back(cell(name, modelConfig(TreeConfig::vault()), options));
-        cells.push_back(cell(name, modelConfig(TreeConfig::sc64()), options));
-        cells.push_back(cell(name, modelConfig(TreeConfig::morph()), options));
-    }
-    const std::vector<SimResult> results = runSweep(cells);
-
     double bloat_sums[3] = {};
     unsigned rows = 0;
     for (std::size_t w = 0; w < workloads.size(); ++w) {
@@ -80,5 +67,9 @@ main()
     std::printf("Measured: MorphCtr %+.1f%%, VAULT %+.1f%% vs SC-64\n",
                 100.0 * (bloat_sums[2] / bloat_sums[1] - 1.0),
                 100.0 * (bloat_sums[0] / bloat_sums[1] - 1.0));
-    return 0;
 }
+
+} // namespace
+
+extern const morph::bench::Figure fig16TrafficBreakdown = {
+    "fig16_traffic_breakdown", morph::bench::performanceCells, view};

@@ -17,6 +17,7 @@ namespace
 {
 
 using namespace morph;
+using namespace morph::bench;
 
 std::string
 human(std::uint64_t bytes)
@@ -60,14 +61,9 @@ report(const TreeConfig &config, std::uint64_t mem_bytes)
                     human(geom.levels()[i].bytes).c_str());
 }
 
-} // namespace
-
-int
-main()
+void
+view(const std::vector<SimResult> &)
 {
-    using namespace morph;
-    using namespace morph::bench;
-
     constexpr std::uint64_t mem = 16ull << 30;
     banner("Fig 1 / Fig 17 / Table III",
            "integrity-tree geometry and storage overheads, 16 GB");
@@ -85,5 +81,9 @@ main()
                 double(sc64.treeBytes()) / double(morphg.treeBytes()),
                 double(vault.treeBytes()) / double(morphg.treeBytes()));
     std::printf("Paper:        4x and 8.5x\n");
-    return 0;
 }
+
+} // namespace
+
+extern const morph::bench::Figure fig17Table3Geometry = {
+    "fig17_table3_geometry", nullptr, view};

@@ -11,27 +11,20 @@
 
 #include "bench_common.hh"
 
-int
-main()
+namespace
 {
-    using namespace morph;
-    using namespace morph::bench;
 
+using namespace morph;
+using namespace morph::bench;
+
+void
+view(const std::vector<SimResult> &results)
+{
     banner("Fig 18", "power / execution time / energy / EDP "
                      "(normalized to SC-64)");
 
-    const SimOptions options = perfOptions();
-    const TreeConfig configs[] = {TreeConfig::vault(),
-                                  TreeConfig::sc64(),
-                                  TreeConfig::morph()};
     const char *names[] = {"VAULT", "SC-64", "MorphCtr-128"};
-
     const auto workloads = evaluationWorkloads();
-    std::vector<RunConfig> cells;
-    for (const std::string &name : workloads)
-        for (const TreeConfig &tree : configs)
-            cells.push_back(cell(name, modelConfig(tree), options));
-    const std::vector<SimResult> results = runSweep(cells);
 
     // Accumulate per-workload normalized metrics (geometric mean).
     std::vector<double> power[3], time[3], energy[3], edp[3];
@@ -57,5 +50,9 @@ main()
     std::printf("\nPaper: MorphCtr-128 power +4%%, time -6%%, energy "
                 "-2.7%%, EDP -8.8%%;\n");
     std::printf("       VAULT energy +3.2%%, EDP +10.5%%.\n");
-    return 0;
 }
+
+} // namespace
+
+extern const morph::bench::Figure fig18Energy = {
+    "fig18_energy", morph::bench::performanceCells, view};

@@ -11,22 +11,23 @@
 
 #include "bench_common.hh"
 
-int
-main()
+namespace
 {
-    using namespace morph;
-    using namespace morph::bench;
 
-    banner("Fig 19", "speedup vs metadata cache size (normalized to "
-                     "SC-64 @ 128 KB)");
+using namespace morph;
+using namespace morph::bench;
 
+constexpr std::size_t sizes[] = {64 * 1024, 128 * 1024, 256 * 1024};
+
+std::vector<RunConfig>
+cells()
+{
     // Full footprints: the trend comes from whole tree levels
     // crossing the cache-capacity boundary (SC-64's 64 KB level 2
     // fits a 256 KB cache but not a 64 KB one), which footprint
     // scaling would distort.
     SimOptions options = perfOptions();
     options.footprintScale = envScale(1.0);
-    const std::size_t sizes[] = {64 * 1024, 128 * 1024, 256 * 1024};
     const TreeConfig designs[] = {TreeConfig::sc64(), TreeConfig::morph()};
 
     const auto workloads = evaluationWorkloads();
@@ -39,7 +40,16 @@ main()
             }
         }
     }
-    const std::vector<SimResult> results = runSweep(cells);
+    return cells;
+}
+
+void
+view(const std::vector<SimResult> &results)
+{
+    banner("Fig 19", "speedup vs metadata cache size (normalized to "
+                     "SC-64 @ 128 KB)");
+
+    const auto workloads = evaluationWorkloads();
     auto ipc = [&](std::size_t s, std::size_t w, std::size_t design) {
         return results[(s * workloads.size() + w) * 2 + design].ipc;
     };
@@ -61,5 +71,9 @@ main()
 
     std::printf("\nPaper: +11%% @ 64 KB, +6.3%% @ 128 KB, +3.3%% @ "
                 "256 KB.\n");
-    return 0;
 }
+
+} // namespace
+
+extern const morph::bench::Figure fig19MdcacheSensitivity = {
+    "fig19_mdcache_sensitivity", cells, view};

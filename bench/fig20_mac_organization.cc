@@ -12,17 +12,18 @@
 
 #include "bench_common.hh"
 
-int
-main()
+namespace
 {
-    using namespace morph;
-    using namespace morph::bench;
 
-    banner("Fig 20", "Separate MACs vs In-Line MACs (normalized to "
-                     "SC-64 in-line)");
+using namespace morph;
+using namespace morph::bench;
 
+constexpr bool organizations[] = {false, true}; // in-line MACs?
+
+std::vector<RunConfig>
+cells()
+{
     const SimOptions options = perfOptions();
-    const bool organizations[] = {false, true}; // in-line MACs?
     const TreeConfig designs[] = {TreeConfig::sc64(), TreeConfig::morph()};
 
     const auto workloads = evaluationWorkloads();
@@ -35,7 +36,16 @@ main()
             }
         }
     }
-    const std::vector<SimResult> results = runSweep(cells);
+    return cells;
+}
+
+void
+view(const std::vector<SimResult> &results)
+{
+    banner("Fig 20", "Separate MACs vs In-Line MACs (normalized to "
+                     "SC-64 in-line)");
+
+    const auto workloads = evaluationWorkloads();
     auto ipc = [&](std::size_t org, std::size_t w, std::size_t design) {
         return results[(org * workloads.size() + w) * 2 + design].ipc;
     };
@@ -58,5 +68,9 @@ main()
 
     std::printf("\nPaper: separate MACs cost both designs ~29%%; Morph "
                 "speedup 4.7%% (separate) vs 6.3%% (in-line).\n");
-    return 0;
 }
+
+} // namespace
+
+extern const morph::bench::Figure fig20MacOrganization = {
+    "fig20_mac_organization", cells, view};

@@ -4,6 +4,7 @@
 #include <array>
 #include <cctype>
 #include <map>
+#include <memory>
 #include <set>
 #include <string>
 #include <vector>
@@ -171,25 +172,23 @@ skipAngleGroup(const std::vector<Token> &t, std::size_t open)
 struct FileUnit
 {
     SourceText meta;
-    const LexedSource *lexed = nullptr;
+    /** Heap-held: model points into it, and units_ may move. */
+    std::unique_ptr<const LexedSource> lexed;
     SourceModel model;
 };
 
 class Analyzer
 {
   public:
-    /** Lex and model @p sources; a null @p cache uses a private one,
-     *  which also de-duplicates same-path batch entries. */
-    Analyzer(const std::vector<SourceText> &sources, LexCache *cache)
+    /** Lex and model @p sources. */
+    explicit Analyzer(const std::vector<SourceText> &sources)
     {
-        // std::map entries are address-stable, so units may keep
-        // pointers into either cache.
-        LexCache &lexed = cache ? *cache : ownLex_;
         units_.reserve(sources.size());
         for (const SourceText &src : sources) {
             FileUnit unit;
             unit.meta = src;
-            unit.lexed = &lexed.get(src.path, src.path, src.text);
+            unit.lexed =
+                std::make_unique<const LexedSource>(lex(src.path, src.text));
             unit.model = buildModel(*unit.lexed);
             units_.push_back(std::move(unit));
         }
@@ -1462,8 +1461,6 @@ class Analyzer
         return std::move(result_);
     }
 
-    // Declared first: units_ point into its entries.
-    LexCache ownLex_;
     std::vector<FileUnit> units_;
     std::set<std::string> reported_;
     AnalysisResult result_;
@@ -1486,9 +1483,9 @@ class Analyzer
 } // namespace
 
 AnalysisResult
-analyzeSources(const std::vector<SourceText> &sources, LexCache *cache)
+analyzeSources(const std::vector<SourceText> &sources)
 {
-    return Analyzer(sources, cache).run();
+    return Analyzer(sources).run();
 }
 
 } // namespace morph::analysis

@@ -40,16 +40,12 @@
 #include <vector>
 
 #include "analysis/findings.hh"
-#include "analysis/lex_cache.hh"
 
 namespace morph::analysis
 {
 
-/** Analyze @p sources as one batch (taint propagates across files).
- *  A non-null @p cache memoizes the lexed token streams (keyed by
- *  path) so repeated analyses of the same files lex once. */
-AnalysisResult analyzeSources(const std::vector<SourceText> &sources,
-                              LexCache *cache = nullptr);
+/** Analyze @p sources as one batch (taint propagates across files). */
+AnalysisResult analyzeSources(const std::vector<SourceText> &sources);
 
 } // namespace morph::analysis
 

@@ -3,7 +3,7 @@
  * run_pool: the parallel sweep engine for independent simulation runs.
  *
  * Every evaluation surface of this repo — the morphbench workload x
- * config matrix, the bench/fig* figure reproductions, morphsim
+ * config matrix, the bench/paper figure driver, morphsim
  * --sweep, morphverify's model shards — is an embarrassingly parallel
  * grid of independent runs: each run owns its whole simulated system
  * (traces, RNGs, caches, DRAM, StatRegistry/MorphScope), and shares

@@ -3,7 +3,6 @@
 #include <cstring>
 
 #include "common/check.hh"
-#include "common/prof.hh"
 #include "common/secure_buf.hh"
 
 namespace morph
@@ -12,7 +11,6 @@ namespace morph
 CachelineData
 OtpEngine::pad(LineAddr line, std::uint64_t counter) const
 {
-    MORPH_PROF_SCOPE("crypto.otp_pad");
     // Effective counters are at most 56 bits wide in every counter
     // format, leaving the top byte of the seed free for the block index.
     MORPH_CHECK_EQ(counter >> 56, 0u);

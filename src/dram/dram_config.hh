@@ -71,6 +71,8 @@ struct DramConfig
     {
         return channels * ranksPerChannel * banksPerRank;
     }
+
+    bool operator==(const DramConfig &) const = default;
 };
 
 /** Decoded position of a line in the DRAM system. */

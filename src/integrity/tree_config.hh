@@ -62,6 +62,8 @@ struct TreeConfig
      *  (8 x 64-bit tags per node, no counter overflows); the
      *  functional hash tree itself is integrity/mac_tree.hh. */
     static TreeConfig bonsaiMacTree();
+
+    bool operator==(const TreeConfig &) const = default;
 };
 
 /** A tree configuration under its command-line name. */

@@ -82,6 +82,8 @@ struct PersistConfig
      * prove the morphverify recoverability check actually fires.
      */
     bool brokenSkipTreePersist = false;
+
+    bool operator==(const PersistConfig &) const = default;
 };
 
 /** Persist-traffic counters (the strict-vs-lazy cost axis). */

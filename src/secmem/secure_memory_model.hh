@@ -98,6 +98,8 @@ struct SecureModelConfig
      * makes durable with the data itself.
      */
     PersistConfig persist;
+
+    bool operator==(const SecureModelConfig &) const = default;
 };
 
 /** Trace-level secure memory controller model. */

@@ -39,6 +39,9 @@ struct RunConfig
     /** tracePath's events, loaded once by resolveRunConfig; copies of
      *  the config share them. */
     std::shared_ptr<const FileTraceSource> trace;
+
+    /** Field-wise: two equal configs simulate the same run. */
+    bool operator==(const RunConfig &) const = default;
 };
 
 /** How a setting's value is parsed, and which values it accepts. */

@@ -60,6 +60,8 @@ struct SimOptions
 
     /** Defaults plus environment overrides. */
     static SimOptions fromEnv() { return fromEnv(SimOptions{}); }
+
+    bool operator==(const SimOptions &) const = default;
 };
 
 /** Results of one measured simulation. */

@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "analysis/flow_analyzer.hh"
-#include "analysis/lex_cache.hh"
 #include "analysis/lexer.hh"
 #include "analysis/source_model.hh"
 
@@ -504,35 +503,6 @@ TEST(RaceAnalyzer, WaiverSuppressesButReports)
     EXPECT_TRUE(r.findings.empty());
     ASSERT_EQ(r.waived.size(), 1u);
     EXPECT_EQ(r.waived[0].rule, "race-naked-static");
-}
-
-// ---- lex cache ------------------------------------------------------
-
-TEST(LexCacheTest, SecondAnalysisHitsTheCache)
-{
-    std::vector<SourceText> sources(1);
-    sources[0].path = "cached.cc";
-    sources[0].text = "static unsigned g_hits = 0;\n";
-    sources[0].staticScope = true;
-    LexCache cache;
-    analyzeSources(sources, &cache);
-    EXPECT_EQ(cache.entries(), 1u);
-    EXPECT_EQ(cache.hits(), 0u);
-    analyzeSources(sources, &cache);
-    EXPECT_EQ(cache.entries(), 1u);
-    EXPECT_EQ(cache.hits(), 1u);
-}
-
-TEST(LexCacheTest, DuplicateBatchEntriesLexOnce)
-{
-    std::vector<SourceText> sources(2);
-    sources[0].path = "dup.cc";
-    sources[0].text = "int x = 1;\n";
-    sources[1] = sources[0];
-    LexCache cache;
-    analyzeSources(sources, &cache);
-    EXPECT_EQ(cache.entries(), 1u);
-    EXPECT_EQ(cache.hits(), 1u);
 }
 
 } // namespace

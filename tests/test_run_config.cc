@@ -22,24 +22,6 @@ namespace morph
 namespace
 {
 
-/** Every field a setting can store, as one comparable string. */
-std::string
-fingerprint(const RunConfig &c)
-{
-    std::ostringstream out;
-    out << c.workload << '|' << c.tracePath << '|' << c.configName << '|'
-        << c.secmem.memBytes << '|' << c.secmem.metadataCacheBytes << '|'
-        << c.secmem.inlineMacs << c.secmem.speculativeVerification
-        << c.secmem.counterPrefetch << c.secmem.demoteEncCounters << '|'
-        << c.secmem.persist.enabled << int(c.secmem.persist.policy) << '|'
-        << c.secmem.persist.epochWrites << '|' << c.options.accessesPerCore
-        << '|' << c.options.warmupPerCore << '|' << c.options.seed << '|'
-        << c.options.timing << '|' << c.options.footprintScale << '|'
-        << c.options.dram.refresh << c.options.dram.writeQueueing << '|'
-        << c.options.dram.channels << '|' << c.options.dram.ranksPerChannel;
-    return out.str();
-}
-
 IniFile
 iniWith(const std::string &key, const std::string &value)
 {
@@ -125,12 +107,9 @@ TEST(RunConfig, FlagAndIniLandInTheSameField)
 {
     for (const Setting &setting : runSettings()) {
         SCOPED_TRACE(setting.key);
-        bool changed = false;
         for (const std::string &value : validValues(setting)) {
             RunConfig from_ini;
             EXPECT_EQ(viaIni(from_ini, setting, value), "") << value;
-            changed = changed ||
-                      fingerprint(from_ini) != fingerprint(RunConfig{});
             if (setting.flag == nullptr)
                 continue;
             // A presence flag can only say "true".
@@ -138,11 +117,36 @@ TEST(RunConfig, FlagAndIniLandInTheSameField)
                 continue;
             RunConfig from_flag;
             EXPECT_EQ(viaFlag(from_flag, setting, value), "") << value;
-            EXPECT_EQ(fingerprint(from_flag), fingerprint(from_ini))
-                << value;
+            EXPECT_TRUE(from_flag == from_ini) << value;
         }
-        EXPECT_TRUE(changed) << "no value moved any field";
     }
+}
+
+// The paper driver simulates a set of equal RunConfigs once, so every
+// field a run depends on must take part in ==.
+TEST(RunConfig, EqualityCoversEverySetting)
+{
+    const RunConfig defaults;
+    for (const Setting &setting : runSettings()) {
+        SCOPED_TRACE(setting.key);
+        bool changed = false;
+        for (const std::string &value : validValues(setting)) {
+            RunConfig config;
+            EXPECT_EQ(viaIni(config, setting, value), "") << value;
+            changed = changed || !(config == defaults);
+        }
+        EXPECT_TRUE(changed) << "no value moved the equality key";
+    }
+
+    RunConfig insecure;
+    insecure.secmem.secure = false;
+    EXPECT_FALSE(insecure == defaults);
+    RunConfig ways;
+    ways.secmem.metadataCacheWays = 16;
+    EXPECT_FALSE(ways == defaults);
+    RunConfig renamed;
+    renamed.secmem.tree.name = "renamed";
+    EXPECT_FALSE(renamed == defaults);
 }
 
 TEST(RunConfig, BadValuesNameTheKeyOrFlag)
@@ -161,7 +165,7 @@ TEST(RunConfig, BadValuesNameTheKeyOrFlag)
                 viaFlag(config, setting, value);
             EXPECT_NE(flag_error.find(setting.flag), std::string::npos)
                 << "'" << value << "': " << flag_error;
-            EXPECT_EQ(fingerprint(config), fingerprint(RunConfig{}))
+            EXPECT_TRUE(config == RunConfig{})
                 << "a rejected value was stored";
         }
     }

@@ -201,8 +201,7 @@ printFinding(const Finding &f, const char *tag)
 
 bool
 writeJson(const std::string &path, const AnalysisResult &result,
-          std::size_t files_analyzed, double lex_ms, double analyze_ms,
-          const LexCache &cache)
+          std::size_t files_analyzed, double analysis_ms)
 {
     std::ostringstream out;
     const auto emit = [&out](const std::vector<Finding> &list) {
@@ -220,16 +219,13 @@ writeJson(const std::string &path, const AnalysisResult &result,
         if (!first)
             out << "\n  ";
     };
-    char timing[128];
+    char timing[64];
     std::snprintf(timing, sizeof timing,
-                  "  \"timing\": {\"lex_ms\": %.1f, "
-                  "\"analyze_ms\": %.1f},\n",
-                  lex_ms, analyze_ms);
+                  "  \"timing\": {\"analysis_ms\": %.1f},\n",
+                  analysis_ms);
     out << "{\n  \"tool\": \"morphflow\",\n";
     out << "  \"files_analyzed\": " << files_analyzed << ",\n";
     out << timing;
-    out << "  \"lex_cache\": {\"entries\": " << cache.entries()
-        << ", \"hits\": " << cache.hits() << "},\n";
     out << "  \"findings\": [";
     emit(result.findings);
     out << "],\n  \"waived\": [";
@@ -344,20 +340,11 @@ main(int argc, char **argv)
         sources.push_back(std::move(src));
     }
 
-    // Pre-warm the lex cache so lexing and analysis time apart.
     using clk = std::chrono::steady_clock;
-    LexCache cache;
     const clk::time_point t0 = clk::now();
-    for (const SourceText &src : sources)
-        cache.get(src.path, src.path, src.text);
-    const clk::time_point t1 = clk::now();
-    const AnalysisResult result = analyzeSources(sources, &cache);
-    const clk::time_point t2 = clk::now();
-    const auto ms = [](clk::duration d) {
-        return std::chrono::duration<double, std::milli>(d).count();
-    };
-    const double lex_ms = ms(t1 - t0);
-    const double analyze_ms = ms(t2 - t1);
+    const AnalysisResult result = analyzeSources(sources);
+    const double analysis_ms =
+        std::chrono::duration<double, std::milli>(clk::now() - t0).count();
 
     if (!quiet) {
         for (const Finding &f : result.waived)
@@ -366,15 +353,14 @@ main(int argc, char **argv)
             printFinding(f, "");
         std::printf(
             "morphflow: %zu file%s, %zu finding%s, %zu waived "
-            "(lex %.1f ms, analyze %.1f ms)\n",
+            "(%.1f ms)\n",
             sources.size(), sources.size() == 1 ? "" : "s",
             result.findings.size(),
             result.findings.size() == 1 ? "" : "s",
-            result.waived.size(), lex_ms, analyze_ms);
+            result.waived.size(), analysis_ms);
     }
     if (!json_out.empty() &&
-        !writeJson(json_out, result, sources.size(), lex_ms, analyze_ms,
-                   cache)) {
+        !writeJson(json_out, result, sources.size(), analysis_ms)) {
         std::fprintf(stderr, "morphflow: cannot write %s\n",
                      json_out.c_str());
         return 2;
